@@ -9,12 +9,8 @@ sufficient condition for linear-phase periodic couplings.
 
 from . import errors
 from .frame import (
-    GeometricPotential,
     InvariantFrame,
-    build_coupling_matrix,
     build_frame,
-    build_invariant_basis,
-    compute_geometric_potential,
     coupling_from_overlaps,
     coupling_route_discrepancy,
 )
@@ -87,7 +83,6 @@ __all__ = [
     "FourierConditionReport",
     "Gauge",
     "GammaMethod",
-    "GeometricPotential",
     "HamiltonianModel",
     "Harmonic",
     "InvariantFrame",
@@ -101,13 +96,10 @@ __all__ = [
     "TimeGrid",
     "apply_phase_redressing",
     "build_conjugated_model",
-    "build_coupling_matrix",
     "build_frame",
-    "build_invariant_basis",
     "build_spin_half",
     "check_linear_phase",
     "compact_condition_functional",
-    "compute_geometric_potential",
     "compute_nonadiabatic_coupling",
     "conjugated_coupling_closed_form",
     "conservation_residual",

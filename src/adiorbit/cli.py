@@ -54,7 +54,6 @@ _KNOWN_KEYS = {
     "model.generator",
     "model.eigenbasis",
     "model.path",
-    "model.period",
     "grid.tau_end",
     "grid.n_steps",
     "evolve.initial_level",
@@ -67,7 +66,6 @@ _KNOWN_KEYS = {
     "fourier.n_harmonics",
     "fourier.linearity_tol",
     "fourier.resonance_tol",
-    "outputs",
     "sweep.parameter",
     "sweep.values",
 }
@@ -158,7 +156,6 @@ class ScenarioConfig:
     fourier_harmonics: int
     linearity_tol: float
     resonance_tol: Optional[float]
-    outputs: tuple[str, ...]
 
 
 def _build_model(cfg: dict[str, str], grid: TimeGrid) -> HamiltonianModel:
@@ -238,15 +235,6 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError("spectrum.gamma_method must be 'fd' or 'hf'") from exc
 
-    outputs_text = cfg.get(
-        "outputs", "exact, direct, first, second, ratio, conditions, fourier"
-    )
-    outputs = tuple(s.strip() for s in outputs_text.split(",") if s.strip())
-    allowed = {"exact", "direct", "first", "second", "ratio", "conditions", "fourier"}
-    unknown = set(outputs) - allowed
-    if unknown:
-        raise ConfigError(f"unknown outputs: {sorted(unknown)}")
-
     period = _get_float(cfg, "fourier.period")
     if period is None:
         period = model.period
@@ -265,7 +253,6 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
         fourier_harmonics=_get_int(cfg, "fourier.n_harmonics", 8),
         linearity_tol=_get_float(cfg, "fourier.linearity_tol", 1e-6),
         resonance_tol=_get_float(cfg, "fourier.resonance_tol"),
-        outputs=outputs,
     )
 
 

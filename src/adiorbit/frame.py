@@ -8,14 +8,15 @@ coupling matrix whose entries carry the modulus of the nonadiabatic
 coupling and a phase built from the accumulated energy differences, the
 Berry-connection differences, and the argument of the coupling itself.
 
-The coupling matrix is assembled twice here: from that phase formula
-(:func:`build_coupling_matrix`) and directly as i times the overlap of
-dressed frames with their time derivative (:func:`coupling_from_overlaps`).
-The two routes must agree; :func:`coupling_route_discrepancy` measures it.
+:func:`build_frame` derives all of it in one pass: gamma is hermitized
+once, and the energies and Berry connection are integrated in one
+trapezoid sweep. The coupling matrix is also assembled a second way,
+directly as i times the overlap of dressed frames with their time
+derivative (:func:`coupling_from_overlaps`). The two routes must agree;
+:func:`coupling_route_discrepancy` measures it.
 """
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +29,26 @@ from .spectrum import AdiabaticSpectrum, NonadiabaticCoupling
 ARG_UNDEFINED_TOL = 1e-14
 
 
-class GeometricPotential(NamedTuple):
-    """Accumulated geometric phase, its rate, and the undefined-arg mask."""
-
-    phase: np.ndarray       # xi_mn(tau_k), shape (n+1, d, d), zero diagonal
-    potential: np.ndarray   # d xi / dtau by central differences
-    arg_undefined: np.ndarray  # bool mask where |gamma_mn| < ARG_UNDEFINED_TOL
-
-
 @dataclass(frozen=True)
 class InvariantFrame:
     """Phases and coupling of the dressed adiabatic frame.
 
     ``dynamical_phase[k, m]`` is the integral of e_m minus the Berry
-    connection up to tau_k. ``geometric_phase`` (xi), ``coupling_phase``
-    (the full phase of each coupling entry) and ``coupling`` (the
-    Hermitian zero-diagonal generator) are filled by
-    :func:`build_coupling_matrix`; they are None on a frame fresh from
-    :func:`build_invariant_basis`.
+    connection up to tau_k. ``geometric_phase[k, m, n]`` (xi) is the
+    accumulated Berry-connection difference plus the unwrapped arg of
+    gamma_mn, ``coupling_phase`` (alpha) adds the accumulated energy
+    difference to it, and ``coupling`` is the Hermitian zero-diagonal
+    generator. ``arg_undefined`` flags the samples where |gamma_mn| is
+    below :data:`ARG_UNDEFINED_TOL`.
     """
 
     spectrum: AdiabaticSpectrum
     gamma: NonadiabaticCoupling
     dynamical_phase: np.ndarray
-    geometric_phase: Optional[np.ndarray] = None
-    coupling_phase: Optional[np.ndarray] = None
-    coupling: Optional[np.ndarray] = None
-    arg_undefined: Optional[np.ndarray] = None
+    geometric_phase: np.ndarray
+    coupling_phase: np.ndarray
+    coupling: np.ndarray
+    arg_undefined: np.ndarray
 
     @property
     def grid(self):
@@ -65,35 +59,12 @@ class InvariantFrame:
         return self.spectrum.eigenvectors * np.exp(-1j * self.dynamical_phase)[:, None, :]
 
 
-def _symmetrized(gamma: NonadiabaticCoupling) -> np.ndarray:
-    # the continuum gamma is exactly Hermitian; averaging projects out
-    # the discretization noise so phases stay real and M exactly Hermitian
-    return hermitize(gamma.values)
-
-
-def build_invariant_basis(
-    spectrum: AdiabaticSpectrum, gamma: NonadiabaticCoupling
-) -> InvariantFrame:
-    """Attach the per-level dressing phases to a tracked spectrum.
-
-    The phase of level m accumulates e_m(tau) - gamma_mm(tau) by
-    composite trapezoid from tau = 0.
-    """
-    if not spectrum.grid.matches(gamma.grid):
-        raise GridMismatch("spectrum and coupling live on different grids")
-    gsym = _symmetrized(gamma)
-    berry = np.real(np.einsum("knn->kn", gsym))
-    theta = cumulative_trapezoid(spectrum.eigenvalues - berry, spectrum.grid.dtau)
-    return InvariantFrame(spectrum=spectrum, gamma=gamma, dynamical_phase=theta)
-
-
-def _unwrapped_arguments(gsym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unwrapped_arguments(gsym: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped arg gamma_mn per pair, with undefined samples
     linearly interpolated from their defined neighbours."""
     n1, d, _ = gsym.shape
     args = np.zeros((n1, d, d))
     undefined = np.zeros((n1, d, d), dtype=bool)
-    magnitude = np.abs(gsym)
     sample_idx = np.arange(n1)
     for m in range(d):
         for n in range(d):
@@ -112,29 +83,17 @@ def _unwrapped_arguments(gsym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return args, undefined
 
 
-def compute_geometric_potential(gamma: NonadiabaticCoupling) -> GeometricPotential:
-    """xi_mn and its time derivative from a sampled coupling.
+def build_frame(spectrum: AdiabaticSpectrum, gamma: NonadiabaticCoupling) -> InvariantFrame:
+    """The dressed frame of a tracked spectrum and its coupling matrix.
 
-    xi_mn(tau) accumulates the Berry-connection difference
-    gamma_nn - gamma_mm and adds the continuously unwrapped argument of
-    gamma_mn. Where |gamma_mn| is below :data:`ARG_UNDEFINED_TOL` the
-    argument is undefined; those samples are flagged and bridged by
-    linear interpolation (the coupling entry vanishes there, so the
-    choice cannot influence the dynamics).
-    """
-    gsym = _symmetrized(gamma)
-    berry_int = cumulative_trapezoid(np.real(np.einsum("knn->kn", gsym)), gamma.grid.dtau)
-    base = berry_int[:, None, :] - berry_int[:, :, None]  # [k, m, n] = int(g_nn - g_mm)
-    args, undefined = _unwrapped_arguments(gsym)
-    xi = base + args
-    d = gsym.shape[1]
-    xi[:, np.arange(d), np.arange(d)] = 0.0
-    potential = central_difference(xi, gamma.grid.dtau)
-    return GeometricPotential(xi, potential, undefined)
-
-
-def build_coupling_matrix(frame: InvariantFrame) -> InvariantFrame:
-    """Fill in xi, the coupling phase, and the coupling matrix.
+    The phase of level m accumulates e_m(tau) - gamma_mm(tau) by
+    composite trapezoid from tau = 0. xi_mn accumulates the
+    Berry-connection difference gamma_nn - gamma_mm and adds the
+    continuously unwrapped argument of gamma_mn. Where |gamma_mn| is
+    below :data:`ARG_UNDEFINED_TOL` the argument is undefined; those
+    samples are flagged and bridged by linear interpolation (the
+    coupling entry vanishes there, so the choice cannot influence the
+    dynamics).
 
     Entry (m, n) of the coupling carries modulus |gamma_mn| and phase
     alpha_mn = int(e_m - e_n) + xi_mn, which reproduces
@@ -142,26 +101,46 @@ def build_coupling_matrix(frame: InvariantFrame) -> InvariantFrame:
     exactly zero: its would-be entries are absorbed by the dressing
     phases.
     """
-    spectrum, gamma = frame.spectrum, frame.gamma
-    gsym = _symmetrized(gamma)
-    geo = compute_geometric_potential(gamma)
-    energy_int = cumulative_trapezoid(spectrum.eigenvalues, spectrum.grid.dtau)
-    alpha = (energy_int[:, :, None] - energy_int[:, None, :]) + geo.phase
-    coupling = np.exp(1j * alpha) * np.abs(gsym)
+    if not spectrum.grid.matches(gamma.grid):
+        raise GridMismatch("spectrum and coupling live on different grids")
     d = spectrum.dimension
-    coupling[:, np.arange(d), np.arange(d)] = 0.0
-    return replace(
-        frame,
-        geometric_phase=geo.phase,
+    diag = np.arange(d)
+    # the continuum gamma is exactly Hermitian; averaging projects out
+    # the discretization noise so phases stay real and M exactly Hermitian
+    gsym = hermitize(gamma.values)
+    magnitude = np.abs(gsym)
+    args, undefined = _unwrapped_arguments(gsym, magnitude)
+    energies = spectrum.eigenvalues
+    berry = np.real(np.einsum("knn->kn", gsym))
+    # the trapezoid acts column by column, so one sweep over the stacked
+    # integrands gives each integral exactly as a separate sweep would
+    integrals = cumulative_trapezoid(
+        np.concatenate([energies - berry, berry, energies], axis=1), spectrum.grid.dtau
+    )
+    del gsym, berry
+    theta = integrals[:, :d].copy()  # the frame keeps theta, not the stacked sweep
+    berry_int, energy_int = integrals[:, d : 2 * d], integrals[:, 2 * d :]
+
+    xi = berry_int[:, None, :] - berry_int[:, :, None]  # [k, m, n] = int(g_nn - g_mm)
+    xi += args
+    del args
+    xi[:, diag, diag] = 0.0
+    alpha = energy_int[:, :, None] - energy_int[:, None, :]
+    alpha += xi
+    del integrals, berry_int, energy_int
+    coupling = np.exp(1j * alpha)
+    coupling *= magnitude
+    del magnitude
+    coupling[:, diag, diag] = 0.0
+    return InvariantFrame(
+        spectrum=spectrum,
+        gamma=gamma,
+        dynamical_phase=theta,
+        geometric_phase=xi,
         coupling_phase=alpha,
         coupling=coupling,
-        arg_undefined=geo.arg_undefined,
+        arg_undefined=undefined,
     )
-
-
-def build_frame(spectrum: AdiabaticSpectrum, gamma: NonadiabaticCoupling) -> InvariantFrame:
-    """Convenience: dressing phases plus the full coupling matrix."""
-    return build_coupling_matrix(build_invariant_basis(spectrum, gamma))
 
 
 def coupling_from_overlaps(frame: InvariantFrame) -> np.ndarray:
@@ -182,6 +161,4 @@ def coupling_from_overlaps(frame: InvariantFrame) -> np.ndarray:
 
 def coupling_route_discrepancy(frame: InvariantFrame) -> float:
     """Max entrywise gap between the phase-formula and overlap routes."""
-    if frame.coupling is None:
-        frame = build_coupling_matrix(frame)
     return float(np.abs(frame.coupling - coupling_from_overlaps(frame)).max())

@@ -15,8 +15,12 @@ adiabatic limit:
 * the exact-ratio compact functional, which reproduces
   -(1/2) ln P_exact(tau) when fed the exact coefficients.
 
-Integrals use the composite trapezoid; the double integral keeps a
-running inner integral so the cost stays linear in the number of steps.
+The first three read two kernels of M: the column integrals
+A_k(tau) = int_0^tau M_km, and the ordered double integral D_mm, whose
+inner integral is A itself. :func:`evaluate_conditions` builds A once
+and D_mm once from it; each public probability and condition function
+is a thin view over the same two private helpers. Integrals use the
+composite trapezoid, so the cost stays linear in the number of steps.
 Evaluation horizons (``tau_end``) snap to the nearest grid sample.
 """
 
@@ -79,11 +83,20 @@ def _column_integrals(coupling: np.ndarray, grid: TimeGrid, level: int) -> np.nd
     return cumulative_trapezoid(coupling[:, :, level], grid.dtau)
 
 
-def _double_integral_kernel(coupling: np.ndarray, grid: TimeGrid, level: int) -> np.ndarray:
-    """D_mm(tau_k) = int_0^tau dl1 sum_k M_mk(l1) int_0^l1 dl2 M_km(l2)."""
-    inner = _column_integrals(coupling, grid, level)
-    integrand = np.einsum("jk,jk->j", coupling[:, level, :], inner)
+def _double_integral_kernel(
+    coupling: np.ndarray, column_integrals: np.ndarray, grid: TimeGrid, level: int
+) -> np.ndarray:
+    """D_mm(tau_k) = int_0^tau dl1 sum_k M_mk(l1) int_0^l1 dl2 M_km(l2).
+
+    ``column_integrals`` is the inner integral, A from
+    :func:`_column_integrals` for the same level.
+    """
+    integrand = np.einsum("jk,jk->j", coupling[:, level, :], column_integrals)
     return cumulative_trapezoid(integrand, grid.dtau)
+
+
+def _first_order_deficits(a_end: np.ndarray, level: int) -> dict[int, float]:
+    return {k: float(np.abs(a_end[k]) ** 2) for k in range(a_end.shape[0]) if k != level}
 
 
 def first_order_probability(coupling: np.ndarray, grid: TimeGrid, initial_level: int) -> np.ndarray:
@@ -100,17 +113,14 @@ def first_order_condition(
 ) -> dict[int, float]:
     """Per-level first-order deficits |int_0^tau_end M_km|^2, k != m."""
     idx = _end_index(grid, tau_end)
-    a = _column_integrals(coupling, grid, initial_level)[idx]
-    return {
-        k: float(np.abs(a[k]) ** 2)
-        for k in range(coupling.shape[-1])
-        if k != initial_level
-    }
+    a = _column_integrals(coupling, grid, initial_level)
+    return _first_order_deficits(a[idx], initial_level)
 
 
 def second_order_probability(coupling: np.ndarray, grid: TimeGrid, initial_level: int) -> np.ndarray:
     """P2(tau_k) = |1 - D_mm(tau_k)|^2 from the ordered double integral."""
-    d_mm = _double_integral_kernel(coupling, grid, initial_level)
+    a = _column_integrals(coupling, grid, initial_level)
+    d_mm = _double_integral_kernel(coupling, a, grid, initial_level)
     return np.abs(1.0 - d_mm) ** 2
 
 
@@ -122,7 +132,8 @@ def second_order_condition(
 ) -> float:
     """|D_mm(tau_end)|^2, the squared second-order kernel."""
     idx = _end_index(grid, tau_end)
-    return float(np.abs(_double_integral_kernel(coupling, grid, initial_level)[idx]) ** 2)
+    a = _column_integrals(coupling, grid, initial_level)
+    return float(np.abs(_double_integral_kernel(coupling, a, grid, initial_level)[idx]) ** 2)
 
 
 def ratio_condition_first_order(
@@ -137,7 +148,8 @@ def ratio_condition_first_order(
     half the total first-order deficit, so it is non-negative.
     """
     idx = _end_index(grid, tau_end)
-    return float(np.real(_double_integral_kernel(coupling, grid, initial_level)[idx]))
+    a = _column_integrals(coupling, grid, initial_level)
+    return float(np.real(_double_integral_kernel(coupling, a, grid, initial_level)[idx]))
 
 
 def _guard_ratio(coefficients: np.ndarray, level: int, idx: int, what: str):
@@ -171,7 +183,8 @@ def ratio_probability_first_iteration(
             coefficients.coefficients, initial_level, grid.n_steps,
             "first-iteration ratio probability",
         )
-    d_mm = _double_integral_kernel(coupling, grid, initial_level)
+    a = _column_integrals(coupling, grid, initial_level)
+    d_mm = _double_integral_kernel(coupling, a, grid, initial_level)
     return np.exp(-2.0 * np.real(d_mm))
 
 
@@ -212,13 +225,19 @@ def evaluate_conditions(
     tau_end: Optional[float] = None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> ConditionReport:
-    """Evaluate all four criteria at the same horizon and threshold."""
+    """Evaluate all four criteria at the same horizon and threshold.
+
+    A and D_mm are built once here and shared by the first-order,
+    second-order and first-iteration ratio criteria.
+    """
     idx = _end_index(grid, tau_end)
     t_end = grid.samples[idx]
-    per_level = first_order_condition(coupling, grid, initial_level, t_end)
+    a = _column_integrals(coupling, grid, initial_level)
+    d_end = _double_integral_kernel(coupling, a, grid, initial_level)[idx]
+    per_level = _first_order_deficits(a[idx], initial_level)
     first = max(per_level.values())
-    second = second_order_condition(coupling, grid, initial_level, t_end)
-    ratio = ratio_condition_first_order(coupling, grid, initial_level, t_end)
+    second = float(np.abs(d_end) ** 2)
+    ratio = float(np.real(d_end))
     compact = compact_condition_functional(
         coupling, coefficients, grid, initial_level, t_end
     )

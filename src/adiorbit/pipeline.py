@@ -15,6 +15,7 @@ from .frame import InvariantFrame, build_frame
 from .grid import TimeGrid
 from .model import HamiltonianModel
 from .perturb import (
+    RATIO_FLOOR,
     first_order_probability,
     ratio_probability_first_iteration,
     second_order_probability,
@@ -95,7 +96,7 @@ def run_pipeline(
         coupling, grid, initial_level, check_breakdown=False
     )
     ratio_valid = bool(
-        np.abs(coefficients.coefficients[:, initial_level]).min() >= 0.1
+        np.abs(coefficients.coefficients[:, initial_level]).min() >= RATIO_FLOOR
     )
 
     return PipelineResult(

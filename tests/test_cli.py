@@ -270,8 +270,13 @@ class TestSweep:
 
 
 class TestConfigErrors:
-    def test_unknown_key(self, tmp_path):
-        cfg = write_config(tmp_path, SPIN_A_CONFIG + "model.color = red\n")
+    @pytest.mark.parametrize(
+        "line",
+        ["model.color = red", "outputs = exact", "model.period = 0.5"],
+        ids=["model_color", "outputs", "model_period"],
+    )
+    def test_unknown_key(self, tmp_path, line):
+        cfg = write_config(tmp_path, SPIN_A_CONFIG + line + "\n")
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     def test_missing_grid(self, tmp_path):

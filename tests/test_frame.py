@@ -8,10 +8,7 @@ from adiorbit import (
     TimeGrid,
     apply_phase_redressing,
     build_conjugated_model,
-    build_coupling_matrix,
     build_frame,
-    build_invariant_basis,
-    compute_geometric_potential,
     compute_nonadiabatic_coupling,
     coupling_route_discrepancy,
     solve_quasistationary,
@@ -26,6 +23,17 @@ def pipeline_frame(model, grid, gauge=Gauge.CONTINUITY_FIXED):
     spec = solve_quasistationary(model, grid, gauge=gauge)
     gamma = compute_nonadiabatic_coupling(spec)
     return build_frame(spec, gamma)
+
+
+def synthetic_frame(grid, values):
+    # a constant model's spectrum on the same grid carries the synthetic gamma
+    spec = solve_quasistationary(constant_model(np.diag([0.0, 1.0])), grid)
+    return build_frame(spec, NonadiabaticCoupling(grid, values, GammaMethod.FINITE_DIFFERENCE))
+
+
+def phase_rate(frame):
+    xi = frame.geometric_phase
+    return (xi[2:] - xi[:-2]) / (2 * frame.grid.dtau)
 
 
 class TestDressingPhases:
@@ -70,7 +78,7 @@ class TestDressingPhases:
             solve_quasistationary(spin_a_model, grid_b)
         )
         with pytest.raises(GridMismatch):
-            build_invariant_basis(spec, gamma)
+            build_frame(spec, gamma)
 
     def test_redressing_leaves_basis_overlaps(self, spin_a_model):
         # a smooth per-level rephasing must cancel out of the dressed frame
@@ -99,25 +107,22 @@ class TestGeometricPotential:
     def test_constant_phase_coupling(self, conjugated_example, medium_grid):
         # parallel transport plus a real constant generator: xi flat, rate zero
         _, model = conjugated_example
-        spec = solve_quasistationary(model, medium_grid)
-        gamma = compute_nonadiabatic_coupling(spec)
-        geo = compute_geometric_potential(gamma)
-        assert np.abs(geo.phase[:, 0, 1] - geo.phase[0, 0, 1]).max() < 1e-7
-        assert np.abs(geo.potential[:, 0, 1]).max() < 1e-5
-        assert geo.phase[0, 0, 1] == pytest.approx(
-            np.angle(gamma.values[0, 0, 1]), abs=1e-9
+        frame = pipeline_frame(model, medium_grid)
+        xi = frame.geometric_phase
+        assert np.abs(xi[:, 0, 1] - xi[0, 0, 1]).max() < 1e-7
+        assert np.abs(phase_rate(frame)[:, 0, 1]).max() < 1e-5
+        assert xi[0, 0, 1] == pytest.approx(
+            np.angle(frame.gamma.values[0, 0, 1]), abs=1e-9
         )
 
     def test_spin_a_analytic_gauge_rate(self, spin_a_model):
         grid = TimeGrid(tau_end=20.0, n_steps=20000)
-        spec = solve_quasistationary(spin_a_model, grid, gauge=Gauge.ANALYTIC)
-        gamma = compute_nonadiabatic_coupling(spec)
-        geo = compute_geometric_potential(gamma)
+        frame = pipeline_frame(spin_a_model, grid, gauge=Gauge.ANALYTIC)
         # rotating-frame analysis: d xi_01 / dtau = -omega cos(theta)
         expected = -0.1 * np.cos(np.pi / 4)
-        interior = geo.potential[5:-5, 0, 1]
-        assert np.abs(interior - expected).max() < 1e-6
-        assert np.abs(geo.potential[5:-5, 1, 0] + expected).max() < 1e-6
+        rate = phase_rate(frame)[4:-4]  # samples 5 .. n-5
+        assert np.abs(rate[:, 0, 1] - expected).max() < 1e-6
+        assert np.abs(rate[:, 1, 0] + expected).max() < 1e-6
 
     def test_isolated_zero_is_flagged_and_bridged(self):
         # synthetic coupling whose off-diagonal modulus crosses zero mid-grid
@@ -127,22 +132,21 @@ class TestGeometricPotential:
         envelope = taus - 0.5  # vanishes exactly at sample 50
         values[:, 0, 1] = envelope * np.exp(1j * 0.7 * taus)
         values[:, 1, 0] = np.conj(values[:, 0, 1])
-        gamma = NonadiabaticCoupling(grid, values, GammaMethod.FINITE_DIFFERENCE)
-        geo = compute_geometric_potential(gamma)
-        assert geo.arg_undefined[50, 0, 1]
-        assert not geo.arg_undefined[49, 0, 1]
-        assert np.all(np.isfinite(geo.phase))
+        frame = synthetic_frame(grid, values)
+        xi = frame.geometric_phase
+        assert frame.arg_undefined[50, 0, 1]
+        assert not frame.arg_undefined[49, 0, 1]
+        assert np.all(np.isfinite(xi))
         # interpolated value sits between its neighbours
-        lo, hi = sorted((geo.phase[49, 0, 1], geo.phase[51, 0, 1]))
-        assert lo - 1e-12 <= geo.phase[50, 0, 1] <= hi + 1e-12
+        lo, hi = sorted((xi[49, 0, 1], xi[51, 0, 1]))
+        assert lo - 1e-12 <= xi[50, 0, 1] <= hi + 1e-12
 
     def test_all_zero_coupling(self):
         grid = TimeGrid(tau_end=1.0, n_steps=50)
         values = np.zeros((grid.n_steps + 1, 2, 2), dtype=complex)
-        gamma = NonadiabaticCoupling(grid, values, GammaMethod.FINITE_DIFFERENCE)
-        geo = compute_geometric_potential(gamma)
-        assert geo.arg_undefined[:, 0, 1].all()
-        assert np.abs(geo.phase).max() == 0.0
+        frame = synthetic_frame(grid, values)
+        assert frame.arg_undefined[:, 0, 1].all()
+        assert np.abs(frame.geometric_phase).max() == 0.0
 
 
 class TestCouplingMatrix:
@@ -200,13 +204,3 @@ class TestCouplingMatrix:
         dbasis = (basis[2:] - basis[:-2]) / (2 * dtau)
         raw_diag = 1j * np.einsum("kim,kim->km", basis[1:-1].conj(), dbasis)
         assert np.abs(raw_diag.real - spec.eigenvalues[1:-1]).max() < 1e-5
-
-    def test_staged_building(self, spin_a_model):
-        grid = TimeGrid(tau_end=5.0, n_steps=1000)
-        spec = solve_quasistationary(spin_a_model, grid)
-        gamma = compute_nonadiabatic_coupling(spec)
-        bare = build_invariant_basis(spec, gamma)
-        assert bare.coupling is None and bare.geometric_phase is None
-        full = build_coupling_matrix(bare)
-        assert full.coupling is not None
-        assert np.allclose(full.dynamical_phase, bare.dynamical_phase)

@@ -19,6 +19,8 @@ from adiorbit import (
 )
 from adiorbit.errors import RatioBreakdown
 
+from conftest import smooth_random_model
+
 
 def harmonic_coupling(grid, pairs, amps, rates, phases, dim=3):
     taus = grid.samples
@@ -252,3 +254,27 @@ class TestConditionReport:
             threshold=1e-9,
         )
         assert not report.passed
+
+    def test_report_equals_public_conditions_mid_grid(self):
+        # the report shares one A and one D_mm across criteria; each record
+        # must equal the value its public function builds on its own
+        grid = TimeGrid(tau_end=10.0, n_steps=4000)
+        initial_level = 1
+        result = run_pipeline(smooth_random_model(3, 11), grid, initial_level)
+        coupling, traj = result.frame.coupling, result.coefficients
+        tau_end = grid.samples[2000]
+        report = evaluate_conditions(coupling, traj, grid, initial_level, tau_end=tau_end)
+        per_level = first_order_condition(coupling, grid, initial_level, tau_end)
+        first = report["FirstOrder"]
+        assert first.tau_end == tau_end
+        assert first.per_level == per_level
+        assert first.value == max(per_level.values())
+        assert report["SecondOrder"].value == second_order_condition(
+            coupling, grid, initial_level, tau_end
+        )
+        assert report["RatioFirstIter"].value == ratio_condition_first_order(
+            coupling, grid, initial_level, tau_end
+        )
+        assert report["CompactFunctional"].value == compact_condition_functional(
+            coupling, traj, grid, initial_level, tau_end
+        )
