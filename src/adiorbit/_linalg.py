@@ -1,11 +1,18 @@
 """Dense-matrix helpers shared by the model builders and the propagators.
 
-All generators here are Hermitian and small (d <= 64), so matrix
-exponentials go through an eigendecomposition, which keeps every
-propagation step exactly unitary up to roundoff.
+All generators here are Hermitian and small (d <= 64). Step
+exponentials are exactly unitary up to roundoff: for d = 2 they use the
+closed SU(2) form, for larger d an eigendecomposition. Sequences of
+steps are multiplied with a blocked two-level scan (Blelloch, "Prefix
+sums and their applications", 1990), so no Python loop runs once per
+step.
 """
 
 import numpy as np
+
+# Steps per block of the two-level scan: the in-block prefix loops over
+# this many positions, the chaining loop over n / SCAN_BLOCK blocks.
+SCAN_BLOCK = 256
 
 
 def hermitize(stack: np.ndarray) -> np.ndarray:
@@ -20,12 +27,52 @@ def max_hermiticity_defect(mat: np.ndarray) -> float:
 def unitary_steps(generators: np.ndarray, dtau: float, sign: int) -> np.ndarray:
     """exp(sign * 1j * dtau * G) for a stack of Hermitian generators G.
 
-    Shape (n, d, d) in, (n, d, d) out. Each result is unitary to float
-    noise because it is assembled from an orthonormal eigenbasis.
+    Shape (n, d, d) in, (n, d, d) out. Like eigh, only the real diagonal
+    and the lower triangle of each G are read.
     """
+    s = sign * dtau
+    if generators.shape[-1] == 2:
+        return _su2_steps(generators, s)
     evals, evecs = np.linalg.eigh(generators)
-    phases = np.exp(sign * 1j * dtau * evals)
+    phases = np.exp(1j * s * evals)
     return np.einsum("nij,nj,nkj->nik", evecs, phases, evecs.conj())
+
+
+def _su2_steps(generators: np.ndarray, s: float) -> np.ndarray:
+    """exp(i s G) = e^{isa} (cos(s|b|) + i s sinc(s|b|/pi) b.sigma) for
+    G = a + b.sigma; sinc keeps b = 0 exact."""
+    g00, g11 = generators[..., 0, 0].real, generators[..., 1, 1].real
+    bz = 0.5 * (g00 - g11)
+    lower = generators[..., 1, 0]  # b_x + i b_y
+    b_norm = np.sqrt(bz * bz + lower.real**2 + lower.imag**2)
+    phase = np.exp(0.5j * s * (g00 + g11))
+    cos_part = phase * np.cos(s * b_norm)
+    sin_part = 1j * s * phase * np.sinc(s * b_norm / np.pi)
+    out = np.empty(generators.shape, dtype=complex)
+    out[..., 0, 0] = cos_part + sin_part * bz
+    out[..., 1, 1] = cos_part - sin_part * bz
+    out[..., 1, 0] = sin_part * lower
+    out[..., 0, 1] = sin_part * lower.conj()
+    return out
+
+
+def _block_prefixes(steps: np.ndarray, head: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copy ``steps`` after ``head`` spare rows into one buffer padded with
+    identities to whole blocks, and replace each step by the product of
+    its block up to it: blocks[b, j] = steps[bB + j] @ ... @ steps[bB].
+
+    Returns the buffer and its (n_blocks, block, d, d) view past ``head``.
+    """
+    n, d, _ = steps.shape
+    block = min(SCAN_BLOCK, max(n, 1))
+    n_blocks = -(-n // block)
+    buf = np.empty((head + n_blocks * block, d, d), dtype=complex)
+    buf[head : head + n] = steps
+    buf[head + n :] = np.eye(d)
+    blocks = buf[head:].reshape(n_blocks, block, d, d)
+    for j in range(1, block):
+        np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
+    return buf, blocks
 
 
 def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -33,13 +80,15 @@ def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
 
     Returns shape (n_steps + 1, d) with row 0 equal to v0.
     """
-    n = steps.shape[0]
-    out = np.empty((n + 1, v0.shape[0]), dtype=complex)
+    n, d, _ = steps.shape
+    _, blocks = _block_prefixes(steps, 0)
+    block = blocks.shape[1]
+    out = np.empty((n + 1, d), dtype=complex)
     out[0] = v0
-    v = np.asarray(v0, dtype=complex)
-    for k in range(n):
-        v = steps[k] @ v
-        out[k + 1] = v
+    # block b starts from the last state of block b - 1
+    for b, prefixes in enumerate(blocks):
+        rows = out[1 + b * block : 1 + (b + 1) * block]
+        np.matmul(prefixes[: len(rows)], out[b * block], out=rows)
     return out
 
 
@@ -49,13 +98,12 @@ def scan_operators(steps: np.ndarray) -> np.ndarray:
     Later steps multiply from the left, i.e. time ordering.
     """
     n, d, _ = steps.shape
-    out = np.empty((n + 1, d, d), dtype=complex)
-    out[0] = np.eye(d)
-    acc = out[0]
-    for k in range(n):
-        acc = steps[k] @ acc
-        out[k + 1] = acc
-    return out
+    buf, blocks = _block_prefixes(steps, 1)
+    buf[0] = np.eye(d)
+    # after its update, the last entry of block b - 1 is U at that block's end
+    for b in range(1, len(blocks)):
+        np.matmul(blocks[b], blocks[b - 1, -1], out=blocks[b])
+    return buf[: n + 1]
 
 
 def central_difference(stack: np.ndarray, dtau: float) -> np.ndarray:

@@ -16,6 +16,7 @@ error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,6 +83,10 @@ _SWEEPABLE = {
 }
 
 
+# rows formatted per write of evolution.csv
+_CSV_BLOCK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
@@ -111,9 +116,12 @@ def _get_float(cfg, key, default=None) -> Optional[float]:
             return None
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
+    return value
 
 
 def _get_int(cfg, key, default=None) -> Optional[int]:
@@ -278,33 +286,40 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _evolution_csv(result: PipelineResult) -> str:
+def _write_evolution_csv(path: Path, result: PipelineResult):
+    """Stream the evolution table to ``path``, a block of rows at a time.
+
+    Every field prints as ``_fmt`` does; one ``%`` template per block
+    keeps the whole text from ever being held in memory.
+    """
     d = result.model.dimension
     header = ["tau", "P_exact", "P_direct", "P_first", "P_second", "P_ratio", "norm_residual"]
     header += [f"|c_{n}|^2" for n in range(d)]
-    populations = np.abs(result.coefficients.coefficients) ** 2
-    lines = [",".join(header)]
-    taus = result.grid.samples
-    for k in range(taus.size):
-        row = [
-            _fmt(taus[k]),
-            _fmt(result.p_exact[k]),
-            _fmt(result.p_direct[k]),
-            _fmt(result.p_first[k]),
-            _fmt(result.p_second[k]),
-            _fmt(result.p_ratio[k]),
-            _fmt(result.norm_residual[k]),
+    table = np.column_stack(
+        [
+            result.grid.samples,
+            result.p_exact,
+            result.p_direct,
+            result.p_first,
+            result.p_second,
+            result.p_ratio,
+            result.norm_residual,
+            np.abs(result.coefficients.coefficients) ** 2,
         ]
-        row += [_fmt(populations[k, n]) for n in range(d)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    )
+    row_fmt = ",".join(["%.16e"] * len(header)) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def run_evolve(scenario: ScenarioConfig, out_dir: Path) -> PipelineResult:
     """Run the pipeline and write evolution.csv plus a JSON summary."""
     result = _execute(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "evolution.csv").write_text(_evolution_csv(result))
+    _write_evolution_csv(out_dir / "evolution.csv", result)
     _write_json(
         out_dir / "evolve_report.json",
         {

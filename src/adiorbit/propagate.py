@@ -2,10 +2,13 @@
 
 Both integrators use the exponential-midpoint rule: one step advances by
 the exact exponential of the generator evaluated at the interval
-midpoint. Every step is unitary to roundoff, so norm conservation is a
-float-noise check rather than a tolerance check, and the global error is
-second order in the step. Grids are fixed-step; convergence is assessed
-by halving the step.
+midpoint (closed SU(2) form for d = 2, eigendecomposition otherwise).
+Every step is unitary to roundoff, so norm conservation is a float-noise
+check rather than a tolerance check, and the global error is second
+order in the step. All steps are computed at once and multiplied
+together by a blocked scan, so their products are grouped differently
+from a step-by-step loop and agree with it to roundoff. Grids are
+fixed-step; convergence is assessed by halving the step.
 """
 
 from dataclasses import dataclass

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adiorbit.cli import main
+import adiorbit
+from adiorbit import cli
+from adiorbit.cli import load_scenario, main, run_evolve
 
 from conftest import SZ, write_tabulated
 
@@ -52,6 +58,26 @@ class TestEvolve:
         report = json.loads((out / "evolve_report.json").read_text())
         assert report["resolved_config"]["model.kind"] == "spin_half"
         assert report["min_p_exact"] == pytest.approx(p_exact.min())
+
+    def test_csv_bytes_match_per_field_format(self, tmp_path):
+        scenario = load_scenario(write_config(tmp_path, SPIN_A_CONFIG.replace("20000", "5000")))
+        assert scenario.grid.n_steps + 1 > cli._CSV_BLOCK_ROWS  # more than one write
+        out = tmp_path / "out"
+        result = run_evolve(scenario, out)
+        columns = [
+            result.grid.samples,
+            result.p_exact,
+            result.p_direct,
+            result.p_first,
+            result.p_second,
+            result.p_ratio,
+            result.norm_residual,
+            *(np.abs(result.coefficients.coefficients) ** 2).T,
+        ]
+        lines = ["tau,P_exact,P_direct,P_first,P_second,P_ratio,norm_residual,|c_0|^2,|c_1|^2"]
+        lines += [",".join(f"{float(x):.16e}" for x in row) for row in zip(*columns)]
+        expected = "\n".join(lines) + "\n"
+        assert (out / "evolution.csv").read_bytes() == expected.encode()
 
     def test_constant_model_all_columns_one(self, tmp_path):
         table = write_tabulated(tmp_path / "const.txt", [0.0, 30.0], [SZ, SZ])
@@ -279,6 +305,33 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, SPIN_A_CONFIG + line + "\n")
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("grid.n_steps", "inf"),
+            ("conditions.tau_end", "nan"),
+            ("evolve.initial_level", "nan"),
+            ("conditions.threshold", "nan"),
+            ("spectrum.gap_tol", "nan"),
+            ("model.omega", "-inf"),
+            ("sweep.values", "0.1, nan"),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, key, value):
+        cfg = {
+            "model.kind": "spin_half",
+            "model.omega0": "1.0",
+            "model.omega": "0.1",
+            "model.theta": "0.7",
+            "grid.tau_end": "20.0",
+            "grid.n_steps": "200",
+            "sweep.parameter": "model.omega",
+            "sweep.values": "0.1",
+            key: value,
+        }
+        path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_missing_grid(self, tmp_path):
         cfg = write_config(tmp_path, "model.kind = spin_half\nmodel.omega0 = 1\n")
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -303,3 +356,9 @@ class TestConfigErrors:
                                             "evolve.initial_level = 7"),
         )
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(adiorbit.__file__).parents[1]))
+    code = "import sys, adiorbit.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
