@@ -56,40 +56,12 @@ def _su2_steps(generators: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _block_prefixes(steps: np.ndarray, head: int) -> tuple[np.ndarray, np.ndarray]:
-    """Copy ``steps`` after ``head`` spare rows into one buffer padded with
-    identities to whole blocks, and replace each step by the product of
-    its block up to it: blocks[b, j] = steps[bB + j] @ ... @ steps[bB].
-
-    Returns the buffer and its (n_blocks, block, d, d) view past ``head``.
-    """
-    n, d, _ = steps.shape
-    block = min(SCAN_BLOCK, max(n, 1))
-    n_blocks = -(-n // block)
-    buf = np.empty((head + n_blocks * block, d, d), dtype=complex)
-    buf[head : head + n] = steps
-    buf[head + n :] = np.eye(d)
-    blocks = buf[head:].reshape(n_blocks, block, d, d)
-    for j in range(1, block):
-        np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
-    return buf, blocks
-
-
 def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Apply a sequence of step matrices to v0, keeping every intermediate.
 
     Returns shape (n_steps + 1, d) with row 0 equal to v0.
     """
-    n, d, _ = steps.shape
-    _, blocks = _block_prefixes(steps, 0)
-    block = blocks.shape[1]
-    out = np.empty((n + 1, d), dtype=complex)
-    out[0] = v0
-    # block b starts from the last state of block b - 1
-    for b, prefixes in enumerate(blocks):
-        rows = out[1 + b * block : 1 + (b + 1) * block]
-        np.matmul(prefixes[: len(rows)], out[b * block], out=rows)
-    return out
+    return scan_operators(steps) @ v0
 
 
 def scan_operators(steps: np.ndarray) -> np.ndarray:
@@ -98,10 +70,19 @@ def scan_operators(steps: np.ndarray) -> np.ndarray:
     Later steps multiply from the left, i.e. time ordering.
     """
     n, d, _ = steps.shape
-    buf, blocks = _block_prefixes(steps, 1)
+    block = min(SCAN_BLOCK, max(n, 1))
+    n_blocks = -(-n // block)
+    # one buffer: U_0, then the steps padded with identities to whole blocks
+    buf = np.empty((1 + n_blocks * block, d, d), dtype=complex)
     buf[0] = np.eye(d)
+    buf[1 : 1 + n] = steps
+    buf[1 + n :] = np.eye(d)
+    blocks = buf[1:].reshape(n_blocks, block, d, d)
+    # in-block prefixes, vectorized across blocks
+    for j in range(1, block):
+        np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
     # after its update, the last entry of block b - 1 is U at that block's end
-    for b in range(1, len(blocks)):
+    for b in range(1, n_blocks):
         np.matmul(blocks[b], blocks[b - 1, -1], out=blocks[b])
     return buf[: n + 1]
 

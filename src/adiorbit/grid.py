@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import integrate
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,6 @@ def cumulative_trapezoid(values: np.ndarray, dtau: float) -> np.ndarray:
     """Running composite-trapezoid integral along axis 0, starting at 0.
 
     Output has the same shape as ``values``; entry k holds the integral
-    over [tau_0, tau_k]. The operation order is scipy's
-    ``cumulative_trapezoid(values, dx=dtau, axis=0, initial=0)``, so the
-    results agree bit for bit without importing scipy.
+    over [tau_0, tau_k].
     """
-    values = np.asarray(values)
-    increments = dtau * (values[1:] + values[:-1]) / 2.0
-    out = np.empty(values.shape, dtype=increments.dtype)
-    out[0] = 0
-    np.cumsum(increments, axis=0, out=out[1:])
-    return out
+    return integrate.cumulative_trapezoid(np.asarray(values), dx=dtau, axis=0, initial=0)

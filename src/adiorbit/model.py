@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from ._linalg import hermitize, max_hermiticity_defect, scan_operators, unitary_steps
 from .errors import (
@@ -266,7 +267,6 @@ def build_spin_half(
         return model_a
     if grid is None:
         raise GridRequired("variant B needs a time grid to propagate variant A on")
-    from scipy.interpolate import CubicSpline  # deferred: only variant B pays its import
 
     taus = grid.samples
     h_mid = model_a.evaluate_many(grid.midpoints)

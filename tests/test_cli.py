@@ -1,13 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import adiorbit
 from adiorbit import cli
 from adiorbit.cli import load_scenario, main, run_evolve
 
@@ -357,8 +352,3 @@ class TestConfigErrors:
         )
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
-
-def test_cli_import_leaves_scipy_unloaded():
-    env = dict(os.environ, PYTHONPATH=str(Path(adiorbit.__file__).parents[1]))
-    code = "import sys, adiorbit.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

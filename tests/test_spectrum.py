@@ -12,7 +12,6 @@ from adiorbit import (
     solve_quasistationary,
 )
 from adiorbit.errors import AssignmentAmbiguous, DegenerateGap, DerivativeUnavailable
-from adiorbit.grid import cumulative_trapezoid
 
 from conftest import SX, SZ, constant_model, smooth_random_model
 
@@ -50,19 +49,6 @@ class TestTimeGrid:
         assert grid.samples[-1] == pytest.approx(2.0)
         assert grid.index_of(1.0) == 2
         assert grid.index_of(99.0) == 4
-
-    @pytest.mark.parametrize("shape", [(301,), (301, 3, 3)])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_cumulative_trapezoid_is_scipys_bit_for_bit(self, shape, dtype):
-        from scipy.integrate import cumulative_trapezoid as scipy_trapezoid
-
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=shape).astype(dtype)
-        if dtype is complex:
-            values += 1j * rng.normal(size=shape)
-        ours = cumulative_trapezoid(values, 0.0137)
-        ref = scipy_trapezoid(values, dx=0.0137, axis=0, initial=0)
-        assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
 
 
 class TestSolveQuasistationary:
