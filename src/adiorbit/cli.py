@@ -124,6 +124,13 @@ def _get_float(cfg, key, default=None) -> Optional[float]:
     return value
 
 
+def _get_positive(cfg, key, default) -> float:
+    value = _get_float(cfg, key, default)
+    if not value > 0:
+        raise ConfigError(f"{key} must be > 0, got {cfg[key]!r}")
+    return value
+
+
 def _get_int(cfg, key, default=None) -> Optional[int]:
     value = _get_float(cfg, key, default)
     if value is None:
@@ -144,7 +151,10 @@ def _parse_matrix(text: str, key: str) -> np.ndarray:
     lengths = {len(r) for r in rows}
     if len(lengths) != 1 or len(rows) != lengths.pop():
         raise ConfigError(f"{key}: matrix must be square ('; ' rows, ',' entries)")
-    return np.array(rows, dtype=complex)
+    matrix = np.array(rows, dtype=complex)
+    if not np.isfinite(matrix).all():
+        raise ConfigError(f"{key}: matrix entries must be finite")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,12 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError("spectrum.gamma_method must be 'fd' or 'hf'") from exc
 
+    conditions_tau_end = _get_float(cfg, "conditions.tau_end", tau_end)
+    if not 0 < conditions_tau_end <= tau_end:
+        raise ConfigError(
+            f"conditions.tau_end must lie in (0, grid.tau_end = {tau_end:g}], "
+            f"got {cfg['conditions.tau_end']!r}"
+        )
     period = _get_float(cfg, "fourier.period")
     if period is None:
         period = model.period
@@ -254,9 +270,9 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
         initial_level=initial_level,
         gauge=gauge,
         gamma_method=gamma_method,
-        gap_tol=_get_float(cfg, "spectrum.gap_tol", 1e-6),
-        threshold=_get_float(cfg, "conditions.threshold", DEFAULT_THRESHOLD),
-        conditions_tau_end=_get_float(cfg, "conditions.tau_end", tau_end),
+        gap_tol=_get_positive(cfg, "spectrum.gap_tol", 1e-6),
+        threshold=_get_positive(cfg, "conditions.threshold", DEFAULT_THRESHOLD),
+        conditions_tau_end=conditions_tau_end,
         fourier_period=period,
         fourier_harmonics=_get_int(cfg, "fourier.n_harmonics", 8),
         linearity_tol=_get_float(cfg, "fourier.linearity_tol", 1e-6),

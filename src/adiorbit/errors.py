@@ -89,6 +89,18 @@ class DerivativeUnavailable(InputError):
     module = "spectrum"
 
 
+class OutsideTabulatedRange(InputError):
+    """A tabulated model was evaluated outside its sampled times."""
+
+    module = "model"
+
+
+class NonFiniteStep(NumericalError):
+    """A step generator is not finite, so its exponential is undefined."""
+
+    module = "propagate"
+
+
 class GridMismatch(InputError):
     """Two sampled quantities do not live on the same time grid."""
 
@@ -101,6 +113,12 @@ class RatioBreakdown(NumericalError):
 
 class PeriodMismatch(InputError):
     """The stated period is not an integer number of grid steps."""
+
+    module = "fourier"
+
+
+class HarmonicsOutOfRange(InputError):
+    """More harmonics requested than one sampled period resolves."""
 
     module = "fourier"
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PeriodMismatch, PhaseNotLinear
+from .errors import HarmonicsOutOfRange, PeriodMismatch, PhaseNotLinear
 from .frame import InvariantFrame
 from .grid import TimeGrid
 from .model import ConjugatedParams
@@ -138,7 +138,10 @@ def fourier_decompose_coupling(
     if g.shape[0] < steps_per_period:
         raise PeriodMismatch("sampled range is shorter than one period")
     if n_harmonics < 0 or 2 * n_harmonics + 1 > steps_per_period:
-        raise ValueError("n_harmonics out of range for this sampling density")
+        raise HarmonicsOutOfRange(
+            f"n_harmonics = {n_harmonics} is outside [0, {(steps_per_period - 1) // 2}] "
+            f"for {steps_per_period} samples per period"
+        )
 
     window = g[:steps_per_period]
     spectrum = np.fft.fft(window) / steps_per_period

@@ -24,6 +24,7 @@ and is a one-time setup step.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -37,6 +38,7 @@ from .errors import (
     NonHermitianInput,
     NonHermitianSample,
     NonMonotoneTime,
+    OutsideTabulatedRange,
     ParseError,
     ZeroHamiltonian,
 )
@@ -202,12 +204,16 @@ def _spin_a_model(params: SpinHalfParams) -> HamiltonianModel:
     sin_t, cos_t = np.sin(th), np.cos(th)
 
     def evaluate_many(taus: np.ndarray) -> np.ndarray:
+        # -(w0/2) (x sigma_x + y sigma_y + z sigma_z), filled entry by entry
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        return -(w0 / 2.0) * (
-            np.multiply.outer(sin_t * np.cos(w * taus), SIGMA_X)
-            + np.multiply.outer(sin_t * np.sin(w * taus), SIGMA_Y)
-            + np.multiply.outer(np.full(taus.shape, cos_t), SIGMA_Z)
-        )
+        x, y = sin_t * np.cos(w * taus), sin_t * np.sin(w * taus)
+        z = np.full(taus.shape, cos_t)
+        h = np.empty(taus.shape + (2, 2), dtype=complex)
+        for i, j in np.ndindex(2, 2):
+            h[:, i, j] = -(w0 / 2.0) * (
+                x * SIGMA_X[i, j] + y * SIGMA_Y[i, j] + z * SIGMA_Z[i, j]
+            )
+        return h
 
     def evaluate(tau: float) -> np.ndarray:
         return evaluate_many(np.array([tau]))[0]
@@ -388,6 +394,8 @@ def _parse_tabulated(text: str, origin: str):
             nums = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(f"{origin}: data row {row} is not numeric") from exc
+        if not all(math.isfinite(x) for x in nums):
+            raise ParseError(f"{origin}: data row {row} has a non-finite entry")
         tau = nums[0]
         mat = np.zeros((d, d), dtype=complex)
         pos = 1
@@ -420,7 +428,7 @@ def load_tabulated_model(path) -> HamiltonianModel:
     triangle (including the diagonal) row major. The lower triangle is
     reconstructed by Hermiticity and each sample is validated. Times
     must be strictly increasing; evaluation outside the tabulated range
-    raises.
+    raises :class:`OutsideTabulatedRange`.
     """
     path = Path(path)
     taus, mats = _parse_tabulated(path.read_text(), str(path))
@@ -430,8 +438,9 @@ def load_tabulated_model(path) -> HamiltonianModel:
     def evaluate_many(ts: np.ndarray) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.min() < lo - 1e-12 or ts.max() > hi + 1e-12:
-            raise ValueError(
-                f"tau outside tabulated range [{lo:g}, {hi:g}]"
+            raise OutsideTabulatedRange(
+                f"{path}: tau in [{ts.min():g}, {ts.max():g}] is outside the "
+                f"tabulated range [{lo:g}, {hi:g}]"
             )
         ts = np.clip(ts, lo, hi)
         idx = np.clip(np.searchsorted(taus, ts, side="right") - 1, 0, len(taus) - 2)

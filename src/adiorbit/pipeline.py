@@ -2,12 +2,14 @@
 
 This is the programmatic counterpart of the CLI ``evolve`` command and
 the work-horse of the test suite: one call produces the exact survival
-probability (coefficient route), the direct overlap probability, the
-perturbative approximations, and the conservation residuals, all on a
-shared grid.
+probability (coefficient route), the perturbative approximations, and
+the conservation residuals, all on a shared grid. The Schrodinger route
+and its direct overlap probability are a cross-check; they are computed
+the first time ``states`` or ``p_direct`` is read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +43,11 @@ from .spectrum import (
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything one scenario produces, on a single grid."""
+    """Everything one scenario produces, on a single grid.
+
+    ``states`` and ``p_direct`` (the Schrodinger route) are computed on
+    first read and then kept.
+    """
 
     model: HamiltonianModel
     grid: TimeGrid
@@ -49,10 +55,8 @@ class PipelineResult:
     spectrum: AdiabaticSpectrum
     gamma: NonadiabaticCoupling
     frame: InvariantFrame
-    states: StateTrajectory
     coefficients: CoefficientTrajectory
     p_exact: np.ndarray
-    p_direct: np.ndarray
     p_first: np.ndarray
     p_second: np.ndarray
     p_ratio: np.ndarray
@@ -62,6 +66,15 @@ class PipelineResult:
     @property
     def min_p_exact(self) -> float:
         return float(self.p_exact.min())
+
+    @cached_property
+    def states(self) -> StateTrajectory:
+        initial_state = self.frame.basis_vectors()[0, :, self.initial_level]
+        return evolve_schrodinger(self.model, initial_state, self.grid)
+
+    @cached_property
+    def p_direct(self) -> np.ndarray:
+        return survival_probability_direct(self.states, self.frame, self.initial_level)
 
 
 def run_pipeline(
@@ -85,11 +98,7 @@ def run_pipeline(
     coupling = frame.coupling
 
     coefficients = evolve_coefficients(coupling, grid, initial_level)
-    initial_state = frame.basis_vectors()[0, :, initial_level]
-    states = evolve_schrodinger(model, initial_state, grid)
-
     p_exact = survival_probability_exact(coefficients)
-    p_direct = survival_probability_direct(states, frame, initial_level)
     p_first = first_order_probability(coupling, grid, initial_level)
     p_second = second_order_probability(coupling, grid, initial_level)
     p_ratio = ratio_probability_first_iteration(
@@ -106,10 +115,8 @@ def run_pipeline(
         spectrum=spectrum,
         gamma=gamma,
         frame=frame,
-        states=states,
         coefficients=coefficients,
         p_exact=p_exact,
-        p_direct=p_direct,
         p_first=p_first,
         p_second=p_second,
         p_ratio=p_ratio,

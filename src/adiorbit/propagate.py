@@ -1,8 +1,8 @@
 """Unitary propagation of states and frame coefficients.
 
 Both integrators use the exponential-midpoint rule: one step advances by
-the exact exponential of the generator evaluated at the interval
-midpoint (closed SU(2) form for d = 2, eigendecomposition otherwise).
+the exponential of the generator evaluated at the interval midpoint
+(closed SU(2) form for d = 2, Taylor scaling and squaring otherwise).
 Every step is unitary to roundoff, so norm conservation is a float-noise
 check rather than a tolerance check, and the global error is second
 order in the step. All steps are computed at once and multiplied
@@ -51,8 +51,7 @@ def evolve_schrodinger(
     norm = np.linalg.norm(v0)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state is not normalized (|v| = {norm:.3e})")
-    h_mid = sample_hamiltonian(model, grid.midpoints)
-    steps = unitary_steps(h_mid, grid.dtau, sign=-1)
+    steps = unitary_steps(sample_hamiltonian(model, grid.midpoints), grid.dtau, sign=-1)
     return StateTrajectory(grid, scan_states(steps, v0))
 
 

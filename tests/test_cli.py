@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from adiorbit import cli
+from adiorbit import cli, pipeline
 from adiorbit.cli import load_scenario, main, run_evolve
 
 from conftest import SZ, write_tabulated
@@ -115,6 +115,39 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "DegenerateGap" in err
         assert "spectrum" in err
+
+
+class TestSchrodingerRoute:
+    """The Schrodinger route runs only when states or p_direct is read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        original = pipeline.evolve_schrodinger
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "evolve_schrodinger", counting)
+        return counted
+
+    @pytest.mark.parametrize("command, expected", [("check", 0), ("sweep", 0), ("evolve", 1)])
+    def test_runs_only_for_evolve(self, tmp_path, calls, command, expected):
+        cfg = write_config(
+            tmp_path, SPIN_A_CONFIG + "sweep.parameter = model.omega\nsweep.values = 0.1, 0.2\n"
+        )
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == expected
+
+    def test_read_twice_runs_once(self, tmp_path, calls):
+        scenario = load_scenario(write_config(tmp_path, SPIN_A_CONFIG))
+        result = pipeline.run_pipeline(scenario.model, scenario.grid)
+        assert len(calls) == 0
+        first = result.p_direct
+        assert result.p_direct is first
+        assert result.states is result.states
+        assert len(calls) == 1
 
 
 class TestCheck:
@@ -352,3 +385,70 @@ class TestConfigErrors:
         )
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+
+    @pytest.mark.parametrize(
+        "command, key, value, energies",
+        [
+            ("check", "spectrum.gap_tol", "-1", "0, 0"),
+            ("check", "conditions.threshold", "-1", "0, 1"),
+            ("check", "conditions.tau_end", "-1", "0, 1"),
+            ("check", "conditions.tau_end", "5", "0, 1"),
+            ("fourier", "fourier.n_harmonics", "-3", "0, 1"),
+            ("fourier", "fourier.n_harmonics", "1000", "0, 1"),
+        ],
+        ids=[
+            "gap_tol_negative",
+            "threshold_negative",
+            "tau_end_negative",
+            "tau_end_past_grid",
+            "n_harmonics_negative",
+            "n_harmonics_too_large",
+        ],
+    )
+    def test_out_of_range_knob_exits_2(self, tmp_path, capsys, command, key, value, energies):
+        cfg = {
+            "model.kind": "conjugated",
+            "model.energies": energies,
+            "model.generator": "0, 0.1; 0.1, 0",
+            "grid.tau_end": "1.0",
+            "grid.n_steps": "100",
+            "fourier.period": "1.0",
+            key: value,
+        }
+        path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key.split(".")[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_generator_exits_2(self, tmp_path, capsys, entry):
+        cfg = write_config(
+            tmp_path,
+            "model.kind = conjugated\nmodel.energies = 0, 1\n"
+            f"model.generator = 0, {entry}; {entry}, 0\n"
+            "grid.tau_end = 1.0\ngrid.n_steps = 100\n",
+        )
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "model.generator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_tabulated_row_exits_2(self, tmp_path, capsys, entry):
+        table = tmp_path / "table.txt"
+        table.write_text(f"dim=2\n0 1 0 0 0 -1 0\n1 1 0 {entry} 0 -1 0\n")
+        cfg = write_config(
+            tmp_path,
+            f"model.kind = tabulated\nmodel.path = {table}\n"
+            "grid.tau_end = 1.0\ngrid.n_steps = 100\n",
+        )
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_tabulated_range_exits_2(self, tmp_path, capsys):
+        table = write_tabulated(tmp_path / "short.txt", [0.0, 1.0], [SZ, SZ])
+        cfg = write_config(
+            tmp_path,
+            f"model.kind = tabulated\nmodel.path = {table}\n"
+            "grid.tau_end = 2.0\ngrid.n_steps = 100\n",
+        )
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "OutsideTabulatedRange" in err and "tabulated range" in err

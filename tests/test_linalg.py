@@ -1,7 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from adiorbit._linalg import SCAN_BLOCK, scan_operators, scan_states, unitary_steps
+from adiorbit._linalg import (
+    SCAN_BLOCK,
+    SCAN_CHUNK_BLOCKS,
+    STEP_CHUNK,
+    _su2_steps,
+    _taylor_steps,
+    scan_operators,
+    scan_states,
+    unitary_steps,
+)
+from adiorbit.errors import NonFiniteStep
 
 
 def random_hermitian(rng, n, d, scale=1.0):
@@ -31,11 +43,13 @@ class TestUnitarySteps:
         assert np.abs(steps - eigh_expm(gens, sign * dtau)).max() < 1e-14
         assert np.array_equal(steps[1], np.eye(2))
 
-    def test_reads_lower_triangle_and_real_diagonal(self):
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_reads_lower_triangle_and_real_diagonal(self, d):
         rng = np.random.default_rng(8)
-        gens = random_hermitian(rng, 50, 2)
+        gens = random_hermitian(rng, 50, d)
         garbled = gens.copy()
-        garbled[:, 0, 1] = 99.0
+        upper = np.triu_indices(d, 1)
+        garbled[:, upper[0], upper[1]] = 99.0
         garbled[:, 0, 0] += 5j
         assert np.array_equal(unitary_steps(garbled, 0.1, 1), unitary_steps(gens, 0.1, 1))
 
@@ -43,6 +57,66 @@ class TestUnitarySteps:
         gens = random_hermitian(np.random.default_rng(9), 50, 5)
         steps = unitary_steps(gens, 0.2, -1)
         assert np.abs(steps - eigh_expm(gens, -0.2)).max() < 1e-13
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize(
+        "step_norm, tol",
+        [(1e-4, 1e-13), (1e-2, 1e-13), (0.5, 1e-13), (3.0, 1e-13), (100.0, 1e-11)],
+    )
+    def test_taylor_matches_eigh(self, d, sign, step_norm, tol):
+        """s ||G||_2 = step_norm for every generator in the stack."""
+        gens = random_hermitian(np.random.default_rng(d), 40, d)
+        gens /= np.linalg.norm(gens, ord=2, axis=(1, 2))[:, None, None]
+        steps = unitary_steps(gens, step_norm, sign)
+        assert np.abs(steps - eigh_expm(gens, sign * step_norm)).max() < tol
+
+    def test_taylor_mixed_scales_in_one_stack(self):
+        # one squaring count serves the whole stack, small steps included
+        gens = random_hermitian(np.random.default_rng(10), 60, 5)
+        gens /= np.linalg.norm(gens, ord=2, axis=(1, 2))[:, None, None]
+        gens *= np.logspace(-4, 2, 60)[:, None, None]
+        steps = unitary_steps(gens, 1.0, -1)
+        assert np.abs(steps - eigh_expm(gens, -1.0)).max() < 1e-11
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_real_generators(self, d):
+        gens = random_hermitian(np.random.default_rng(13), 20, d).real
+        assert np.array_equal(unitary_steps(gens, 0.1, 1), unitary_steps(gens + 0j, 0.1, 1))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_taylor_rejects_non_finite(self, bad):
+        gens = random_hermitian(np.random.default_rng(11), 10, 5)
+        gens[3, 2, 1] = bad
+        with pytest.raises(NonFiniteStep):
+            unitary_steps(gens, 0.1, 1)
+
+    @pytest.mark.parametrize("d, kernel", [(2, _su2_steps), (5, _taylor_steps)])
+    @pytest.mark.parametrize("n", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1])
+    def test_rows_match_unchunked_kernel(self, d, kernel, n):
+        gens = random_hermitian(np.random.default_rng(n), n, d)
+        whole = np.empty_like(gens)
+        kernel(gens, 0.05, whole)
+        steps = unitary_steps(gens, 0.05, 1)
+        if d == 2:
+            assert np.array_equal(steps, whole)
+        else:
+            # each chunk picks its own Taylor degree from its largest norm
+            assert np.abs(steps - whole).max() < 1e-15
+
+    def test_temporaries_are_bounded_by_chunks(self):
+        n, d = 3 * STEP_CHUNK, 5
+        gens = random_hermitian(np.random.default_rng(12), n, d)
+        chunk_bytes = STEP_CHUNK * d * d * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            steps = unitary_steps(gens, 0.3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the Taylor kernel holds A and one product buffer per chunk; the
+        # other buffer is the output itself (the 1% covers array headers)
+        assert peak < steps.nbytes + 2.01 * chunk_bytes
 
 
 def loop_states(steps, v0):
@@ -60,7 +134,11 @@ def loop_operators(steps):
 
 
 @pytest.mark.parametrize("d", [2, 5])
-@pytest.mark.parametrize("n", [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 1000])
+# the last size spans more than one scan chunk
+@pytest.mark.parametrize(
+    "n",
+    [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 1000, SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 300],
+)
 class TestBlockedScan:
     def steps(self, n, d):
         rng = np.random.default_rng(100 * d + n)

@@ -17,6 +17,7 @@ from adiorbit.errors import (
     NonHermitianInput,
     NonHermitianSample,
     NonMonotoneTime,
+    OutsideTabulatedRange,
     ParseError,
     ZeroHamiltonian,
 )
@@ -239,6 +240,13 @@ class TestTabulated:
             load_tabulated_model(path)
         assert excinfo.value.row == 1
 
+    @pytest.mark.parametrize("entry", ["inf", "nan", "-inf"])
+    def test_non_finite_entry(self, tmp_path, entry):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"dim=2\n0 1 0 0 0 -1 0\n1 1 0 {entry} 0 -1 0\n")
+        with pytest.raises(ParseError, match="row 1 has a non-finite entry"):
+            load_tabulated_model(path)
+
     def test_non_monotone_time(self, tmp_path):
         path = write_tabulated(tmp_path / "mono.txt", [0.0, 1.0, 0.5], [SZ, SZ, SZ])
         with pytest.raises(NonMonotoneTime):
@@ -259,5 +267,5 @@ class TestTabulated:
     def test_out_of_range_evaluation(self, tmp_path):
         path = write_tabulated(tmp_path / "rng.txt", [0.0, 1.0], [SZ, SZ])
         model = load_tabulated_model(path)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutsideTabulatedRange):
             model.evaluate(2.0)
