@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csv import format_rows
 from .errors import AdiorbitError, ConfigError, InputError, NumericalError
 from .fourier import (
     check_linear_phase,
@@ -87,10 +88,6 @@ _SWEEPABLE = {
 _CSV_BLOCK_ROWS = 4096
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.16e}"
-
-
 def parse_config_text(text: str, origin: str = "config") -> dict[str, str]:
     """Flat ``key = value`` lines into a dict, validating key names."""
     cfg: dict[str, str] = {}
@@ -124,9 +121,9 @@ def _get_float(cfg, key, default=None) -> Optional[float]:
     return value
 
 
-def _get_positive(cfg, key, default) -> float:
+def _get_positive(cfg, key, default=None) -> Optional[float]:
     value = _get_float(cfg, key, default)
-    if not value > 0:
+    if value is not None and not value > 0:
         raise ConfigError(f"{key} must be > 0, got {cfg[key]!r}")
     return value
 
@@ -247,6 +244,11 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
         gauge = Gauge(gauge_text)
     except ValueError as exc:
         raise ConfigError("spectrum.gauge must be 'continuity' or 'analytic'") from exc
+    if gauge is Gauge.ANALYTIC and model.analytic_frame is None:
+        raise ConfigError(
+            f"spectrum.gauge = analytic needs a closed-form eigenframe, "
+            f"which model {model.name!r} does not have"
+        )
     method_text = cfg.get("spectrum.gamma_method", "fd")
     try:
         gamma_method = GammaMethod(method_text)
@@ -275,8 +277,8 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
         conditions_tau_end=conditions_tau_end,
         fourier_period=period,
         fourier_harmonics=_get_int(cfg, "fourier.n_harmonics", 8),
-        linearity_tol=_get_float(cfg, "fourier.linearity_tol", 1e-6),
-        resonance_tol=_get_float(cfg, "fourier.resonance_tol"),
+        linearity_tol=_get_positive(cfg, "fourier.linearity_tol", 1e-6),
+        resonance_tol=_get_positive(cfg, "fourier.resonance_tol"),
     )
 
 
@@ -302,33 +304,45 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_evolution_csv(path: Path, result: PipelineResult):
-    """Stream the evolution table to ``path``, a block of rows at a time.
+def _write_csv(path: Path, header: list[str], blocks):
+    """Write a header line, then each 2-D float block, every field as ``%.16e``."""
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for block in blocks:
+            fh.write(format_rows(block))
 
-    Every field prints as ``_fmt`` does; one ``%`` template per block
-    keeps the whole text from ever being held in memory.
+
+def _evolution_blocks(result: PipelineResult):
+    """The evolution table, ``_CSV_BLOCK_ROWS`` rows at a time, from column slices.
+
+    Every block is a view of one buffer, refilled on the next step.
     """
-    d = result.model.dimension
+    columns = [
+        result.grid.samples,
+        result.p_exact,
+        result.p_direct,
+        result.p_first,
+        result.p_second,
+        result.p_ratio,
+        result.norm_residual,
+    ]
+    coefficients = result.coefficients.coefficients
+    n_rows, d = coefficients.shape
+    block = np.empty((_CSV_BLOCK_ROWS, len(columns) + d))
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+        rows = block[: stop - start]
+        for j, column in enumerate(columns):
+            rows[:, j] = column[start:stop]
+        rows[:, len(columns) :] = np.abs(coefficients[start:stop]) ** 2
+        yield rows
+
+
+def _write_evolution_csv(path: Path, result: PipelineResult):
+    """Stream the evolution table to ``path``, a block of rows at a time."""
     header = ["tau", "P_exact", "P_direct", "P_first", "P_second", "P_ratio", "norm_residual"]
-    header += [f"|c_{n}|^2" for n in range(d)]
-    table = np.column_stack(
-        [
-            result.grid.samples,
-            result.p_exact,
-            result.p_direct,
-            result.p_first,
-            result.p_second,
-            result.p_ratio,
-            result.norm_residual,
-            np.abs(result.coefficients.coefficients) ** 2,
-        ]
-    )
-    row_fmt = ",".join(["%.16e"] * len(header)) + "\n"
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    header += [f"|c_{n}|^2" for n in range(result.model.dimension)]
+    _write_csv(path, header, _evolution_blocks(result))
 
 
 def run_evolve(scenario: ScenarioConfig, out_dir: Path) -> PipelineResult:
@@ -495,30 +509,12 @@ def run_sweep(scenario: ScenarioConfig, out_dir: Path, threads: int = 1):
     else:
         rows = [_sweep_point(cfg, parameter, v) for v in values]
 
-    header = [
-        parameter,
-        "min_P_exact",
-        "FirstOrder",
-        "SecondOrder",
-        "RatioFirstIter",
-        "CompactFunctional",
-    ]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row["value"]),
-                    _fmt(row["min_p_exact"]),
-                    _fmt(row["FirstOrder"]),
-                    _fmt(row["SecondOrder"]),
-                    _fmt(row["RatioFirstIter"]),
-                    _fmt(row["CompactFunctional"]),
-                ]
-            )
-        )
+    criteria = ["FirstOrder", "SecondOrder", "RatioFirstIter", "CompactFunctional"]
+    keys = ["value", "min_p_exact", *criteria]
+    header = [parameter, "min_P_exact", *criteria]
+    table = np.array([[row[key] for key in keys] for row in rows])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "sweep.csv", header, [table])
     _write_json(
         out_dir / "sweep_report.json",
         {

@@ -321,7 +321,7 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
         basis = np.asarray(params.eigenbasis, dtype=complex)
         if basis.shape != (d, d):
             raise ValueError(f"eigenbasis must be {d}x{d}")
-        if max_hermiticity_defect(basis.conj().T @ basis - np.eye(d)) > 1e-10:
+        if np.abs(basis.conj().T @ basis - np.eye(d)).max() > 1e-10:
             raise ValueError("eigenbasis must be unitary")
 
     h_const = basis @ np.diag(energies).astype(complex) @ basis.conj().T

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +75,31 @@ class TestEvolve:
         lines += [",".join(f"{float(x):.16e}" for x in row) for row in zip(*columns)]
         expected = "\n".join(lines) + "\n"
         assert (out / "evolution.csv").read_bytes() == expected.encode()
+
+    def test_csv_writer_holds_no_whole_table(self, tmp_path):
+        # a 2e5-row, d = 2 table as the baseline scenario writes it
+        rng = np.random.default_rng(4)
+        n_rows = 200_001
+        columns = rng.random((7, n_rows))
+        result = SimpleNamespace(
+            model=SimpleNamespace(dimension=2),
+            grid=SimpleNamespace(samples=columns[0]),
+            p_exact=columns[1],
+            p_direct=columns[2],
+            p_first=columns[3],
+            p_second=columns[4],
+            p_ratio=columns[5],
+            norm_residual=columns[6],
+            coefficients=SimpleNamespace(coefficients=rng.random((n_rows, 2)) + 0.5j),
+        )
+        table_bytes = n_rows * 9 * 8
+        tracemalloc.start()
+        try:
+            cli._write_evolution_csv(tmp_path / "evolution.csv", result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * table_bytes
 
     def test_constant_model_all_columns_one(self, tmp_path):
         table = write_tabulated(tmp_path / "const.txt", [0.0, 30.0], [SZ, SZ])
@@ -285,6 +312,19 @@ class TestSweep:
         ) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_csv_bytes_match_per_field_format(self, tmp_path):
+        cfg = write_config(tmp_path, self.sweep_config(values="0.4, 0.2"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "sweep_report.json").read_text())["rows"]
+        keys = ["value", "min_p_exact", "FirstOrder", "SecondOrder", "RatioFirstIter",
+                "CompactFunctional"]
+        lines = ["model.omega,min_P_exact,FirstOrder,SecondOrder,RatioFirstIter,"
+                 "CompactFunctional"]
+        lines += [",".join(f"{row[key]:.16e}" for key in keys) for row in rows]
+        expected = "\n".join(lines) + "\n"
+        assert (out / "sweep.csv").read_bytes() == expected.encode()
+
     def test_single_point_matches_evolve(self, tmp_path):
         cfg = write_config(tmp_path, self.sweep_config(values="0.1"), name="single.cfg")
         out = tmp_path / "out"
@@ -395,6 +435,8 @@ class TestConfigErrors:
             ("check", "conditions.tau_end", "5", "0, 1"),
             ("fourier", "fourier.n_harmonics", "-3", "0, 1"),
             ("fourier", "fourier.n_harmonics", "1000", "0, 1"),
+            ("fourier", "fourier.linearity_tol", "-1", "0, 1"),
+            ("fourier", "fourier.resonance_tol", "-1", "0, 1"),
         ],
         ids=[
             "gap_tol_negative",
@@ -403,6 +445,8 @@ class TestConfigErrors:
             "tau_end_past_grid",
             "n_harmonics_negative",
             "n_harmonics_too_large",
+            "linearity_tol_negative",
+            "resonance_tol_negative",
         ],
     )
     def test_out_of_range_knob_exits_2(self, tmp_path, capsys, command, key, value, energies):
@@ -418,6 +462,30 @@ class TestConfigErrors:
         path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key.split(".")[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["tabulated", "spin_half_b"])
+    def test_analytic_gauge_without_closed_form_exits_2(self, tmp_path, capsys, kind):
+        if kind == "tabulated":
+            table = write_tabulated(tmp_path / "const.txt", [0.0, 30.0], [SZ, SZ])
+            text = (
+                f"model.kind = tabulated\nmodel.path = {table}\n"
+                "grid.tau_end = 20.0\ngrid.n_steps = 2000\n"
+            )
+        else:
+            text = SPIN_A_CONFIG.replace("model.variant = a", "model.variant = b")
+        cfg = write_config(tmp_path, text + "spectrum.gauge = analytic\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "spectrum.gauge = analytic needs a closed-form" in capsys.readouterr().err
+
+    def test_non_unitary_eigenbasis_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "model.kind = conjugated\nmodel.energies = 0, 1\n"
+            "model.generator = 0, 0.1; 0.1, 0\nmodel.eigenbasis = 1, 0; 0, 2\n"
+            "grid.tau_end = 1.0\ngrid.n_steps = 100\n",
+        )
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "eigenbasis" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", ["inf", "nan"])
     def test_non_finite_generator_exits_2(self, tmp_path, capsys, entry):

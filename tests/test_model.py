@@ -164,6 +164,17 @@ class TestConjugated:
             evals = np.linalg.eigvalsh(model.evaluate(tau))
             assert np.allclose(evals, [0.0, 0.7, 2.0], atol=1e-12)
 
+    def test_non_unitary_eigenbasis(self):
+        # B^H B - I is Hermitian for every B, so only its entries can tell
+        with pytest.raises(ValueError, match="unitary"):
+            build_conjugated_model(
+                ConjugatedParams(
+                    energies=[0.0, 1.0],
+                    generator=np.array([[0, 0.1], [0.1, 0]]),
+                    eigenbasis=np.diag([1.0, 2.0]),
+                )
+            )
+
     def test_non_hermitian_generator(self):
         with pytest.raises(NonHermitianInput):
             build_conjugated_model(
