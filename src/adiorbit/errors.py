@@ -83,6 +83,13 @@ class AssignmentAmbiguous(NumericalError):
     module = "spectrum"
 
 
+class AnalyticFrameUnavailable(InputError, ValueError):
+    """The analytic gauge was asked of a model without a closed-form
+    eigenframe."""
+
+    module = "spectrum"
+
+
 class DerivativeUnavailable(InputError):
     """Hellmann-Feynman coupling requested without a usable dh/dtau."""
 

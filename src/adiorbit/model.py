@@ -1,10 +1,14 @@
 """Time-dependent Hamiltonian models in dimensionless form.
 
-A model is a pure evaluator tau -> h(tau) with h Hermitian and tau the
-dimensionless time. Raw, dimensionful Hamiltonians enter only through
-:func:`normalize`, which rescales energies by the initial energy of the
-chosen level and time accordingly; everything downstream works with the
-dimensionless h.
+A model is one vectorized evaluator: a 1-D float array of n
+dimensionless times maps to the (n, d, d) Hermitian samples h(tau_k).
+An analytic dh/dtau, when the model has one, follows the same contract.
+The library samples through :func:`sample_hamiltonian` and
+:func:`sample_derivative`, which convert the times once. Raw,
+dimensionful Hamiltonians enter only through :func:`normalize`, which
+wraps a scalar raw evaluator into that contract, rescaling energies by
+the initial energy of the chosen level and time accordingly; everything
+downstream works with the dimensionless h.
 
 Built-in models:
 
@@ -55,27 +59,22 @@ HERMITICITY_TOL = 1e-12
 class HamiltonianModel:
     """Evaluator contract for a dimensionless Hermitian h(tau).
 
-    ``evaluate`` maps a scalar tau to a (d, d) complex Hermitian matrix.
-    ``derivative`` is the analytic dh/dtau when available. ``period`` is
-    the fundamental period of h when the drive is periodic.
-
-    ``evaluate_many`` and ``analytic_frame`` are optional fast paths:
-    the former evaluates a whole array of times at once, the latter
-    returns the closed-form instantaneous eigensystem (levels ordered by
-    ascending eigenvalue at tau = 0) for models that have one.
+    ``evaluate_many`` maps a 1-D float array of n times to the (n, d, d)
+    complex Hermitian samples. ``derivative_many`` is the analytic
+    dh/dtau in the same shape, when available. ``period`` is the
+    fundamental period of h when the drive is periodic.
+    ``analytic_frame`` returns the closed-form instantaneous eigensystem
+    (levels ordered by ascending eigenvalue at tau = 0) for models that
+    have one.
     """
 
     dimension: int
-    evaluate: Callable[[float], np.ndarray]
-    derivative: Optional[Callable[[float], np.ndarray]] = None
-    name: str = ""
-    period: Optional[float] = None
-    evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False
-    )
+    evaluate_many: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     derivative_many: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
+    name: str = ""
+    period: Optional[float] = None
     analytic_frame: Optional[Callable[[np.ndarray], tuple]] = field(
         default=None, repr=False
     )
@@ -142,22 +141,16 @@ def _require_hermitian(mat: np.ndarray, what: str):
         raise NonHermitianInput(f"{what} is not Hermitian (defect {defect:.3e})")
 
 
-def sample_hamiltonian(model: HamiltonianModel, taus: np.ndarray) -> np.ndarray:
-    """Evaluate h on an array of times, shape (n, d, d)."""
-    taus = np.asarray(taus, dtype=float)
-    if model.evaluate_many is not None:
-        return model.evaluate_many(taus)
-    return np.array([model.evaluate(t) for t in taus])
+def sample_hamiltonian(model: HamiltonianModel, taus) -> np.ndarray:
+    """Evaluate h on a time or an array of times, shape (n, d, d)."""
+    return model.evaluate_many(np.atleast_1d(np.asarray(taus, dtype=float)))
 
 
-def sample_derivative(model: HamiltonianModel, taus: np.ndarray) -> Optional[np.ndarray]:
-    """Evaluate dh/dtau on an array of times, or None if unavailable."""
-    if model.derivative is None:
+def sample_derivative(model: HamiltonianModel, taus) -> Optional[np.ndarray]:
+    """Evaluate dh/dtau like :func:`sample_hamiltonian`, or None if unavailable."""
+    if model.derivative_many is None:
         return None
-    taus = np.asarray(taus, dtype=float)
-    if model.derivative_many is not None:
-        return model.derivative_many(taus)
-    return np.array([model.derivative(t) for t in taus])
+    return model.derivative_many(np.atleast_1d(np.asarray(taus, dtype=float)))
 
 
 def normalize(
@@ -189,10 +182,11 @@ def normalize(
         reference = spectral_norm
     time_scale = 1.0 / reference
 
-    def evaluate(tau: float) -> np.ndarray:
-        return np.asarray(raw_evaluator(tau * time_scale), dtype=complex) / reference
+    def evaluate_many(taus: np.ndarray) -> np.ndarray:
+        raw = [np.asarray(raw_evaluator(tau * time_scale), dtype=complex) for tau in taus]
+        return np.array(raw) / reference
 
-    model = HamiltonianModel(dimension=d, evaluate=evaluate, name="normalized")
+    model = HamiltonianModel(dimension=d, evaluate_many=evaluate_many, name="normalized")
     record = NormalizationRecord(
         reference_energy=reference, time_scale=time_scale, initial_level=initial_level
     )
@@ -205,7 +199,6 @@ def _spin_a_model(params: SpinHalfParams) -> HamiltonianModel:
 
     def evaluate_many(taus: np.ndarray) -> np.ndarray:
         # -(w0/2) (x sigma_x + y sigma_y + z sigma_z), filled entry by entry
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         x, y = sin_t * np.cos(w * taus), sin_t * np.sin(w * taus)
         z = np.full(taus.shape, cos_t)
         h = np.empty(taus.shape + (2, 2), dtype=complex)
@@ -215,22 +208,14 @@ def _spin_a_model(params: SpinHalfParams) -> HamiltonianModel:
             )
         return h
 
-    def evaluate(tau: float) -> np.ndarray:
-        return evaluate_many(np.array([tau]))[0]
-
     def derivative_many(taus: np.ndarray) -> np.ndarray:
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         return -(w0 * w * sin_t / 2.0) * (
             np.multiply.outer(-np.sin(w * taus), SIGMA_X)
             + np.multiply.outer(np.cos(w * taus), SIGMA_Y)
         )
 
-    def derivative(tau: float) -> np.ndarray:
-        return derivative_many(np.array([tau]))[0]
-
     def analytic_frame(taus: np.ndarray):
         # level 0 is field-aligned with energy -omega0/2
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         n = taus.shape[0]
         c, s = np.cos(th / 2.0), np.sin(th / 2.0)
         ph = np.exp(1j * w * taus)
@@ -246,12 +231,10 @@ def _spin_a_model(params: SpinHalfParams) -> HamiltonianModel:
 
     return HamiltonianModel(
         dimension=2,
-        evaluate=evaluate,
-        derivative=derivative,
-        name="spin_half_a",
-        period=(2.0 * np.pi / abs(w)) if w != 0.0 else None,
         evaluate_many=evaluate_many,
         derivative_many=derivative_many,
+        name="spin_half_a",
+        period=(2.0 * np.pi / abs(w)) if w != 0.0 else None,
         analytic_frame=analytic_frame,
     )
 
@@ -281,20 +264,11 @@ def build_spin_half(
     spline = CubicSpline(taus, u_a, axis=0)
 
     def evaluate_many(ts: np.ndarray) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         u = spline(ts)
         ha = model_a.evaluate_many(ts)
         return -np.einsum("kji,kjl,klm->kim", u.conj(), ha, u)
 
-    def evaluate(tau: float) -> np.ndarray:
-        return evaluate_many(np.array([tau]))[0]
-
-    return HamiltonianModel(
-        dimension=2,
-        evaluate=evaluate,
-        name="spin_half_b",
-        evaluate_many=evaluate_many,
-    )
+    return HamiltonianModel(dimension=2, evaluate_many=evaluate_many, name="spin_half_b")
 
 
 def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
@@ -334,22 +308,14 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
         return np.einsum("ij,kj,lj->kil", v_evecs, phases, v_evecs.conj())
 
     def evaluate_many(taus: np.ndarray) -> np.ndarray:
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         u = _conjugators(taus)
         return np.einsum("kij,jl,kml->kim", u, h_const, u.conj())
-
-    def evaluate(tau: float) -> np.ndarray:
-        return evaluate_many(np.array([tau]))[0]
 
     def derivative_many(taus: np.ndarray) -> np.ndarray:
         h = evaluate_many(taus)
         return -1j * (np.einsum("ij,kjl->kil", v, h) - np.einsum("kij,jl->kil", h, v))
 
-    def derivative(tau: float) -> np.ndarray:
-        return derivative_many(np.array([tau]))[0]
-
     def analytic_frame(taus: np.ndarray):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         u = _conjugators(taus)
         vecs = np.einsum("kij,jn->kin", u, basis[:, order])
         evals = np.broadcast_to(energies[order], (taus.shape[0], d)).copy()
@@ -357,11 +323,9 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
 
     return HamiltonianModel(
         dimension=d,
-        evaluate=evaluate,
-        derivative=derivative,
-        name="conjugated",
         evaluate_many=evaluate_many,
         derivative_many=derivative_many,
+        name="conjugated",
         analytic_frame=analytic_frame,
     )
 
@@ -436,7 +400,6 @@ def load_tabulated_model(path) -> HamiltonianModel:
     d = mats.shape[1]
 
     def evaluate_many(ts: np.ndarray) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.min() < lo - 1e-12 or ts.max() > hi + 1e-12:
             raise OutsideTabulatedRange(
                 f"{path}: tau in [{ts.min():g}, {ts.max():g}] is outside the "
@@ -447,12 +410,4 @@ def load_tabulated_model(path) -> HamiltonianModel:
         w = (ts - taus[idx]) / (taus[idx + 1] - taus[idx])
         return mats[idx] * (1.0 - w)[:, None, None] + mats[idx + 1] * w[:, None, None]
 
-    def evaluate(tau: float) -> np.ndarray:
-        return evaluate_many(np.array([tau]))[0]
-
-    return HamiltonianModel(
-        dimension=d,
-        evaluate=evaluate,
-        name=path.stem,
-        evaluate_many=evaluate_many,
-    )
+    return HamiltonianModel(dimension=d, evaluate_many=evaluate_many, name=path.stem)

@@ -12,7 +12,6 @@ fixed-step; convergence is assessed by halving the step.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ class StateTrajectory:
 
     grid: TimeGrid
     states: np.ndarray
-    initial_level: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -104,15 +102,11 @@ def survival_probability_exact(trajectory: CoefficientTrajectory) -> np.ndarray:
 
 
 def survival_probability_direct(
-    states: StateTrajectory, frame: InvariantFrame, level: Optional[int] = None
+    states: StateTrajectory, frame: InvariantFrame, level: int
 ) -> np.ndarray:
     """Overlap-squared of the evolved state with the dressed frame vector."""
     if not states.grid.matches(frame.grid):
         raise GridMismatch("state trajectory and frame live on different grids")
-    if level is None:
-        level = states.initial_level
-    if level is None:
-        raise ValueError("no level given and the trajectory does not carry one")
     basis = frame.basis_vectors()[:, :, level]
     overlaps = np.einsum("ki,ki->k", basis.conj(), states.states)
     return np.abs(overlaps) ** 2
@@ -120,8 +114,7 @@ def survival_probability_direct(
 
 def conservation_residual(trajectory: CoefficientTrajectory) -> float:
     """max_k | sum_n |c_n(tau_k)|^2 - 1 |, zero for unitary stepping."""
-    total = np.sum(np.abs(trajectory.coefficients) ** 2, axis=1)
-    return float(np.abs(total - 1.0).max())
+    return float(norm_residuals(trajectory).max())
 
 
 def norm_residuals(trajectory: CoefficientTrajectory) -> np.ndarray:

@@ -5,9 +5,10 @@ are then matched across neighbouring samples by maximum eigenvector
 overlap (not by eigenvalue order, which would swap labels at avoided
 crossings), and eigenvector phases are fixed by discrete parallel
 transport: the overlap between consecutive frames of the same level is
-made real and positive. In that gauge the numerical Berry connection is
-close to zero; models with a closed-form eigensystem can instead keep
-their analytic phases.
+made real and positive. Tracking is one vectorized pass over all steps;
+Python visits only the steps where the labels permute. In that gauge
+the numerical Berry connection is close to zero; models with a
+closed-form eigensystem can instead keep their analytic phases.
 
 The nonadiabatic coupling gamma_nm = i <phi_n | d phi_m / dtau> is
 computed either by second-order finite differences of the tracked
@@ -22,12 +23,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._linalg import central_difference
-from .errors import AssignmentAmbiguous, DegenerateGap, DerivativeUnavailable
+from .errors import (
+    AnalyticFrameUnavailable,
+    AssignmentAmbiguous,
+    DegenerateGap,
+    DerivativeUnavailable,
+)
 from .grid import TimeGrid
 from .model import HamiltonianModel, sample_derivative, sample_hamiltonian
 
 _OVERLAP_FLOOR = 1.0 / np.sqrt(2.0)
 _CHUNK = 32768
+_FD_STEP = 1e-6
 
 
 class Gauge(enum.Enum):
@@ -83,56 +90,62 @@ def _enforce_min_gap(evals_sorted: np.ndarray, taus: np.ndarray, gap_tol: float)
     return min_gap
 
 
-def _track_identity_fast(evecs: np.ndarray):
-    """Check that max-overlap assignment is the identity everywhere.
+def _track(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
+    """Relabel eigh's output by maximum overlap and transport its phases.
 
-    Returns the per-step diagonal overlaps if so, None if any step needs
-    the general permutation-composing pass.
+    ``evals`` and ``evecs`` are overwritten. Each step's best-overlap
+    column and the overlap it keeps are found chunk by chunk; a step
+    whose best columns are the identity leaves the labels alone. Only at
+    the other steps is the permutation composed and applied to every
+    later sample, so the loop runs over permutation events, not steps.
     """
     n1, d, _ = evecs.shape
-    diag = np.empty((n1 - 1, d), dtype=complex)
+    ident = np.arange(d)
+    kept = np.empty((n1 - 1, d), dtype=complex)
+    events, event_cols = [np.empty(0, np.intp)], [np.empty((0, d), np.intp)]
     for start in range(0, n1 - 1, _CHUNK):
         stop = min(start + _CHUNK, n1 - 1)
         s = np.einsum("kij,kil->kjl", evecs[start:stop].conj(), evecs[start + 1 : stop + 1])
-        a = np.abs(s)
-        if not np.array_equal(a.argmax(axis=2), np.broadcast_to(np.arange(d), a.shape[:2])):
-            return None
-        diag[start:stop] = np.einsum("kjj->kj", s)
-    if np.abs(diag).min() < _OVERLAP_FLOOR:
-        return None
-    return diag
+        cols = np.abs(s).argmax(axis=2)
+        if np.array_equal(cols, np.broadcast_to(ident, cols.shape)):
+            kept[start:stop] = np.einsum("kjj->kj", s)
+            continue
+        kept[start:stop] = np.take_along_axis(s, cols[:, :, None], axis=2)[:, :, 0]
+        moved = np.flatnonzero((cols != ident).any(axis=1))
+        events.append(start + moved)
+        event_cols.append(cols[moved])
+    events, event_cols = np.concatenate(events), np.concatenate(event_cols)
 
+    # a step whose best columns repeat one is not a permutation; labels
+    # are only trusted up to the first such step
+    clash = np.flatnonzero((np.sort(event_cols, axis=1) != ident).any(axis=1))
+    n_ok = clash[0] if clash.size else events.size
+    perm = ident
+    ends = np.append(events[1:], n1 - 1)
+    for k, cols, end in zip(events[:n_ok], event_cols[:n_ok], ends[:n_ok]):
+        # samples k+1..end carry the labels composed up to step k, and so
+        # do the overlaps of steps k+1..end
+        perm = cols[perm]
+        evals[k + 1 : end + 1] = evals[k + 1 : end + 1][:, perm]
+        evecs[k + 1 : end + 1] = evecs[k + 1 : end + 1][:, :, perm]
+        kept[k + 1 : end + 1] = kept[k + 1 : end + 1][:, perm]
 
-def _track_general(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
-    """Sequential max-overlap tracking with permutation composition."""
-    n1, d, _ = evecs.shape
-    perms = np.empty((n1, d), dtype=np.intp)
-    phases = np.empty((n1, d), dtype=complex)
-    perms[0] = np.arange(d)
-    phases[0] = 1.0
-    current = evecs[0].copy()
-    for k in range(n1 - 1):
-        s = current.conj().T @ evecs[k + 1]
-        a = np.abs(s)
-        cols = a.argmax(axis=1)
-        best = a[np.arange(d), cols]
-        if best.min() < _OVERLAP_FLOOR:
-            n_bad = int(best.argmin())
-            raise AssignmentAmbiguous(
-                f"level {n_bad} has best overlap {best.min():.3f} < 1/sqrt(2) "
-                f"across tau={taus[k]:.6g} -> {taus[k+1]:.6g}; refine the grid"
-            )
-        if np.unique(cols).size != d:
-            raise AssignmentAmbiguous(
-                f"overlap assignment is not a permutation at tau={taus[k+1]:.6g}"
-            )
-        u = s[np.arange(d), cols]
-        phases[k + 1] = np.conj(u) / np.abs(u)
-        perms[k + 1] = cols
-        current = evecs[k + 1][:, cols] * phases[k + 1][None, :]
-    tracked_vecs = np.take_along_axis(evecs, perms[:, None, :], axis=2) * phases[:, None, :]
-    tracked_vals = np.take_along_axis(evals, perms, axis=1)
-    return tracked_vals, tracked_vecs
+    checked = n1 - 1 if n_ok == events.size else events[n_ok] + 1
+    mag = np.abs(kept)
+    if mag[:checked].min() < _OVERLAP_FLOOR:
+        k = int(np.argmax(mag[:checked].min(axis=1) < _OVERLAP_FLOOR))
+        raise AssignmentAmbiguous(
+            f"level {int(mag[k].argmin())} has best overlap {mag[k].min():.3f} < 1/sqrt(2) "
+            f"across tau={taus[k]:.6g} -> {taus[k+1]:.6g}; refine the grid"
+        )
+    if n_ok < events.size:
+        raise AssignmentAmbiguous(
+            f"overlap assignment is not a permutation at tau={taus[events[n_ok] + 1]:.6g}"
+        )
+    # transport phases accumulate multiplicatively
+    phases = np.concatenate([np.ones((1, d)), np.cumprod(np.conj(kept) / mag, axis=0)])
+    evecs *= phases[:, None, :]
+    return evals, evecs
 
 
 def solve_quasistationary(
@@ -158,7 +171,7 @@ def solve_quasistationary(
 
     if gauge is Gauge.ANALYTIC:
         if model.analytic_frame is None:
-            raise ValueError(f"model {model.name!r} has no closed-form eigenframe")
+            raise AnalyticFrameUnavailable(f"model {model.name!r} has no closed-form eigenframe")
         evals, evecs = model.analytic_frame(taus)
         evals = np.asarray(evals, dtype=float)
         evecs = np.asarray(evecs, dtype=complex)
@@ -168,16 +181,7 @@ def solve_quasistationary(
     h = sample_hamiltonian(model, taus)
     evals, evecs = np.linalg.eigh(h)
     min_gap = _enforce_min_gap(evals, taus, gap_tol)
-
-    diag = _track_identity_fast(evecs)
-    if diag is not None:
-        # labels never permute; transport phases accumulate multiplicatively
-        steps = np.conj(diag) / np.abs(diag)
-        phases = np.concatenate([np.ones((1, evecs.shape[2])), np.cumprod(steps, axis=0)])
-        evecs = evecs * phases[:, None, :]
-    else:
-        evals, evecs = _track_general(evals, evecs, taus)
-
+    evals, evecs = _track(evals, evecs, taus)
     return AdiabaticSpectrum(grid, evals, evecs, gauge, min_gap)
 
 
@@ -200,14 +204,14 @@ def apply_phase_redressing(
     return replace(spectrum, eigenvectors=dressed)
 
 
-def _fd_hamiltonian_derivative(model, grid: TimeGrid, step: float) -> np.ndarray:
+def _fd_hamiltonian_derivative(model, grid: TimeGrid) -> np.ndarray:
     """dh/dtau by central differences, one-sided at the range ends.
 
     Never probes outside [0, tau_end], so models defined only on that
     range (tabulated, normalized raw evaluators) stay valid.
     """
     taus = grid.samples
-    delta = min(step, 0.5 * grid.dtau)
+    delta = min(_FD_STEP, 0.5 * grid.dtau)
     plus = sample_hamiltonian(model, taus[1:-1] + delta)
     minus = sample_hamiltonian(model, taus[1:-1] - delta)
     out = np.empty((taus.size,) + plus.shape[1:], dtype=complex)
@@ -223,8 +227,6 @@ def compute_nonadiabatic_coupling(
     spectrum: AdiabaticSpectrum,
     model: Optional[HamiltonianModel] = None,
     method: GammaMethod = GammaMethod.FINITE_DIFFERENCE,
-    allow_fd_hamiltonian: bool = True,
-    fd_step: float = 1e-6,
 ) -> NonadiabaticCoupling:
     """Sample gamma_nm = i <phi_n | phi_m'> on the spectrum's grid.
 
@@ -232,9 +234,8 @@ def compute_nonadiabatic_coupling(
     second-order stencils. ``HELLMANN_FEYNMAN`` uses
     gamma_nm = i <phi_n| dh/dtau |phi_m> / (e_m - e_n) off the diagonal,
     taking dh/dtau from the model (or a central difference of h with
-    step ``fd_step`` when the model has no analytic derivative and
-    ``allow_fd_hamiltonian`` is set); the diagonal always comes from the
-    finite-difference route.
+    step 1e-6 when the model has no analytic derivative); the diagonal
+    always comes from the finite-difference route.
     """
     dtau = spectrum.grid.dtau
     vecs = spectrum.eigenvectors
@@ -247,11 +248,7 @@ def compute_nonadiabatic_coupling(
         raise DerivativeUnavailable("Hellmann-Feynman coupling needs the model")
     hdot = sample_derivative(model, spectrum.grid.samples)
     if hdot is None:
-        if not allow_fd_hamiltonian:
-            raise DerivativeUnavailable(
-                "model has no analytic derivative and finite differencing of h is disabled"
-            )
-        hdot = _fd_hamiltonian_derivative(model, spectrum.grid, fd_step)
+        hdot = _fd_hamiltonian_derivative(model, spectrum.grid)
 
     numer = 1j * np.einsum("kin,kij,kjm->knm", vecs.conj(), hdot, vecs)
     denom = spectrum.eigenvalues[:, None, :] - spectrum.eigenvalues[:, :, None]

@@ -20,22 +20,17 @@ def constant_model(matrix, name="constant"):
     matrix = np.asarray(matrix, dtype=complex)
     d = matrix.shape[0]
 
-    def evaluate(tau):
-        return matrix
-
     def evaluate_many(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         return np.broadcast_to(matrix, (taus.shape[0], d, d)).copy()
 
-    def derivative(tau):
-        return np.zeros_like(matrix)
+    def derivative_many(taus):
+        return np.zeros((taus.shape[0], d, d), dtype=complex)
 
     return HamiltonianModel(
         dimension=d,
-        evaluate=evaluate,
-        derivative=derivative,
-        name=name,
         evaluate_many=evaluate_many,
+        derivative_many=derivative_many,
+        name=name,
     )
 
 
@@ -52,32 +47,22 @@ def smooth_random_model(dim, seed, base_gap=1.0, drive=0.1):
     w1, w2 = 0.3, 0.17
 
     def evaluate_many(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         return (
             static[None, :, :]
             + np.multiply.outer(np.cos(w1 * taus), wobble_c)
             + np.multiply.outer(np.sin(w2 * taus), wobble_s)
         )
 
-    def evaluate(tau):
-        return evaluate_many(np.array([tau]))[0]
-
     def derivative_many(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         return np.multiply.outer(-w1 * np.sin(w1 * taus), wobble_c) + np.multiply.outer(
             w2 * np.cos(w2 * taus), wobble_s
         )
 
-    def derivative(tau):
-        return derivative_many(np.array([tau]))[0]
-
     return HamiltonianModel(
         dimension=dim,
-        evaluate=evaluate,
-        derivative=derivative,
-        name=f"smooth_random_{seed}",
         evaluate_many=evaluate_many,
         derivative_many=derivative_many,
+        name=f"smooth_random_{seed}",
     )
 
 

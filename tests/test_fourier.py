@@ -34,7 +34,6 @@ def chirped_model(g=0.1, beta=0.02):
     """Off-diagonal coupling with a quadratic phase: not linear-phase."""
 
     def evaluate_many(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         out = np.empty((taus.size, 2, 2), dtype=complex)
         phase = np.exp(1j * beta * taus**2)
         out[:, 0, 0] = 1.0
@@ -43,12 +42,7 @@ def chirped_model(g=0.1, beta=0.02):
         out[:, 1, 0] = g * np.conj(phase)
         return out
 
-    return HamiltonianModel(
-        dimension=2,
-        evaluate=lambda tau: evaluate_many(np.array([tau]))[0],
-        name="chirped",
-        evaluate_many=evaluate_many,
-    )
+    return HamiltonianModel(dimension=2, evaluate_many=evaluate_many, name="chirped")
 
 
 @pytest.fixture(scope="module")

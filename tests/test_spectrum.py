@@ -11,7 +11,13 @@ from adiorbit import (
     sample_hamiltonian,
     solve_quasistationary,
 )
-from adiorbit.errors import AssignmentAmbiguous, DegenerateGap, DerivativeUnavailable
+from adiorbit.errors import (
+    AssignmentAmbiguous,
+    DegenerateGap,
+    DerivativeUnavailable,
+    InputError,
+)
+from adiorbit.spectrum import _CHUNK
 
 from conftest import SX, SZ, constant_model, smooth_random_model
 
@@ -28,11 +34,11 @@ def tumbling_frame_model():
     def rot(phi):
         return np.eye(3) + np.sin(phi) * k + (1 - np.cos(phi)) * (k @ k)
 
-    def evaluate(tau):
-        r = rot(np.pi * tau)
-        return (r @ diag @ r.T).astype(complex)
+    def evaluate_many(taus):
+        r = np.array([rot(np.pi * tau) for tau in taus])
+        return (r @ diag @ r.transpose(0, 2, 1)).astype(complex)
 
-    return HamiltonianModel(dimension=3, evaluate=evaluate, name="tumbling")
+    return HamiltonianModel(dimension=3, evaluate_many=evaluate_many, name="tumbling")
 
 
 class TestTimeGrid:
@@ -111,7 +117,6 @@ class TestSolveQuasistationary:
         g = 0.002
 
         def evaluate_many(taus):
-            taus = np.atleast_1d(np.asarray(taus, dtype=float))
             out = np.empty((taus.size, 2, 2), dtype=complex)
             out[:, 0, 0] = taus - 1.0
             out[:, 1, 1] = 1.0 - taus
@@ -119,12 +124,7 @@ class TestSolveQuasistationary:
             out[:, 1, 0] = g
             return out
 
-        model = HamiltonianModel(
-            dimension=2,
-            evaluate=lambda tau: evaluate_many(np.array([tau]))[0],
-            name="avoided",
-            evaluate_many=evaluate_many,
-        )
+        model = HamiltonianModel(dimension=2, evaluate_many=evaluate_many, name="avoided")
         grid = TimeGrid(tau_end=2.0, n_steps=201)  # no sample at the crossing
         spec = solve_quasistationary(model, grid, gap_tol=1e-4)
         taus = grid.samples
@@ -137,15 +137,9 @@ class TestSolveQuasistationary:
 
     def test_degenerate_gap_raises(self):
         def evaluate_many(taus):
-            taus = np.atleast_1d(np.asarray(taus, dtype=float))
             return np.multiply.outer(1.0 - taus, SZ)
 
-        model = HamiltonianModel(
-            dimension=2,
-            evaluate=lambda tau: (1.0 - tau) * SZ,
-            name="crossing",
-            evaluate_many=evaluate_many,
-        )
+        model = HamiltonianModel(dimension=2, evaluate_many=evaluate_many, name="crossing")
         grid = TimeGrid(tau_end=2.0, n_steps=200)
         with pytest.raises(DegenerateGap) as excinfo:
             solve_quasistationary(model, grid, gap_tol=1e-3)
@@ -180,6 +174,12 @@ class TestSolveQuasistationary:
         with pytest.raises(ValueError):
             solve_quasistationary(constant_model(SZ), grid, gauge=Gauge.ANALYTIC)
 
+    def test_analytic_gauge_unavailable_is_input_error(self):
+        grid = TimeGrid(tau_end=1.0, n_steps=10)
+        with pytest.raises(InputError) as excinfo:
+            solve_quasistationary(constant_model(SZ), grid, gauge=Gauge.ANALYTIC)
+        assert excinfo.value.module == "spectrum"
+
     def test_gauge_fixing_preserves_invariants(self, spin_a_model):
         grid = TimeGrid(tau_end=5.0, n_steps=500)
         spec = solve_quasistationary(spin_a_model, grid)
@@ -192,6 +192,91 @@ class TestSolveQuasistationary:
         before = np.abs(np.einsum("i,kin->kn", psi.conj(), raw))
         after = np.abs(np.einsum("i,kin->kn", psi.conj(), spec.eigenvectors))
         assert np.allclose(before, after, atol=1e-12)
+
+
+def crossing_ladder_model():
+    """d = 3, diabatic energies 0, 0.5 and a triangle wave in [-1, 1]
+    coupled by 1e-6, slowly rotated by exp(-i tau G).
+
+    The wave crosses both flat levels eight times, always between grid
+    samples of a dtau = 0.01 grid, so each avoided crossing is passed in
+    one step and eigenvalue-sorted labels swap there.
+    """
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    g_evals, g_evecs = np.linalg.eigh(0.05 * (g + g.conj().T) / 2.0)
+    coupling = 1e-6 * np.array([[0, 1j, 1], [-1j, 0, 1], [1, 1, 0]])
+    peaks = np.arange(5) * 100.005
+
+    def evaluate_many(taus):
+        d = np.broadcast_to(coupling, (taus.size, 3, 3)).astype(complex)
+        d[:, 1, 1] = 0.5
+        d[:, 2, 2] = np.interp(taus, peaks, [1.0, -1.0, 1.0, -1.0, 1.0])
+        u = np.einsum("ij,kj,lj->kil", g_evecs, np.exp(-1j * np.multiply.outer(taus, g_evals)),
+                      g_evecs.conj())
+        return u @ d @ u.conj().transpose(0, 2, 1)
+
+    return HamiltonianModel(dimension=3, evaluate_many=evaluate_many, name="ladder")
+
+
+def reference_track(evals, evecs):
+    """Step-by-step max-overlap tracking with permutation composition,
+    one Python iteration per step. Returns the per-sample permutations
+    as well."""
+    n1, d, _ = evecs.shape
+    perms = np.empty((n1, d), dtype=np.intp)
+    phases = np.empty((n1, d), dtype=complex)
+    perms[0] = np.arange(d)
+    phases[0] = 1.0
+    current = evecs[0].copy()
+    for k in range(n1 - 1):
+        s = current.conj().T @ evecs[k + 1]
+        cols = np.abs(s).argmax(axis=1)
+        u = s[np.arange(d), cols]
+        assert np.abs(u).min() >= 1.0 / np.sqrt(2.0)
+        assert np.unique(cols).size == d
+        phases[k + 1] = np.conj(u) / np.abs(u)
+        perms[k + 1] = cols
+        current = evecs[k + 1][:, cols] * phases[k + 1][None, :]
+    tracked_vecs = np.take_along_axis(evecs, perms[:, None, :], axis=2) * phases[:, None, :]
+    tracked_vals = np.take_along_axis(evals, perms, axis=1)
+    return tracked_vals, tracked_vecs, perms
+
+
+class TestTracking:
+    def test_permutation_events_match_stepwise_reference(self):
+        model = crossing_ladder_model()
+        grid = TimeGrid(tau_end=400.0, n_steps=40000)
+        spec = solve_quasistationary(model, grid)
+        evals, evecs = np.linalg.eigh(sample_hamiltonian(model, grid.samples))
+        ref_vals, ref_vecs, perms = reference_track(evals, evecs)
+        events = np.flatnonzero((perms[1:] != perms[:-1]).any(axis=1))
+        assert events.size >= 3
+        assert events.max() > _CHUNK
+        assert np.array_equal(spec.eigenvalues, ref_vals)
+        assert np.abs(spec.eigenvectors - ref_vecs).max() < 1e-12
+        # labels follow the flat diabatic levels through every crossing
+        assert np.abs(spec.eigenvalues[:, 0]).max() < 1e-4
+        assert np.abs(spec.eigenvalues[:, 1] - 0.5).max() < 1e-4
+
+    def test_ambiguity_reports_earliest_step(self):
+        # two frame jumps: a 58 degree turn about (1,1,1) keeps best
+        # overlaps at 0.687, the later discrete-Fourier jump at 1/sqrt(3)
+        axis = np.ones(3) / np.sqrt(3)
+        k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+        phi = np.radians(58.0)
+        turn = np.eye(3) + np.sin(phi) * k + (1 - np.cos(phi)) * (k @ k)
+        dft = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
+        frames = np.array([np.eye(3), turn, turn @ dft])
+
+        def evaluate_many(taus):
+            v = frames[(taus > 0.305).astype(int) + (taus > 0.705)]
+            return v @ np.diag([0.0, 1.0, 2.0]) @ v.conj().transpose(0, 2, 1)
+
+        model = HamiltonianModel(dimension=3, evaluate_many=evaluate_many, name="jumps")
+        grid = TimeGrid(tau_end=1.0, n_steps=100)
+        with pytest.raises(AssignmentAmbiguous, match=r"overlap 0\.687 .* tau=0\.3 -> 0\.31;"):
+            solve_quasistationary(model, grid)
 
 
 class TestPhaseRedressing:
@@ -275,13 +360,6 @@ class TestNonadiabaticCoupling:
         spec = solve_quasistationary(constant_model(np.diag([1.0, 2.0])), grid)
         with pytest.raises(DerivativeUnavailable):
             compute_nonadiabatic_coupling(spec, None, GammaMethod.HELLMANN_FEYNMAN)
-        model = HamiltonianModel(
-            dimension=2, evaluate=lambda tau: np.diag([1.0, 2.0]), name="no_deriv"
-        )
-        with pytest.raises(DerivativeUnavailable):
-            compute_nonadiabatic_coupling(
-                spec, model, GammaMethod.HELLMANN_FEYNMAN, allow_fd_hamiltonian=False
-            )
 
     def test_hf_fallback_respects_model_range(self, tmp_path, spin_a_model):
         # tabulated models only exist on [0, tau_end]; the h-derivative
@@ -302,10 +380,7 @@ class TestNonadiabaticCoupling:
         grid = TimeGrid(tau_end=5.0, n_steps=2000)
         spec = solve_quasistationary(spin_a_model, grid)
         stripped = HamiltonianModel(
-            dimension=2,
-            evaluate=spin_a_model.evaluate,
-            name="stripped",
-            evaluate_many=spin_a_model.evaluate_many,
+            dimension=2, evaluate_many=spin_a_model.evaluate_many, name="stripped"
         )
         g_full = compute_nonadiabatic_coupling(spec, spin_a_model, GammaMethod.HELLMANN_FEYNMAN)
         g_fallback = compute_nonadiabatic_coupling(spec, stripped, GammaMethod.HELLMANN_FEYNMAN)
