@@ -6,11 +6,18 @@ SU(2) form, for larger d a Taylor polynomial with scaling and squaring
 (Moler & Van Loan, SIAM Rev. 45, 2003; Al-Mohy & Higham, SIAM J. Matrix
 Anal. Appl. 31, 2009), evaluated as batched matrix products. Steps are
 computed STEP_CHUNK generators at a time into one output array, so
-temporaries stay bounded. Sequences of steps are multiplied with a
-blocked two-level scan (Blelloch, "Prefix sums and their applications",
-1990) that runs over chunks of whole blocks and carries the product
-across chunks, so no Python loop runs once per step and no caller of
-:func:`scan_states` holds all n + 1 operators.
+temporaries stay bounded. The d = 2 eigensystem is closed-form too
+(:func:`su2_eigh`), and :func:`phase_convention` fixes the free phase
+of each eigenvector column.
+
+Sequences of steps are multiplied with a blocked two-level scan
+(Blelloch, "Prefix sums and their applications", 1990) that runs over
+chunks of whole blocks and carries the product across chunks, so no
+Python loop runs once per step and no caller of :func:`scan_states`
+holds all n + 1 operators. For d = 2 a chunk is held as four contiguous
+complex arrays, one per matrix entry, laid out (block, n_blocks): the
+in-block prefix is then two ufunc calls per position for all blocks at
+once, where a stacked 2x2 matmul pays a per-matrix overhead.
 """
 
 import math
@@ -24,12 +31,20 @@ from .errors import NonFiniteStep
 SCAN_BLOCK = 256
 # Blocks per scan chunk; only one chunk of operators is held at a time.
 SCAN_CHUNK_BLOCKS = 256
+# The same for the d = 2 scan. Its ufunc calls run over rows of
+# SU2_SCAN_CHUNK_BLOCKS entries, so a 1 MB chunk of 128 x 128 steps
+# is as fast as 256 x 256 at a quarter of the buffer.
+SU2_SCAN_BLOCK = 128
+SU2_SCAN_CHUNK_BLOCKS = 128
 # Generators exponentiated per pass of unitary_steps.
 STEP_CHUNK = 4096
 # Taylor steps: 1-norm after scaling, and the truncation bound of the
 # first dropped term, (theta / 2^j)^(m+1) / (m+1)!.
 TAYLOR_THETA = 0.5
 TAYLOR_TOL = 1e-17
+# Columns whose largest moduli agree to this relative tolerance are a
+# tie for phase_convention; the lowest row index wins.
+PHASE_TIE = 1e-12
 
 
 def hermitize(stack: np.ndarray) -> np.ndarray:
@@ -71,6 +86,70 @@ def _su2_steps(generators: np.ndarray, s: float, out: np.ndarray):
     out[..., 1, 1] = cos_part - sin_part * bz
     out[..., 1, 0] = sin_part * lower
     out[..., 0, 1] = sin_part * lower.conj()
+
+
+def phase_convention(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each column of a (..., d, d) stack so that its
+    largest-modulus entry is real and positive.
+
+    Of entries within PHASE_TIE (relative) of the largest, the lowest
+    row index is the pivot. Returns a new array; an identity column is
+    unchanged.
+    """
+    mag = np.abs(vecs)
+    top = mag >= (1.0 - PHASE_TIE) * mag.max(axis=-2, keepdims=True)
+    rows = top.argmax(axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vecs, rows, axis=-2)
+    out = vecs * (pivot.conj() / np.abs(pivot))
+    # exactly real, not real up to the roundoff of z * conj(z) / |z|
+    np.put_along_axis(out, rows, np.abs(pivot), axis=-2)
+    return out
+
+
+def su2_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigensystem of a stack of 2x2 Hermitian matrices.
+
+    Shape (n, 2, 2) in; eigenvalues (n, 2) in ascending order and unit
+    eigenvectors as columns (n, 2, 2) out, like ``np.linalg.eigh``. Like
+    eigh, only the real diagonal and the lower triangle are read.
+    Computed STEP_CHUNK matrices at a time into the outputs.
+    """
+    evals = np.empty(h.shape[:-1])
+    evecs = np.empty(h.shape, dtype=complex)
+    for start in range(0, h.shape[0], STEP_CHUNK):
+        chunk = slice(start, start + STEP_CHUNK)
+        _su2_eigh(h[chunk], evals[chunk], evecs[chunk])
+    return evals, evecs
+
+
+def _su2_eigh(h: np.ndarray, evals: np.ndarray, evecs: np.ndarray):
+    """h = m + z sigma_z + b_x sigma_x + b_y sigma_y has e = m -/+ r,
+    r = |(b, z)|. The upper vector is the half-angle form
+    (cos(theta/2), e^{i phi} sin(theta/2)), the lower its orthogonal
+    complement. Each is written from the larger of cos and sin,
+    (r + z, b) for z >= 0 and (b*, r - z) otherwise, over its norm, so no
+    entry loses digits to cancellation. r = 0 (h a multiple of the
+    identity) gives the standard basis instead of 0/0: the gap check,
+    not a NaN, then reports the degeneracy."""
+    h00, h11 = h[..., 0, 0].real, h[..., 1, 1].real
+    b = h[..., 1, 0]  # b_x + i b_y
+    m = 0.5 * (h00 + h11)
+    z = 0.5 * (h00 - h11)
+    bb = b.real**2 + b.imag**2
+    r = np.sqrt(z * z + bb)
+    np.subtract(m, r, out=evals[..., 0])
+    np.add(m, r, out=evals[..., 1])
+    t = r + np.abs(z)
+    t[t == 0.0] = 1.0
+    norm = np.sqrt(t * t + bb)
+    big, small = t / norm, b / norm
+    lower_z = z < 0.0
+    top = np.where(lower_z, small.conj(), big)
+    bottom = np.where(lower_z, big, small)
+    evecs[..., 0, 1] = top
+    evecs[..., 1, 1] = bottom
+    evecs[..., 0, 0] = -bottom.conj()
+    evecs[..., 1, 0] = top.conj()
 
 
 def _taylor_steps(generators: np.ndarray, s: float, out: np.ndarray):
@@ -120,11 +199,15 @@ def _add_identity(stack: np.ndarray):
 def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Apply a sequence of step matrices to v0, keeping every intermediate.
 
-    Returns shape (n_steps + 1, d) with row 0 equal to v0. Equal, bit for
-    bit, to ``scan_operators(steps) @ v0``, with one chunk of operators
-    held at a time.
+    Returns shape (n_steps + 1, d) with row 0 equal to v0, with one chunk
+    of operators held at a time. For d > 2 it equals
+    ``scan_operators(steps) @ v0`` bit for bit; for d = 2 the carry
+    between blocks is the state itself, which agrees to roundoff.
     """
-    out = np.empty((steps.shape[0] + 1, steps.shape[-1]), dtype=complex)
+    n, d = steps.shape[0], steps.shape[-1]
+    if d == 2:
+        return _su2_scan(steps, np.asarray(v0, dtype=complex).reshape(2, 1))[:, :, 0]
+    out = np.empty((n + 1, d), dtype=complex)
     for start, ops in _scan_chunks(steps):
         np.matmul(ops, v0, out=out[start : start + len(ops)])
     return out
@@ -136,10 +219,78 @@ def scan_operators(steps: np.ndarray) -> np.ndarray:
     Later steps multiply from the left, i.e. time ordering.
     """
     n, d, _ = steps.shape
+    if d == 2:
+        return _su2_scan(steps, np.eye(2, dtype=complex))
     out = np.empty((n + 1, d, d), dtype=complex)
     for start, ops in _scan_chunks(steps):
         out[start : start + len(ops)] = ops
     return out
+
+
+def _su2_scan(steps: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """out[k] = steps[k-1] @ ... @ steps[0] @ initial, shape (n + 1, 2, cols)
+    for a (2, cols) initial: cols = 1 scans a state, cols = 2 operators.
+
+    Each chunk of whole SU2_SCAN_BLOCK-step blocks is copied into one
+    reused buffer p[i, k, j, b] = entry (i, k) of step j of block b (the
+    last block padded with identities). The in-block prefix runs over j,
+    vectorized across blocks; the carry is chained through the block
+    products in a Python loop once per block, and each block's prefix
+    times its carry is written straight into out. out is allocated with
+    room for the padded steps and trimmed to n + 1 rows on return.
+    """
+    n, cols = steps.shape[0], initial.shape[-1]
+    block = min(SU2_SCAN_BLOCK, max(n, 1))
+    max_blocks = min(-(-n // block), SU2_SCAN_CHUNK_BLOCKS)
+    out = np.empty((1 + -(-n // block) * block, 2, cols), dtype=complex)
+    out[0] = initial
+    flat = np.empty(4 * block * max_blocks, dtype=complex)
+    products = np.empty((2, 2, 2, max_blocks), dtype=complex)
+    carry = initial.tolist()
+    for start in range(0, n, block * SU2_SCAN_CHUNK_BLOCKS):
+        size = min(block * SU2_SCAN_CHUNK_BLOCKS, n - start)
+        full, rem = divmod(size, block)
+        n_blocks = full + (rem > 0)
+        p = flat[: 4 * block * n_blocks].reshape(2, 2, block, n_blocks)
+        whole = steps[start : start + full * block].reshape(full, block, 2, 2)
+        p[..., :full] = whole.transpose(2, 3, 1, 0)
+        if rem:
+            p[:, :, :rem, full] = steps[start + full * block : start + size].transpose(1, 2, 0)
+            p[:, :, rem:, full] = np.eye(2)[:, :, None]
+        tmp = products[..., :n_blocks]
+        for j in range(1, block):
+            # tmp[i, k, l] = step_j[i, k] * prefix_{j-1}[k, l], summed over k
+            np.multiply(p[:, :, None, j], p[None, :, :, j - 1], out=tmp)
+            np.add(tmp[:, 0], tmp[:, 1], out=p[:, :, j])
+
+        carries = []
+        for (t00, t01), (t10, t11) in p[:, :, -1].transpose(2, 0, 1).tolist():
+            carries.append(carry)
+            c0, c1 = carry
+            carry = (
+                [t00 * x + t01 * y for x, y in zip(c0, c1)],
+                [t10 * x + t11 * y for x, y in zip(c0, c1)],
+            )
+        rows = out[1 + start : 1 + start + n_blocks * block]
+        dest = rows.reshape(n_blocks, block, 2, cols).transpose(2, 3, 1, 0)
+        _apply_carry(p, np.array(carries).transpose(1, 2, 0), dest)
+    return out[: n + 1]
+
+
+def _apply_carry(p: np.ndarray, carry: np.ndarray, dest: np.ndarray):
+    """dest[i, l] = p[i, 0] * carry[0, l] + p[i, 1] * carry[1, l] over
+    (j, b) arrays, with carry[k, l] indexed by b. The last column is
+    formed in p itself and copied out, the others use dest as scratch,
+    so nothing chunk-sized is allocated; p is overwritten."""
+    cols = carry.shape[1]
+    for l in range(cols - 1):
+        np.multiply(p[:, 0], carry[0, l], out=dest[:, l])
+        np.multiply(p[:, 1], carry[1, l], out=dest[:, l + 1])
+        dest[:, l] += dest[:, l + 1]
+    p[:, 0] *= carry[0, -1]
+    p[:, 1] *= carry[1, -1]
+    p[:, 0] += p[:, 1]
+    dest[:, -1] = p[:, 0]
 
 
 def _scan_chunks(steps: np.ndarray):

@@ -41,6 +41,13 @@ class NonHermitianInput(InputError):
     module = "model"
 
 
+class InvalidSamples(InputError):
+    """A model evaluator returned samples of the wrong shape or with
+    non-finite entries."""
+
+    module = "model"
+
+
 class ParseError(InputError):
     """A tabulated-model file could not be parsed."""
 

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._linalg import phase_convention
 from .errors import HarmonicsOutOfRange, PeriodMismatch, PhaseNotLinear
 from .frame import InvariantFrame
 from .grid import TimeGrid
@@ -245,6 +246,9 @@ def conjugated_coupling_closed_form(
 
     Entry (n, m) is exp(i [(E_n - V_nn) - (E_m - V_mm)] tau) <E_n|V|E_m>
     with levels ordered by ascending energy, matching the tracked frame.
+    The phase of each |E_n> follows the frame's convention at tau = 0:
+    its largest-modulus entry is real and positive (the identity basis
+    already is).
     """
     energies = np.asarray(params.energies, dtype=float)
     order = np.argsort(energies, kind="stable")
@@ -253,7 +257,7 @@ def conjugated_coupling_closed_form(
         if params.eigenbasis is None
         else np.asarray(params.eigenbasis, dtype=complex)
     )
-    basis = basis[:, order]
+    basis = phase_convention(basis[:, order])
     v_frame = basis.conj().T @ np.asarray(params.generator, dtype=complex) @ basis
     rates = energies[order] - np.real(np.diagonal(v_frame))
     taus = np.asarray(taus, dtype=float)

@@ -58,6 +58,12 @@ class InvariantFrame:
         """Dressed frame e^{-i Theta_m(tau_k)} phi_m(tau_k), (n+1, d, d)."""
         return self.spectrum.eigenvectors * np.exp(-1j * self.dynamical_phase)[:, None, :]
 
+    def dressed_column(self, level: int, rows=slice(None)) -> np.ndarray:
+        """``basis_vectors()[rows, :, level]``, shape (n_rows, d), from
+        the same elementwise products without building the whole basis."""
+        phase = np.exp(-1j * self.dynamical_phase[rows, level])
+        return self.spectrum.eigenvectors[rows, :, level] * phase[:, None]
+
 
 def _unwrapped_arguments(gsym: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped arg gamma_mn per pair, with undefined samples

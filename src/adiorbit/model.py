@@ -36,9 +36,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._linalg import hermitize, max_hermiticity_defect, scan_operators, unitary_steps
+from ._linalg import (
+    hermitize,
+    max_hermiticity_defect,
+    phase_convention,
+    scan_operators,
+    unitary_steps,
+)
 from .errors import (
     GridRequired,
+    InvalidSamples,
     NonHermitianInput,
     NonHermitianSample,
     NonMonotoneTime,
@@ -142,15 +149,36 @@ def _require_hermitian(mat: np.ndarray, what: str):
 
 
 def sample_hamiltonian(model: HamiltonianModel, taus) -> np.ndarray:
-    """Evaluate h on a time or an array of times, shape (n, d, d)."""
-    return model.evaluate_many(np.atleast_1d(np.asarray(taus, dtype=float)))
+    """Evaluate h on a time or an array of times, shape (n, d, d).
+
+    Raises :class:`InvalidSamples` when the evaluator returns another
+    shape or any non-finite entry.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    return _checked(model, taus, model.evaluate_many(taus), "h")
 
 
 def sample_derivative(model: HamiltonianModel, taus) -> Optional[np.ndarray]:
     """Evaluate dh/dtau like :func:`sample_hamiltonian`, or None if unavailable."""
     if model.derivative_many is None:
         return None
-    return model.derivative_many(np.atleast_1d(np.asarray(taus, dtype=float)))
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    return _checked(model, taus, model.derivative_many(taus), "dh/dtau")
+
+
+def _checked(model: HamiltonianModel, taus: np.ndarray, samples, what: str) -> np.ndarray:
+    expected = (taus.size, model.dimension, model.dimension)
+    shape = getattr(samples, "shape", None)
+    if shape != expected:
+        raise InvalidSamples(
+            f"model {model.name!r} returned {what} samples of shape {shape} "
+            f"for {taus.size} times; expected {expected}"
+        )
+    finite = np.isfinite(samples)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=(1, 2))))
+        raise InvalidSamples(f"model {model.name!r}: {what} is not finite at tau={taus[k]:.6g}")
+    return samples
 
 
 def normalize(
@@ -277,7 +305,8 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
     The exponential is exact (eigendecomposition of the Hermitian
     generator), the derivative is the analytic -i[V, h], and the
     closed-form eigenframe exp(-i tau V) |E_n> is attached for use with
-    the analytic gauge.
+    the analytic gauge, each |E_n> phased like the continuity gauge at
+    tau = 0 (largest-modulus entry real and positive).
     """
     energies = np.asarray(params.energies, dtype=float)
     if energies.ndim != 1 or energies.size < 2:
@@ -302,6 +331,8 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
     h_const = hermitize(h_const)
     v_evals, v_evecs = np.linalg.eigh(v)
     order = np.argsort(energies, kind="stable")
+    # the continuity gauge's convention at tau = 0, where the frame is the basis
+    frame_basis = phase_convention(basis[:, order])
 
     def _conjugators(taus: np.ndarray) -> np.ndarray:
         phases = np.exp(-1j * np.multiply.outer(taus, v_evals))
@@ -317,7 +348,7 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
 
     def analytic_frame(taus: np.ndarray):
         u = _conjugators(taus)
-        vecs = np.einsum("kij,jn->kin", u, basis[:, order])
+        vecs = np.einsum("kij,jn->kin", u, frame_basis)
         evals = np.broadcast_to(energies[order], (taus.shape[0], d)).copy()
         return evals, vecs
 

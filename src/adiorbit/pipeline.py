@@ -69,7 +69,7 @@ class PipelineResult:
 
     @cached_property
     def states(self) -> StateTrajectory:
-        initial_state = self.frame.basis_vectors()[0, :, self.initial_level]
+        initial_state = self.frame.dressed_column(self.initial_level, slice(0, 1))[0]
         return evolve_schrodinger(self.model, initial_state, self.grid)
 
     @cached_property

@@ -107,7 +107,7 @@ def survival_probability_direct(
     """Overlap-squared of the evolved state with the dressed frame vector."""
     if not states.grid.matches(frame.grid):
         raise GridMismatch("state trajectory and frame live on different grids")
-    basis = frame.basis_vectors()[:, :, level]
+    basis = frame.dressed_column(level)
     overlaps = np.einsum("ki,ki->k", basis.conj(), states.states)
     return np.abs(overlaps) ** 2
 

@@ -5,10 +5,16 @@ are then matched across neighbouring samples by maximum eigenvector
 overlap (not by eigenvalue order, which would swap labels at avoided
 crossings), and eigenvector phases are fixed by discrete parallel
 transport: the overlap between consecutive frames of the same level is
-made real and positive. Tracking is one vectorized pass over all steps;
-Python visits only the steps where the labels permute. In that gauge
-the numerical Berry connection is close to zero; models with a
-closed-form eigensystem can instead keep their analytic phases.
+made real and positive. Transport starts from a fixed convention at
+tau = 0: each vector's largest-modulus entry is real and positive, so
+the frame does not depend on the phases the eigensolver happens to
+return. Tracking is one vectorized pass over all steps; Python visits
+only the steps where the labels permute. In that gauge the numerical
+Berry connection is close to zero; models with a closed-form
+eigensystem can instead keep their analytic phases.
+
+Two-level models are diagonalized in closed form
+(:func:`adiorbit._linalg.su2_eigh`), larger ones by ``np.linalg.eigh``.
 
 The nonadiabatic coupling gamma_nm = i <phi_n | d phi_m / dtau> is
 computed either by second-order finite differences of the tracked
@@ -22,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import central_difference
+from ._linalg import central_difference, phase_convention, su2_eigh
 from .errors import (
     AnalyticFrameUnavailable,
     AssignmentAmbiguous,
@@ -157,9 +163,11 @@ def solve_quasistationary(
     """Diagonalize h on the grid and return a continuously labeled frame.
 
     Levels are labeled by ascending eigenvalue at tau = 0 and followed by
-    maximum overlap afterwards. With the default gauge, phases are fixed
-    by discrete parallel transport; ``Gauge.ANALYTIC`` keeps the model's
-    closed-form frame instead (only for models that provide one).
+    maximum overlap afterwards. With the default gauge, each vector's
+    largest-modulus entry is real and positive at tau = 0 and phases
+    are then fixed by discrete parallel transport; ``Gauge.ANALYTIC``
+    keeps the model's closed-form frame instead (only for models that
+    provide one).
 
     Raises :class:`DegenerateGap` when any two levels approach within
     ``gap_tol`` and :class:`AssignmentAmbiguous` when the overlap
@@ -179,8 +187,11 @@ def solve_quasistationary(
         return AdiabaticSpectrum(grid, evals, evecs, gauge, min_gap)
 
     h = sample_hamiltonian(model, taus)
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = su2_eigh(h) if model.dimension == 2 else np.linalg.eigh(h)
+    del h
     min_gap = _enforce_min_gap(evals, taus, gap_tol)
+    # transport keeps the tau = 0 phases, so they fix the whole gauge
+    evecs[0] = phase_convention(evecs[0])
     evals, evecs = _track(evals, evecs, taus)
     return AdiabaticSpectrum(grid, evals, evecs, gauge, min_gap)
 

@@ -3,6 +3,7 @@ import pytest
 
 from adiorbit import (
     ConjugatedParams,
+    Gauge,
     HamiltonianModel,
     TimeGrid,
     build_conjugated_model,
@@ -25,8 +26,8 @@ from adiorbit.grid import cumulative_trapezoid
 
 
 
-def frame_for(model, grid):
-    spec = solve_quasistationary(model, grid)
+def frame_for(model, grid, gauge=Gauge.CONTINUITY_FIXED):
+    spec = solve_quasistationary(model, grid, gauge=gauge)
     return build_frame(spec, compute_nonadiabatic_coupling(spec))
 
 
@@ -213,6 +214,19 @@ class TestConjugatedExactness:
         params, model = conjugated_example
         frame = frame_for(model, medium_grid)
         assert verify_conjugated_coupling(params, frame) < 1e-8
+
+    @pytest.mark.parametrize("gauge", [Gauge.CONTINUITY_FIXED, Gauge.ANALYTIC])
+    def test_rotated_basis_shares_the_frame_convention(self, gauge):
+        # with a non-trivial eigenbasis the closed form depends on the
+        # phase of each |E_n>; it must use the frame's tau = 0 convention
+        rng = np.random.default_rng(12)
+        basis = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        params = ConjugatedParams(
+            energies=[0.0, 1.0, 2.5], generator=0.05 * (v + v.conj().T), eigenbasis=basis
+        )
+        frame = frame_for(build_conjugated_model(params), TimeGrid(tau_end=5.0, n_steps=5000), gauge)
+        assert verify_conjugated_coupling(params, frame) < 1e-6
 
     def test_closed_form_structure(self, conjugated_example, medium_grid):
         params, _ = conjugated_example

@@ -16,7 +16,7 @@ from adiorbit import (
 from adiorbit.errors import GridMismatch
 from adiorbit.spectrum import GammaMethod
 
-from conftest import constant_model
+from conftest import constant_model, smooth_random_model
 
 
 def pipeline_frame(model, grid, gauge=Gauge.CONTINUITY_FIXED):
@@ -147,6 +147,15 @@ class TestGeometricPotential:
         frame = synthetic_frame(grid, values)
         assert frame.arg_undefined[:, 0, 1].all()
         assert np.abs(frame.geometric_phase).max() == 0.0
+
+
+class TestDressedColumn:
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(7, 40, 3)])
+    def test_equals_basis_column(self, rows):
+        frame = pipeline_frame(smooth_random_model(3, seed=4), TimeGrid(tau_end=2.0, n_steps=200))
+        for level in range(3):
+            expected = frame.basis_vectors()[rows, :, level]
+            assert np.array_equal(frame.dressed_column(level, rows), expected)
 
 
 class TestCouplingMatrix:

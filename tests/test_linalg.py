@@ -7,10 +7,14 @@ from adiorbit._linalg import (
     SCAN_BLOCK,
     SCAN_CHUNK_BLOCKS,
     STEP_CHUNK,
+    SU2_SCAN_BLOCK,
+    SU2_SCAN_CHUNK_BLOCKS,
     _su2_steps,
     _taylor_steps,
+    phase_convention,
     scan_operators,
     scan_states,
+    su2_eigh,
     unitary_steps,
 )
 from adiorbit.errors import NonFiniteStep
@@ -134,10 +138,21 @@ def loop_operators(steps):
 
 
 @pytest.mark.parametrize("d", [2, 5])
-# the last size spans more than one scan chunk
+# sizes around the block and chunk edges of both scans; 65537 is four
+# d = 2 chunks and one step
 @pytest.mark.parametrize(
     "n",
-    [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 1000, SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 300],
+    [
+        1,
+        SCAN_BLOCK - 1,
+        SCAN_BLOCK,
+        SCAN_BLOCK + 1,
+        1000,
+        SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 300,
+        SU2_SCAN_BLOCK + 1,
+        SU2_SCAN_BLOCK * SU2_SCAN_CHUNK_BLOCKS + 1,
+        65537,
+    ],
 )
 class TestBlockedScan:
     def steps(self, n, d):
@@ -152,6 +167,7 @@ class TestBlockedScan:
         assert out.shape == (n + 1, d)
         assert np.array_equal(out[0], v0)
         assert np.abs(out - loop_states(steps, v0)).max() < 1e-12
+        assert np.array_equal(scan_states(steps, v0), out)
 
     def test_operators_match_loop(self, n, d):
         steps = self.steps(n, d)
@@ -160,4 +176,123 @@ class TestBlockedScan:
         assert out.shape == (n + 1, d, d)
         assert np.array_equal(out[0], np.eye(d))
         assert np.abs(out - loop_operators(steps)).max() < 1e-12
+        assert np.array_equal(scan_operators(steps), out)
         assert np.array_equal(steps, before)
+
+
+# n.sigma for a unit Bloch vector n = (0.64, 0.48, 0.6) off every axis
+TILTED_SIGMA = np.array([[0.6, 0.64 - 0.48j], [0.64 + 0.48j, -0.6]])
+
+
+class TestSu2Eigh:
+    def check_against_eigh(self, h):
+        evals, evecs = su2_eigh(h)
+        ref_vals = np.linalg.eigh(h)[0]
+        scale = np.abs(ref_vals).max(axis=1, keepdims=True)
+        assert np.all(np.abs(evals - ref_vals) <= 1e-14 * scale)
+        resid = np.einsum("kij,kjn->kin", h, evecs) - evecs * evals[:, None, :]
+        assert np.linalg.norm(resid, axis=1).max() <= 1e-14 * max(1.0, scale.max())
+        gram = np.einsum("kin,kim->knm", evecs.conj(), evecs)
+        assert np.abs(gram - np.eye(2)).max() < 1e-15
+
+    def test_random_hermitian_stacks(self):
+        rng = np.random.default_rng(21)
+        # more than one STEP_CHUNK, entries over several decades
+        h = random_hermitian(rng, STEP_CHUNK + 500, 2)
+        h *= np.logspace(-3, 1, h.shape[0])[:, None, None]
+        self.check_against_eigh(h)
+
+    def test_z_negative(self):
+        h = random_hermitian(np.random.default_rng(22), 200, 2)
+        h[:, 0, 0] = -np.abs(h[:, 0, 0]) - 1.0
+        h[:, 1, 1] = np.abs(h[:, 1, 1]) + 1.0
+        h[:10, 1, 0] = h[:10, 0, 1] = 1e-9  # the small-sine corner
+        self.check_against_eigh(h)
+
+    def test_diagonal(self):
+        # b = 0 on both sides of z = 0: the vectors are the standard basis
+        h = np.zeros((2, 2, 2), dtype=complex)
+        h[0] = np.diag([2.0, -1.0])
+        h[1] = np.diag([-2.0, 1.0])
+        self.check_against_eigh(h)
+        evals, evecs = su2_eigh(h)
+        assert np.array_equal(evals, [[-1.0, 2.0], [-2.0, 1.0]])
+        assert np.array_equal(np.abs(evecs), [[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
+
+    def test_gap_just_above_tolerance(self):
+        gap_tol = 1e-6
+        h = np.zeros((3, 2, 2), dtype=complex)
+        h[:, 0, 0], h[:, 1, 1] = 0.3, 0.3 + 1.01 * gap_tol
+        h[1, 1, 0] = h[1, 0, 1] = 0.2 * gap_tol
+        h[2] = 0.7 * np.eye(2) + 0.505 * gap_tol * TILTED_SIGMA
+        evals, _ = su2_eigh(h)
+        assert np.diff(evals, axis=1).min() > gap_tol
+        self.check_against_eigh(h)
+
+    def test_multiple_of_identity_forms_no_nan(self):
+        h = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+        with np.errstate(all="raise"):
+            evals, evecs = su2_eigh(h)
+        assert np.array_equal(evals, [[1.0, 1.0], [0.0, 0.0]])
+        assert np.abs(np.einsum("kin,kim->knm", evecs.conj(), evecs) - np.eye(2)).max() == 0
+
+    def test_ignores_upper_triangle_and_imaginary_diagonal(self):
+        h = random_hermitian(np.random.default_rng(23), 50, 2)
+        garbled = h.copy()
+        garbled[:, 0, 1] = 99.0 - 3j
+        garbled[:, 1, 1] += 5j
+        for a, b in zip(su2_eigh(garbled), su2_eigh(h)):
+            assert np.array_equal(a, b)
+
+
+class TestPhaseConvention:
+    def test_largest_entry_real_positive(self):
+        vecs = np.linalg.qr(random_hermitian(np.random.default_rng(24), 20, 4))[0]
+        fixed = phase_convention(vecs)
+        assert np.allclose(np.abs(fixed), np.abs(vecs), rtol=0, atol=1e-15)
+        pivots = np.take_along_axis(fixed, np.abs(fixed).argmax(axis=1)[:, None, :], axis=1)
+        assert np.all(pivots.imag == 0) and np.all(pivots.real > 0)
+        assert np.abs(phase_convention(fixed) - fixed).max() < 1e-15
+
+    def test_identity_is_unchanged(self):
+        for d in (2, 3, 5):
+            assert np.array_equal(phase_convention(np.eye(d, dtype=complex)), np.eye(d))
+
+    def test_tie_goes_to_lowest_index(self):
+        col = np.array([[-1.0], [1j * (1.0 - 1e-13)]]) / np.sqrt(2.0)
+        assert phase_convention(col)[0, 0].real > 0
+        # outside the tie tolerance the larger entry wins
+        col = np.array([[-1.0], [1j * (1.0 + 1e-11)]]) / np.sqrt(2.0)
+        assert phase_convention(col)[1, 0].real > 0
+
+    def test_removes_column_phases(self):
+        rng = np.random.default_rng(25)
+        vecs = np.linalg.qr(random_hermitian(rng, 30, 3))[0]
+        rotated = vecs * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(30, 1, 3)))
+        assert np.abs(phase_convention(rotated) - phase_convention(vecs)).max() < 1e-15
+
+
+def test_su2_scan_of_no_steps():
+    v0 = np.array([1.0, 0.0j])
+    assert np.array_equal(scan_states(np.empty((0, 2, 2), complex), v0), [v0])
+    assert np.array_equal(scan_operators(np.empty((0, 2, 2), complex)), [np.eye(2)])
+
+
+def test_su2_scan_states_memory_bound():
+    """tracemalloc peak of a 2e5-step d = 2 scan_states stays at or below
+    the (n, 2, 2)-stacked 256 x 256-block scan it replaced, which peaked
+    at 10,612,968 bytes on these steps (numpy 2.4: the 6.4 MB output plus
+    a 4.2 MB chunk of operators)."""
+    steps = unitary_steps(random_hermitian(np.random.default_rng(26), 200_000, 2), 1e-3, -1)
+    v0 = np.array([1.0, 0.0j])
+    tracemalloc.start()
+    try:
+        out = scan_states(steps, v0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_612_968
+    # the output plus one chunk of the four entry arrays; ufunc buffers
+    # and the per-block carries stay under half a chunk more
+    chunk_bytes = 4 * SU2_SCAN_BLOCK * SU2_SCAN_CHUNK_BLOCKS * np.dtype(complex).itemsize
+    assert peak < out.nbytes + 1.5 * chunk_bytes

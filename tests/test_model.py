@@ -3,6 +3,7 @@ import pytest
 
 from adiorbit import (
     ConjugatedParams,
+    HamiltonianModel,
     SpinHalfParams,
     SpinVariant,
     TimeGrid,
@@ -10,10 +11,13 @@ from adiorbit import (
     build_spin_half,
     load_tabulated_model,
     normalize,
+    run_pipeline,
     sample_hamiltonian,
 )
 from adiorbit.errors import (
     GridRequired,
+    InputError,
+    InvalidSamples,
     NonHermitianInput,
     NonHermitianSample,
     NonMonotoneTime,
@@ -195,6 +199,48 @@ class TestDerivatives:
             exact = sample_derivative(model, tau)[0]
             scale = max(np.abs(exact).max(), 1e-30)
             assert np.abs(fd - exact).max() / scale < 1e-6
+
+
+class TestSampleChecks:
+    """sample_hamiltonian checks what an evaluator returns, once."""
+
+    @staticmethod
+    def model(evaluate_many, dimension=2):
+        return HamiltonianModel(dimension=dimension, evaluate_many=evaluate_many, name="user")
+
+    def test_wrong_shape(self):
+        model = self.model(lambda taus: np.zeros((taus.size, 3, 3), dtype=complex))
+        with pytest.raises(InvalidSamples, match=r"shape \(5, 3, 3\).*\(5, 2, 2\)") as excinfo:
+            sample_hamiltonian(model, np.linspace(0.0, 1.0, 5))
+        assert isinstance(excinfo.value, InputError)
+        assert excinfo.value.module == "model"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample(self, bad):
+        def evaluate_many(taus):
+            h = np.multiply.outer(np.ones(taus.size), SZ) + np.multiply.outer(0.1 * taus, SX)
+            h[taus > 0.5, 0, 1] = bad
+            return h
+
+        grid = TimeGrid(tau_end=1.0, n_steps=100)
+        # a typed input error, not a tracking failure in the spectrum
+        with pytest.raises(InvalidSamples, match=r"h is not finite at tau=0\.51"):
+            run_pipeline(self.model(evaluate_many), grid)
+
+    def test_derivative_checked_too(self):
+        model = HamiltonianModel(
+            dimension=2,
+            evaluate_many=lambda taus: np.multiply.outer(np.ones(taus.size), SZ),
+            derivative_many=lambda taus: np.zeros((taus.size, 3, 3), dtype=complex),
+            name="user",
+        )
+        with pytest.raises(InvalidSamples, match=r"dh/dtau samples of shape \(2, 3, 3\)"):
+            sample_derivative(model, [0.0, 1.0])
+
+    def test_not_an_array(self):
+        model = self.model(lambda taus: [np.eye(2)] * taus.size)
+        with pytest.raises(InvalidSamples):
+            sample_hamiltonian(model, [0.0, 1.0])
 
 
 class TestHermiticityProperty:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import adiorbit.spectrum
 from adiorbit import (
     Gauge,
     GammaMethod,
     HamiltonianModel,
     TimeGrid,
     apply_phase_redressing,
+    build_frame,
     compute_nonadiabatic_coupling,
     sample_hamiltonian,
     solve_quasistationary,
@@ -17,6 +19,7 @@ from adiorbit.errors import (
     DerivativeUnavailable,
     InputError,
 )
+from adiorbit._linalg import phase_convention, su2_eigh
 from adiorbit.spectrum import _CHUNK
 
 from conftest import SX, SZ, constant_model, smooth_random_model
@@ -249,6 +252,8 @@ class TestTracking:
         grid = TimeGrid(tau_end=400.0, n_steps=40000)
         spec = solve_quasistationary(model, grid)
         evals, evecs = np.linalg.eigh(sample_hamiltonian(model, grid.samples))
+        # the solver's convention at tau = 0, which transport carries along
+        evecs[0] = phase_convention(evecs[0])
         ref_vals, ref_vecs, perms = reference_track(evals, evecs)
         events = np.flatnonzero((perms[1:] != perms[:-1]).any(axis=1))
         assert events.size >= 3
@@ -277,6 +282,57 @@ class TestTracking:
         grid = TimeGrid(tau_end=1.0, n_steps=100)
         with pytest.raises(AssignmentAmbiguous, match=r"overlap 0\.687 .* tau=0\.3 -> 0\.31;"):
             solve_quasistationary(model, grid)
+
+
+def rephased(solver, seed):
+    """``solver`` with every returned vector times a random phase."""
+    rng = np.random.default_rng(seed)
+
+    def solve(h):
+        evals, evecs = solver(h)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=evals.shape))
+        return evals, evecs * phases[:, None, :]
+
+    return solve
+
+
+class TestTauZeroGauge:
+    """The continuity gauge starts from a fixed convention at tau = 0,
+    so the frame does not depend on the eigensolver's phases."""
+
+    def frame(self, model, grid):
+        spec = solve_quasistationary(model, grid)
+        return build_frame(spec, compute_nonadiabatic_coupling(spec))
+
+    @pytest.mark.parametrize("case", ["d3", "spin_a"])
+    def test_frame_ignores_eigensolver_phases(self, monkeypatch, spin_a_model, case):
+        model = smooth_random_model(3, seed=5) if case == "d3" else spin_a_model
+        grid = TimeGrid(tau_end=10.0, n_steps=2000)
+        ref = self.frame(model, grid)
+        if model.dimension == 2:
+            monkeypatch.setattr(adiorbit.spectrum, "su2_eigh", rephased(su2_eigh, 1))
+        else:
+            monkeypatch.setattr(np.linalg, "eigh", rephased(np.linalg.eigh, 1))
+        frame = self.frame(model, grid)
+        assert np.abs(frame.spectrum.eigenvectors - ref.spectrum.eigenvectors).max() < 1e-12
+        assert np.abs(frame.dynamical_phase - ref.dynamical_phase).max() < 1e-12
+        assert np.abs(frame.coupling - ref.coupling).max() < 1e-12
+
+    def test_largest_entry_real_positive_at_tau_zero(self, spin_a_model):
+        spec = solve_quasistationary(spin_a_model, TimeGrid(tau_end=1.0, n_steps=10))
+        assert np.array_equal(spec.eigenvectors[0], phase_convention(spec.eigenvectors[0]))
+        # spin a at theta = pi/4: level 0 is field-aligned, (cos, sin) of pi/8
+        c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+        assert np.abs(spec.eigenvectors[0] - [[c, -s], [s, c]]).max() < 1e-15
+
+    def test_closed_form_matches_eigh_path(self, monkeypatch, spin_a_model):
+        grid = TimeGrid(tau_end=20.0, n_steps=4000)
+        spec = solve_quasistationary(spin_a_model, grid)
+        monkeypatch.setattr(adiorbit.spectrum, "su2_eigh", np.linalg.eigh)
+        ref = solve_quasistationary(spin_a_model, grid)
+        assert np.abs(spec.eigenvalues - ref.eigenvalues).max() < 1e-14
+        assert np.abs(spec.eigenvectors - ref.eigenvectors).max() < 1e-12
+        assert spec.min_gap == pytest.approx(ref.min_gap, rel=1e-14)
 
 
 class TestPhaseRedressing:
