@@ -173,7 +173,7 @@ class ScenarioConfig:
     resonance_tol: Optional[float]
 
 
-def _build_model(cfg: dict[str, str], grid: TimeGrid) -> HamiltonianModel:
+def _build_model(cfg: dict[str, str]) -> HamiltonianModel:
     kind = cfg.get("model.kind")
     if kind is None:
         raise ConfigError("model.kind is required")
@@ -192,7 +192,7 @@ def _build_model(cfg: dict[str, str], grid: TimeGrid) -> HamiltonianModel:
             params = SpinHalfParams(omega0=omega0, omega=omega, theta=theta, variant=variant)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return build_spin_half(params, grid)
+        return build_spin_half(params)
     if kind == "conjugated":
         if "model.energies" not in cfg or "model.generator" not in cfg:
             raise ConfigError("conjugated needs model.energies and model.generator")
@@ -232,7 +232,7 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    model = _build_model(cfg, grid)
+    model = _build_model(cfg)
     initial_level = _get_int(cfg, "evolve.initial_level", 0)
     if not 0 <= initial_level < model.dimension:
         raise ConfigError(

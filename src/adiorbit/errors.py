@@ -29,12 +29,6 @@ class ZeroHamiltonian(InputError):
     module = "model"
 
 
-class GridRequired(InputError):
-    """A construction needs a time grid but none was supplied."""
-
-    module = "model"
-
-
 class NonHermitianInput(InputError):
     """A matrix that must be Hermitian is not."""
 

@@ -13,8 +13,8 @@ downstream works with the dimensionless h.
 Built-in models:
 
 * :func:`build_spin_half` - spin-1/2 in a rotating field (variant A) and
-  its conjugated dual built from the propagated evolution operator
-  (variant B).
+  its conjugated dual -U_a^dag h_a U_a (variant B), which is itself a
+  conjugated model in closed form.
 * :func:`build_conjugated_model` - a constant Hamiltonian conjugated by
   the one-parameter unitary group of a second constant Hermitian
   generator; its coupling matrix has a closed form and exactly linear
@@ -23,28 +23,23 @@ Built-in models:
   linearly interpolated.
 
 Models are immutable and their evaluators pure, so instances are safe to
-share across threads; building variant B runs a propagation internally
-and is a one-time setup step.
+share across threads.
 """
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from ._linalg import (
-    hermitize,
-    max_hermiticity_defect,
-    phase_convention,
-    scan_operators,
-    unitary_steps,
-)
+from ._linalg import STEP_CHUNK, hermitize, max_hermiticity_defect, phase_convention
+
+# Unused here; perfbench/spans.py rebinds model.unitary_steps when it
+# traces a run. Drop it once the benchmark wraps only names that exist.
+from ._linalg import unitary_steps  # noqa: F401
 from .errors import (
-    GridRequired,
     InvalidSamples,
     NonHermitianInput,
     NonHermitianSample,
@@ -274,39 +269,39 @@ def build_spin_half(
 
     Variant A is the standard rotating field with constant splitting
     ``omega0`` and cone angle ``theta``. Variant B is its conjugated
-    dual, -U_a(tau)^dag h_a(tau) U_a(tau), where U_a is the evolution
-    operator of variant A propagated numerically on ``grid`` and
-    interpolated with cubic splines between samples. Variant B therefore
-    requires a grid and is only trustworthy inside [0, grid.tau_end].
+    dual, h_b = -U_a(tau)^dag h_a(tau) U_a(tau) (Marzlin & Sanders, PRL
+    93, 160408, 2004), in closed form: h_a rotates about z at rate
+    ``omega``, so U_a(tau) = exp(-i omega tau sigma_z / 2) exp(-i tau K)
+    with K = h_a(0) - (omega / 2) sigma_z (Rabi's rotating frame), and
+    h_b(tau) = -exp(i tau K) h_a(0) exp(-i tau K). That is
+    :func:`build_conjugated_model` with H = -h_a(0) and V = -K, so
+    variant B has an analytic derivative and frame too. ``grid`` is
+    unused and accepted for callers that still pass one.
     """
     model_a = _spin_a_model(params)
     if params.variant is SpinVariant.A:
         return model_a
-    if grid is None:
-        raise GridRequired("variant B needs a time grid to propagate variant A on")
-
-    taus = grid.samples
-    h_mid = model_a.evaluate_many(grid.midpoints)
-    steps = unitary_steps(h_mid, grid.dtau, sign=-1)
-    u_a = scan_operators(steps)
-    spline = CubicSpline(taus, u_a, axis=0)
-
-    def evaluate_many(ts: np.ndarray) -> np.ndarray:
-        u = spline(ts)
-        ha = model_a.evaluate_many(ts)
-        return -np.einsum("kji,kjl,klm->kim", u.conj(), ha, u)
-
-    return HamiltonianModel(dimension=2, evaluate_many=evaluate_many, name="spin_half_b")
+    h0 = model_a.evaluate_many(np.zeros(1))[0]
+    energies, basis = np.linalg.eigh(-h0)
+    k = h0 - (params.omega / 2.0) * SIGMA_Z
+    model_b = build_conjugated_model(
+        ConjugatedParams(energies=energies, generator=-k, eigenbasis=basis)
+    )
+    return replace(model_b, name="spin_half_b")
 
 
 def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
     """Build h(tau) = exp(-i tau V) H exp(+i tau V) for constant H, V.
 
-    The exponential is exact (eigendecomposition of the Hermitian
-    generator), the derivative is the analytic -i[V, h], and the
-    closed-form eigenframe exp(-i tau V) |E_n> is attached for use with
-    the analytic gauge, each |E_n> phased like the continuity gauge at
-    tau = 0 (largest-modulus entry real and positive).
+    The exponential is exact (eigendecomposition V = W diag(lambda) W^H
+    of the Hermitian generator), the derivative is the analytic
+    -i[V, h], and the closed-form eigenframe exp(-i tau V) |E_n> is
+    attached for use with the analytic gauge, each |E_n> phased like the
+    continuity gauge at tau = 0 (largest-modulus entry real and
+    positive). With p = exp(-i tau lambda), h is W (p p^H o C) W^H for
+    C = W^H H W, dh/dtau the same with C_jl scaled by
+    -i (lambda_j - lambda_l), and the frame W (p o W^H |E_n>); all three
+    are sampled by :func:`_factorized_sampler`.
     """
     energies = np.asarray(params.energies, dtype=float)
     if energies.ndim != 1 or energies.size < 2:
@@ -334,31 +329,55 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
     # the continuity gauge's convention at tau = 0, where the frame is the basis
     frame_basis = phase_convention(basis[:, order])
 
-    def _conjugators(taus: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * np.multiply.outer(taus, v_evals))
-        return np.einsum("ij,kj,lj->kil", v_evecs, phases, v_evecs.conj())
+    inner = v_evecs.conj().T @ h_const @ v_evecs
+    # (W^H H W)_jl -> d/dtau of its phase e^{-i tau (lambda_j - lambda_l)}
+    inner_dot = -1j * np.subtract.outer(v_evals, v_evals) * inner
 
-    def evaluate_many(taus: np.ndarray) -> np.ndarray:
-        u = _conjugators(taus)
-        return np.einsum("kij,jl,kml->kim", u, h_const, u.conj())
+    def two_sided(c: np.ndarray) -> np.ndarray:
+        # row (j, l), column (i, m): W_ij C_jl conj(W_ml)
+        return np.einsum("ij,jl,ml->jlim", v_evecs, c, v_evecs.conj()).reshape(d * d, d * d)
 
-    def derivative_many(taus: np.ndarray) -> np.ndarray:
-        h = evaluate_many(taus)
-        return -1j * (np.einsum("ij,kjl->kil", v, h) - np.einsum("kij,jl->kil", h, v))
+    # row j, column (i, n): W_ij (W^H B)_jn
+    one_sided = np.einsum("ij,jn->jin", v_evecs, v_evecs.conj().T @ frame_basis)
+    frame_vectors = _factorized_sampler(v_evals, one_sided.reshape(d, d * d))
 
     def analytic_frame(taus: np.ndarray):
-        u = _conjugators(taus)
-        vecs = np.einsum("kij,jn->kin", u, frame_basis)
         evals = np.broadcast_to(energies[order], (taus.shape[0], d)).copy()
-        return evals, vecs
+        return evals, frame_vectors(taus)
 
     return HamiltonianModel(
         dimension=d,
-        evaluate_many=evaluate_many,
-        derivative_many=derivative_many,
+        evaluate_many=_factorized_sampler(v_evals, two_sided(inner)),
+        derivative_many=_factorized_sampler(v_evals, two_sided(inner_dot)),
         name="conjugated",
         analytic_frame=analytic_frame,
     )
+
+
+def _factorized_sampler(v_evals: np.ndarray, kernel: np.ndarray):
+    """The sampler taus -> (n, d, d) of a conjugated model.
+
+    With p_k = exp(-i tau_k lambda), row k of the output, flattened, is
+    f_k @ ``kernel``, where f_k is p_k p_k^H flattened for a (d^2, d^2)
+    kernel and p_k for a (d, d^2) one. So each quantity is one GEMM per
+    STEP_CHUNK rows, written into the output; the only temporary is one
+    chunk of f.
+    """
+    d = v_evals.size
+    pairs = kernel.shape[0] == d * d
+
+    def sample(taus: np.ndarray) -> np.ndarray:
+        out = np.empty((taus.shape[0], d, d), dtype=complex)
+        rows = out.reshape(taus.shape[0], d * d)
+        for start in range(0, taus.shape[0], STEP_CHUNK):
+            chunk = slice(start, start + STEP_CHUNK)
+            f = np.exp(-1j * np.multiply.outer(taus[chunk], v_evals))
+            if pairs:
+                f = (f[:, :, None] * f.conj()[:, None, :]).reshape(-1, d * d)
+            np.matmul(f, kernel, out=rows[chunk])
+        return out
+
+    return sample
 
 
 def _parse_tabulated(text: str, origin: str):

@@ -1,7 +1,8 @@
 """The benchmark's traced run times each layer by rebinding adiorbit's
 names and model fields from outside (``perfbench/spans.py``). This runs
-it on a tiny sweep, so a change to ``src/`` that removes or renames one
-of those names fails here and not only when the benchmark is run.
+it on a tiny case of each workload, so a change to ``src/`` that removes
+or renames one of those names fails here and not only when the
+benchmark is run.
 """
 
 import importlib.util
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -22,8 +25,8 @@ def _workloads():
     return module
 
 
-def test_traced_cli_records_layer_spans(tmp_path):
-    case = _workloads().make_case("sweep_spin_b", 1, scale=0.01)
+def _traced_span_names(tmp_path, workload) -> set:
+    case = _workloads().make_case(workload, 1, scale=0.01)
     config = tmp_path / "scenario.cfg"
     config.write_text(case.config_text())
     spans = tmp_path / "spans.json"
@@ -35,5 +38,22 @@ def test_traced_cli_records_layer_spans(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
+    return {span["name"] for span in json.loads(spans.read_text())["spans"]}
+
+
+def test_traced_cli_records_layer_spans(tmp_path):
+    names = _traced_span_names(tmp_path, "sweep_spin_b")
     assert {"model.sample", "spectrum.solve", "linalg.scan_states"} <= names
+
+
+@pytest.mark.parametrize(
+    "workload, expected",
+    [
+        ("evolve_spin_a", {"model.sample", "spectrum.solve", "linalg.unitary_steps",
+                           "propagate.schrodinger", "perturb.conditions"}),
+        ("check_conj_d5", {"model.build", "model.sample", "spectrum.solve",
+                           "frame.build", "perturb.conditions"}),
+    ],
+)
+def test_traced_cli_records_layer_spans_on_every_workload(tmp_path, workload, expected):
+    assert expected <= _traced_span_names(tmp_path, workload)

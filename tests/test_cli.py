@@ -56,6 +56,21 @@ class TestEvolve:
         assert report["resolved_config"]["model.kind"] == "spin_half"
         assert report["min_p_exact"] == pytest.approx(p_exact.min())
 
+    def test_variant_b_analytic_gauge_matches_continuity(self, tmp_path):
+        text = SPIN_A_CONFIG.replace("model.variant = a", "model.variant = b")
+        p_exact = {}
+        for gauge in ("continuity", "analytic"):
+            cfg = write_config(tmp_path, text + f"spectrum.gauge = {gauge}\n", name=f"{gauge}.cfg")
+            assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / gauge)]) == 0
+            p_exact[gauge] = read_csv(tmp_path / gauge / "evolution.csv")[1][:, 1]
+        taus = np.linspace(0.0, 20.0, 20001)
+        closed = 1.0 - 0.5 * np.sin(0.05 * taus) ** 2
+        # each gauge carries the finite-difference gamma's O(dtau^2) error
+        # (1.1e-7 and 6.4e-8 here), so they agree to 1.8e-7, not to roundoff
+        for p in p_exact.values():
+            assert np.abs(p - closed).max() < 2e-7
+        assert np.abs(p_exact["analytic"] - p_exact["continuity"]).max() < 3e-7
+
     def test_csv_bytes_match_per_field_format(self, tmp_path):
         scenario = load_scenario(write_config(tmp_path, SPIN_A_CONFIG.replace("20000", "5000")))
         assert scenario.grid.n_steps + 1 > cli._CSV_BLOCK_ROWS  # more than one write
@@ -463,16 +478,13 @@ class TestConfigErrors:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key.split(".")[1] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["tabulated", "spin_half_b"])
+    @pytest.mark.parametrize("kind", ["tabulated"])
     def test_analytic_gauge_without_closed_form_exits_2(self, tmp_path, capsys, kind):
-        if kind == "tabulated":
-            table = write_tabulated(tmp_path / "const.txt", [0.0, 30.0], [SZ, SZ])
-            text = (
-                f"model.kind = tabulated\nmodel.path = {table}\n"
-                "grid.tau_end = 20.0\ngrid.n_steps = 2000\n"
-            )
-        else:
-            text = SPIN_A_CONFIG.replace("model.variant = a", "model.variant = b")
+        table = write_tabulated(tmp_path / "const.txt", [0.0, 30.0], [SZ, SZ])
+        text = (
+            f"model.kind = {kind}\nmodel.path = {table}\n"
+            "grid.tau_end = 20.0\ngrid.n_steps = 2000\n"
+        )
         cfg = write_config(tmp_path, text + "spectrum.gauge = analytic\n")
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "spectrum.gauge = analytic needs a closed-form" in capsys.readouterr().err

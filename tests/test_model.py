@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from adiorbit import (
     ConjugatedParams,
@@ -14,8 +17,8 @@ from adiorbit import (
     run_pipeline,
     sample_hamiltonian,
 )
+from adiorbit._linalg import STEP_CHUNK, hermitize, phase_convention, scan_operators, unitary_steps
 from adiorbit.errors import (
-    GridRequired,
     InputError,
     InvalidSamples,
     NonHermitianInput,
@@ -25,7 +28,7 @@ from adiorbit.errors import (
     ParseError,
     ZeroHamiltonian,
 )
-from adiorbit.model import sample_derivative
+from adiorbit.model import SIGMA_Z, sample_derivative
 
 from conftest import SX, SZ, write_tabulated
 
@@ -103,10 +106,37 @@ class TestSpinHalf:
         norms = np.linalg.norm(evecs, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-14
 
-    def test_variant_b_needs_grid(self):
+    def test_variant_b_builds_without_grid(self):
         params = SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4, variant=SpinVariant.B)
-        with pytest.raises(GridRequired):
-            build_spin_half(params)
+        model_b = build_spin_half(params, grid=None)
+        assert model_b.name == "spin_half_b"
+        model_a = build_spin_half(SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4))
+        # U_a propagated on a grid, as variant B was once built
+        grid = TimeGrid(tau_end=20.0, n_steps=20000)
+        u_a = scan_operators(
+            unitary_steps(sample_hamiltonian(model_a, grid.midpoints), grid.dtau, sign=-1)
+        )
+        h_a = sample_hamiltonian(model_a, grid.samples)
+        dual = -np.einsum("kji,kjl,klm->kim", u_a.conj(), h_a, u_a)
+        assert np.abs(sample_hamiltonian(model_b, grid.samples) - dual).max() < 1e-7
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 4, 2.0, np.pi])
+    def test_variant_b_closed_form_evolution_operator(self, theta):
+        # U_a(tau) = exp(-i omega tau sigma_z / 2) exp(-i tau K), K = h_a(0) - omega sigma_z / 2
+        omega0, omega = 1.3, 0.25
+        model_a = build_spin_half(SpinHalfParams(omega0=omega0, omega=omega, theta=theta))
+        model_b = build_spin_half(
+            SpinHalfParams(omega0=omega0, omega=omega, theta=theta, variant=SpinVariant.B)
+        )
+        k = sample_hamiltonian(model_a, 0.0)[0] - (omega / 2.0) * SIGMA_Z
+        taus = np.array([0.0, 0.7, 5.0, 31.4, 200.0])
+        h_a, h_b = sample_hamiltonian(model_a, taus), sample_hamiltonian(model_b, taus)
+        for tau, ha, hb in zip(taus, h_a, h_b):
+            u_a = expm(-0.5j * omega * tau * SIGMA_Z) @ expm(-1j * tau * k)
+            # U_a solves i dU/dtau = (omega / 2) sigma_z U + U K = h_a U ...
+            assert np.abs(0.5 * omega * SIGMA_Z @ u_a + u_a @ k - ha @ u_a).max() < 1e-12
+            # ... and variant B is the dual it defines
+            assert np.abs(hb + u_a.conj().T @ ha @ u_a).max() < 1e-12
 
     def test_variant_b_shape(self):
         grid = TimeGrid(tau_end=10.0, n_steps=2000)
@@ -116,7 +146,7 @@ class TestSpinHalf:
         # at tau = 0 the evolution operator is the identity
         h_a, h_b = sample_hamiltonian(model_a, 0.0)[0], sample_hamiltonian(model_b, 0.0)[0]
         assert np.allclose(h_b, -h_a, atol=1e-12)
-        # conjugation by a (near-)unitary preserves the spectrum up to spline error
+        # conjugation by a unitary preserves the spectrum
         taus = np.linspace(0.0, 10.0, 37)
         for h in sample_hamiltonian(model_b, taus):
             assert np.allclose(np.linalg.eigvalsh(h), [-0.5, 0.5], atol=1e-8)
@@ -188,10 +218,85 @@ class TestConjugated:
             )
 
 
+def einsum_reference(energies, generator, basis, taus):
+    """h, dh/dtau and the analytic frame of a conjugated model, computed
+    one einsum per conjugator exp(-i tau V)."""
+    d = len(energies)
+    h_const = hermitize(basis @ np.diag(energies).astype(complex) @ basis.conj().T)
+    v_evals, v_evecs = np.linalg.eigh(generator)
+    phases = np.exp(-1j * np.multiply.outer(taus, v_evals))
+    u = np.einsum("ij,kj,lj->kil", v_evecs, phases, v_evecs.conj())
+    h = np.einsum("kij,jl,kml->kim", u, h_const, u.conj())
+    dh = -1j * (np.einsum("ij,kjl->kil", generator, h) - np.einsum("kij,jl->kil", h, generator))
+    order = np.argsort(energies, kind="stable")
+    vecs = np.einsum("kij,jn->kin", u, phase_convention(basis[:, order]))
+    evals = np.broadcast_to(np.asarray(energies)[order], (taus.size, d))
+    return h, dh, evals, vecs
+
+
+class TestConjugatedSampler:
+    """The factorized sampler against the einsum reference."""
+
+    @staticmethod
+    def params(d, rotated, seed):
+        rng = np.random.default_rng(seed)
+        energies = np.sort(rng.uniform(-2.0, 3.0, d))
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        generator = 0.3 * (g + g.conj().T) / 2.0
+        basis = np.eye(d, dtype=complex)
+        if rotated:
+            basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        return energies, generator, basis
+
+    @pytest.mark.parametrize("n", [7, STEP_CHUNK + 3])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["identity", "rotated"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_einsum_reference(self, d, rotated, n):
+        energies, generator, basis = self.params(d, rotated, seed=10 * d + rotated)
+        model = build_conjugated_model(
+            ConjugatedParams(energies=energies, generator=generator, eigenbasis=basis)
+        )
+        taus = np.concatenate([[0.0], np.random.default_rng(n).uniform(0.0, 40.0, n - 1)])
+        h, dh, evals, vecs = einsum_reference(energies, generator, basis, taus)
+        assert np.abs(sample_hamiltonian(model, taus) - h).max() < 1e-13
+        got_dh = sample_derivative(model, taus)
+        assert np.abs(got_dh - dh).max() < 1e-13
+        # dh/dtau = -i [V, h]
+        commutator = -1j * (generator @ h - h @ generator)
+        assert np.abs(got_dh - commutator).max() < 1e-13
+        got_evals, got_vecs = model.analytic_frame(taus)
+        assert np.array_equal(got_evals, evals)
+        assert np.abs(got_vecs - vecs).max() < 1e-13
+
+    def test_memory_bound(self):
+        # the check_conj_d5 size: 4e4 steps of a d = 5 model
+        energies, generator, basis = self.params(5, True, seed=4)
+        model = build_conjugated_model(
+            ConjugatedParams(energies=energies, generator=generator, eigenbasis=basis)
+        )
+        taus = np.linspace(0.0, 40.0, 40_001)
+        sample_hamiltonian(model, taus[:8])
+        tracemalloc.start()
+        try:
+            h = sample_hamiltonian(model, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 48,007,232 B was the einsum sampler's peak here; no extra
+        # output-sized buffer fits under 1.5 outputs
+        assert peak <= 48_007_232
+        assert peak < 1.5 * h.nbytes
+
+
 class TestDerivatives:
-    @pytest.mark.parametrize("which", ["spin_a", "conjugated"])
+    @pytest.mark.parametrize("which", ["spin_a", "spin_b", "conjugated"])
     def test_against_central_difference(self, which, spin_a_model, conjugated_example):
-        model = spin_a_model if which == "spin_a" else conjugated_example[1]
+        params_b = SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4, variant=SpinVariant.B)
+        model = {
+            "spin_a": spin_a_model,
+            "spin_b": build_spin_half(params_b),
+            "conjugated": conjugated_example[1],
+        }[which]
         delta = 1e-4
         for tau in (0.3, 2.0, 11.0):
             plus, minus = sample_hamiltonian(model, [tau + delta, tau - delta])
