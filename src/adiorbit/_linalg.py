@@ -14,13 +14,16 @@ Sequences of steps are multiplied with a blocked two-level scan
 (Blelloch, "Prefix sums and their applications", 1990) that runs over
 chunks of whole blocks and carries the product across chunks, so no
 Python loop runs once per step and no caller of :func:`scan_states`
-holds all n + 1 operators. For d = 2 a chunk is held as four contiguous
-complex arrays, one per matrix entry, laid out (block, n_blocks): the
-in-block prefix is then two ufunc calls per position for all blocks at
-once, where a stacked 2x2 matmul pays a per-matrix overhead.
+holds all n + 1 operators. A chunk is held as d^2 contiguous complex
+arrays, one per matrix entry, laid out (block, n_blocks): the in-block
+prefix is then d ufunc calls per position (one product, d - 1 sums)
+for all blocks at once, where a stacked matmul of small matrices pays
+a per-matrix overhead.
 """
 
 import math
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -28,14 +31,12 @@ from .errors import NonFiniteStep
 
 # Steps per block of the two-level scan: the in-block prefix loops over
 # this many positions, the chaining loop over n / SCAN_BLOCK blocks.
-SCAN_BLOCK = 256
-# Blocks per scan chunk; only one chunk of operators is held at a time.
-SCAN_CHUNK_BLOCKS = 256
-# The same for the d = 2 scan. Its ufunc calls run over rows of
-# SU2_SCAN_CHUNK_BLOCKS entries, so a 1 MB chunk of 128 x 128 steps
-# is as fast as 256 x 256 at a quarter of the buffer.
-SU2_SCAN_BLOCK = 128
-SU2_SCAN_CHUNK_BLOCKS = 128
+SCAN_BLOCK = 128
+# Blocks per scan chunk; only one chunk of steps is held at a time. The
+# scan's ufunc calls run over rows of SCAN_CHUNK_BLOCKS entries, so a
+# chunk of 128 x 128 steps (1 MB for d = 2) is as fast as 256 x 256 at a
+# quarter of the buffer.
+SCAN_CHUNK_BLOCKS = 128
 # Generators exponentiated per pass of unitary_steps.
 STEP_CHUNK = 4096
 # Taylor steps: 1-norm after scaling, and the truncation bound of the
@@ -200,17 +201,12 @@ def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Apply a sequence of step matrices to v0, keeping every intermediate.
 
     Returns shape (n_steps + 1, d) with row 0 equal to v0, with one chunk
-    of operators held at a time. For d > 2 it equals
-    ``scan_operators(steps) @ v0`` bit for bit; for d = 2 the carry
-    between blocks is the state itself, which agrees to roundoff.
+    of steps held at a time. The carry between blocks is the state
+    itself, so this agrees with ``scan_operators(steps) @ v0`` to
+    roundoff, not bit for bit.
     """
-    n, d = steps.shape[0], steps.shape[-1]
-    if d == 2:
-        return _su2_scan(steps, np.asarray(v0, dtype=complex).reshape(2, 1))[:, :, 0]
-    out = np.empty((n + 1, d), dtype=complex)
-    for start, ops in _scan_chunks(steps):
-        np.matmul(ops, v0, out=out[start : start + len(ops)])
-    return out
+    d = steps.shape[-1]
+    return _blocked_scan(steps, np.asarray(v0, dtype=complex).reshape(d, 1))[:, :, 0]
 
 
 def scan_operators(steps: np.ndarray) -> np.ndarray:
@@ -218,116 +214,74 @@ def scan_operators(steps: np.ndarray) -> np.ndarray:
 
     Later steps multiply from the left, i.e. time ordering.
     """
-    n, d, _ = steps.shape
-    if d == 2:
-        return _su2_scan(steps, np.eye(2, dtype=complex))
-    out = np.empty((n + 1, d, d), dtype=complex)
-    for start, ops in _scan_chunks(steps):
-        out[start : start + len(ops)] = ops
-    return out
+    return _blocked_scan(steps, np.eye(steps.shape[-1], dtype=complex))
 
 
-def _su2_scan(steps: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """out[k] = steps[k-1] @ ... @ steps[0] @ initial, shape (n + 1, 2, cols)
-    for a (2, cols) initial: cols = 1 scans a state, cols = 2 operators.
+def _blocked_scan(steps: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """out[k] = steps[k-1] @ ... @ steps[0] @ initial, shape (n + 1, d, cols)
+    for a (d, cols) initial: cols = 1 scans a state, cols = d operators.
 
-    Each chunk of whole SU2_SCAN_BLOCK-step blocks is copied into one
-    reused buffer p[i, k, j, b] = entry (i, k) of step j of block b (the
-    last block padded with identities). The in-block prefix runs over j,
+    Each chunk of whole SCAN_BLOCK-step blocks is copied into one reused
+    buffer p[i, k, j, b] = entry (i, k) of step j of block b (the last
+    block padded with identities). The in-block prefix runs over j,
     vectorized across blocks; the carry is chained through the block
     products in a Python loop once per block, and each block's prefix
     times its carry is written straight into out. out is allocated with
     room for the padded steps and trimmed to n + 1 rows on return.
     """
-    n, cols = steps.shape[0], initial.shape[-1]
-    block = min(SU2_SCAN_BLOCK, max(n, 1))
-    max_blocks = min(-(-n // block), SU2_SCAN_CHUNK_BLOCKS)
-    out = np.empty((1 + -(-n // block) * block, 2, cols), dtype=complex)
+    n, d, cols = steps.shape[0], steps.shape[-1], initial.shape[-1]
+    block = min(SCAN_BLOCK, max(n, 1))
+    max_blocks = min(-(-n // block), SCAN_CHUNK_BLOCKS)
+    out = np.empty((1 + -(-n // block) * block, d, cols), dtype=complex)
     out[0] = initial
-    flat = np.empty(4 * block * max_blocks, dtype=complex)
-    products = np.empty((2, 2, 2, max_blocks), dtype=complex)
+    flat = np.empty(d * d * block * max_blocks, dtype=complex)
+    products = np.empty((d, d, d, max_blocks), dtype=complex)
     carry = initial.tolist()
-    for start in range(0, n, block * SU2_SCAN_CHUNK_BLOCKS):
-        size = min(block * SU2_SCAN_CHUNK_BLOCKS, n - start)
+    for start in range(0, n, block * SCAN_CHUNK_BLOCKS):
+        size = min(block * SCAN_CHUNK_BLOCKS, n - start)
         full, rem = divmod(size, block)
         n_blocks = full + (rem > 0)
-        p = flat[: 4 * block * n_blocks].reshape(2, 2, block, n_blocks)
-        whole = steps[start : start + full * block].reshape(full, block, 2, 2)
+        p = flat[: d * d * block * n_blocks].reshape(d, d, block, n_blocks)
+        whole = steps[start : start + full * block].reshape(full, block, d, d)
         p[..., :full] = whole.transpose(2, 3, 1, 0)
         if rem:
             p[:, :, :rem, full] = steps[start + full * block : start + size].transpose(1, 2, 0)
-            p[:, :, rem:, full] = np.eye(2)[:, :, None]
+            p[:, :, rem:, full] = np.eye(d)[:, :, None]
         tmp = products[..., :n_blocks]
         for j in range(1, block):
             # tmp[i, k, l] = step_j[i, k] * prefix_{j-1}[k, l], summed over k
             np.multiply(p[:, :, None, j], p[None, :, :, j - 1], out=tmp)
             np.add(tmp[:, 0], tmp[:, 1], out=p[:, :, j])
+            for k in range(2, d):
+                p[:, :, j] += tmp[:, k]
 
         carries = []
-        for (t00, t01), (t10, t11) in p[:, :, -1].transpose(2, 0, 1).tolist():
+        for rows in p[:, :, -1].transpose(2, 0, 1).tolist():
             carries.append(carry)
-            c0, c1 = carry
-            carry = (
-                [t00 * x + t01 * y for x, y in zip(c0, c1)],
-                [t10 * x + t11 * y for x, y in zip(c0, c1)],
-            )
-        rows = out[1 + start : 1 + start + n_blocks * block]
-        dest = rows.reshape(n_blocks, block, 2, cols).transpose(2, 3, 1, 0)
+            columns = list(zip(*carry))
+            carry = [[reduce(add, map(mul, row, col)) for col in columns] for row in rows]
+        dest = out[1 + start : 1 + start + n_blocks * block]
+        dest = dest.reshape(n_blocks, block, d, cols).transpose(2, 3, 1, 0)
         _apply_carry(p, np.array(carries).transpose(1, 2, 0), dest)
     return out[: n + 1]
 
 
 def _apply_carry(p: np.ndarray, carry: np.ndarray, dest: np.ndarray):
-    """dest[i, l] = p[i, 0] * carry[0, l] + p[i, 1] * carry[1, l] over
-    (j, b) arrays, with carry[k, l] indexed by b. The last column is
-    formed in p itself and copied out, the others use dest as scratch,
-    so nothing chunk-sized is allocated; p is overwritten."""
-    cols = carry.shape[1]
+    """dest[i, l] = sum_k p[i, k] * carry[k, l] over (j, b) arrays, with
+    carry[k, l] indexed by b. The last column is formed in p itself and
+    copied out, the others use dest as scratch, so nothing chunk-sized is
+    allocated; p is overwritten."""
+    d, cols = carry.shape[:2]
     for l in range(cols - 1):
         np.multiply(p[:, 0], carry[0, l], out=dest[:, l])
-        np.multiply(p[:, 1], carry[1, l], out=dest[:, l + 1])
-        dest[:, l] += dest[:, l + 1]
-    p[:, 0] *= carry[0, -1]
-    p[:, 1] *= carry[1, -1]
-    p[:, 0] += p[:, 1]
+        for k in range(1, d):
+            np.multiply(p[:, k], carry[k, l], out=dest[:, l + 1])
+            dest[:, l] += dest[:, l + 1]
+    for k in range(d):
+        p[:, k] *= carry[k, -1]
+    for k in range(1, d):
+        p[:, 0] += p[:, k]
     dest[:, -1] = p[:, 0]
-
-
-def _scan_chunks(steps: np.ndarray):
-    """Yield (k, U_k ... U_{k+len-1}) over consecutive slices of U_0..U_n.
-
-    Each chunk of whole SCAN_BLOCK-step blocks is copied into one reused
-    buffer (the last padded with identities), prefix products inside its
-    blocks are computed in place and vectorized across blocks, then each
-    block is multiplied by the last product before it. The yielded view
-    is overwritten by the next chunk.
-    """
-    n, d, _ = steps.shape
-    block = min(SCAN_BLOCK, max(n, 1))
-    chunk = block * SCAN_CHUNK_BLOCKS
-    eye = np.eye(d)
-    # U_0, then up to one chunk of steps
-    buf = np.empty((1 + min(-(-n // block), SCAN_CHUNK_BLOCKS) * block, d, d), dtype=complex)
-    buf[0] = eye
-    carry = None
-    for start in range(0, max(n, 1), chunk):
-        size = min(chunk, n - start)
-        n_blocks = -(-size // block)
-        buf[1 : 1 + size] = steps[start : start + size]
-        buf[1 + size : 1 + n_blocks * block] = eye
-        blocks = buf[1 : 1 + n_blocks * block].reshape(n_blocks, block, d, d)
-        for j in range(1, block):
-            np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
-        # after its update, the last entry of block b - 1 is U at that block's end
-        if carry is not None:
-            np.matmul(blocks[0], carry, out=blocks[0])
-        for b in range(1, n_blocks):
-            np.matmul(blocks[b], blocks[b - 1, -1], out=blocks[b])
-        carry = buf[size].copy()
-        if start == 0:
-            yield 0, buf[: 1 + size]
-        else:
-            yield start + 1, buf[1 : 1 + size]
 
 
 def central_difference(stack: np.ndarray, dtau: float) -> np.ndarray:

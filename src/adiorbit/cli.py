@@ -579,7 +579,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except AdiorbitError as exc:

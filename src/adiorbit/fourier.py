@@ -161,31 +161,6 @@ def fourier_decompose_coupling(
     )
 
 
-def reconstruct_magnitude(harmonics: CouplingHarmonics, taus: np.ndarray) -> np.ndarray:
-    """Evaluate the truncated series sum_l Gamma_l e^{i Omega_l tau}."""
-    taus = np.asarray(taus, dtype=float)
-    out = np.zeros(taus.shape, dtype=complex)
-    for h in harmonics.harmonics:
-        out += h.amplitude * np.exp(1j * h.frequency * taus)
-    return out
-
-
-def first_order_integral_series(
-    linearity: PhaseLinearity, harmonics: CouplingHarmonics, taus: np.ndarray
-) -> np.ndarray:
-    """Series form of int_0^tau e^{i alpha} |gamma| for a linear phase.
-
-    Valid away from resonances; the constant phase offset alpha_0 is
-    omitted since only the modulus of the integral is ever compared.
-    """
-    taus = np.asarray(taus, dtype=float)
-    out = np.zeros(taus.shape, dtype=complex)
-    for h in harmonics.harmonics:
-        rate = linearity.omega0 + h.frequency
-        out += h.amplitude * (np.exp(1j * rate * taus) - 1.0) / (1j * rate)
-    return out
-
-
 def fourier_condition_report(
     linearity: PhaseLinearity,
     harmonics: CouplingHarmonics,

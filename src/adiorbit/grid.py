@@ -27,6 +27,8 @@ class TimeGrid:
             raise ValueError("tau_end must be positive")
         if int(self.n_steps) != self.n_steps or self.n_steps < 2:
             raise ValueError("n_steps must be an integer >= 2")
+        if self.n_steps >= np.iinfo(np.intp).max // 8:
+            raise ValueError(f"n_steps = {self.n_steps} is too large for an array of samples")
 
     @property
     def dtau(self) -> float:

@@ -12,9 +12,10 @@ downstream works with the dimensionless h.
 
 Built-in models:
 
-* :func:`build_spin_half` - spin-1/2 in a rotating field (variant A) and
-  its conjugated dual -U_a^dag h_a U_a (variant B), which is itself a
-  conjugated model in closed form.
+* :func:`build_spin_half` - spin-1/2 in a rotating field (variant A,
+  h_a(0) conjugated by exp(-i omega tau sigma_z / 2)) and its dual
+  -U_a^dag h_a U_a (variant B); both are conjugated models in closed
+  form.
 * :func:`build_conjugated_model` - a constant Hamiltonian conjugated by
   the one-parameter unitary group of a second constant Hermitian
   generator; its coupling matrix has a closed form and exactly linear
@@ -50,8 +51,6 @@ from .errors import (
 )
 from .grid import TimeGrid
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-12
@@ -216,78 +215,40 @@ def normalize(
     return model, record
 
 
-def _spin_a_model(params: SpinHalfParams) -> HamiltonianModel:
-    w0, w, th = params.omega0, params.omega, params.theta
-    sin_t, cos_t = np.sin(th), np.cos(th)
-
-    def evaluate_many(taus: np.ndarray) -> np.ndarray:
-        # -(w0/2) (x sigma_x + y sigma_y + z sigma_z), filled entry by entry
-        x, y = sin_t * np.cos(w * taus), sin_t * np.sin(w * taus)
-        z = np.full(taus.shape, cos_t)
-        h = np.empty(taus.shape + (2, 2), dtype=complex)
-        for i, j in np.ndindex(2, 2):
-            h[:, i, j] = -(w0 / 2.0) * (
-                x * SIGMA_X[i, j] + y * SIGMA_Y[i, j] + z * SIGMA_Z[i, j]
-            )
-        return h
-
-    def derivative_many(taus: np.ndarray) -> np.ndarray:
-        return -(w0 * w * sin_t / 2.0) * (
-            np.multiply.outer(-np.sin(w * taus), SIGMA_X)
-            + np.multiply.outer(np.cos(w * taus), SIGMA_Y)
-        )
-
-    def analytic_frame(taus: np.ndarray):
-        # level 0 is field-aligned with energy -omega0/2
-        n = taus.shape[0]
-        c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-        ph = np.exp(1j * w * taus)
-        vecs = np.empty((n, 2, 2), dtype=complex)
-        vecs[:, 0, 0] = c
-        vecs[:, 1, 0] = ph * s
-        vecs[:, 0, 1] = -np.conj(ph) * s
-        vecs[:, 1, 1] = c
-        evals = np.empty((n, 2))
-        evals[:, 0] = -w0 / 2.0
-        evals[:, 1] = w0 / 2.0
-        return evals, vecs
-
-    return HamiltonianModel(
-        dimension=2,
-        evaluate_many=evaluate_many,
-        derivative_many=derivative_many,
-        name="spin_half_a",
-        period=(2.0 * np.pi / abs(w)) if w != 0.0 else None,
-        analytic_frame=analytic_frame,
-    )
-
-
 def build_spin_half(
     params: SpinHalfParams, grid: Optional[TimeGrid] = None
 ) -> HamiltonianModel:
-    """Build the rotating-field spin-1/2 model.
+    """Build the rotating-field spin-1/2 model; both variants are
+    conjugated models (:func:`build_conjugated_model`) in closed form.
 
     Variant A is the standard rotating field with constant splitting
-    ``omega0`` and cone angle ``theta``. Variant B is its conjugated
-    dual, h_b = -U_a(tau)^dag h_a(tau) U_a(tau) (Marzlin & Sanders, PRL
-    93, 160408, 2004), in closed form: h_a rotates about z at rate
-    ``omega``, so U_a(tau) = exp(-i omega tau sigma_z / 2) exp(-i tau K)
-    with K = h_a(0) - (omega / 2) sigma_z (Rabi's rotating frame), and
-    h_b(tau) = -exp(i tau K) h_a(0) exp(-i tau K). That is
-    :func:`build_conjugated_model` with H = -h_a(0) and V = -K, so
-    variant B has an analytic derivative and frame too. ``grid`` is
-    unused and accepted for callers that still pass one.
+    ``omega0`` and cone angle ``theta``: h_a(0) = -(omega0 / 2)
+    (sin(theta) sigma_x + cos(theta) sigma_z) rotates about z at rate
+    ``omega``, h_a(tau) = exp(-i omega tau sigma_z / 2) h_a(0)
+    exp(+i omega tau sigma_z / 2), so H = h_a(0) and V = (omega / 2)
+    sigma_z. Variant B is its conjugated dual, h_b = -U_a(tau)^dag
+    h_a(tau) U_a(tau) (Marzlin & Sanders, PRL 93, 160408, 2004): its
+    evolution operator is U_a(tau) = exp(-i omega tau sigma_z / 2)
+    exp(-i tau K) with K = h_a(0) - (omega / 2) sigma_z (Rabi's rotating
+    frame), so h_b(tau) = -exp(i tau K) h_a(0) exp(-i tau K), with
+    H = -h_a(0) and V = -K. Both have an analytic derivative and a frame
+    phased by the tau = 0 convention. ``grid`` is unused and accepted
+    for callers that still pass one.
     """
-    model_a = _spin_a_model(params)
+    w0, w, th = params.omega0, params.omega, params.theta
+    sin_t, cos_t = np.sin(th), np.cos(th)
+    h0 = -(w0 / 2.0) * np.array([[cos_t, sin_t], [sin_t, -cos_t]], dtype=complex)
+    rotation = (w / 2.0) * SIGMA_Z
     if params.variant is SpinVariant.A:
-        return model_a
-    h0 = model_a.evaluate_many(np.zeros(1))[0]
-    energies, basis = np.linalg.eigh(-h0)
-    k = h0 - (params.omega / 2.0) * SIGMA_Z
-    model_b = build_conjugated_model(
-        ConjugatedParams(energies=energies, generator=-k, eigenbasis=basis)
+        h, v = h0, rotation
+        period = (2.0 * np.pi / abs(w)) if w != 0.0 else None
+    else:
+        h, v, period = -h0, -(h0 - rotation), None  # V = -K
+    energies, basis = np.linalg.eigh(h)
+    model = build_conjugated_model(
+        ConjugatedParams(energies=energies, generator=v, eigenbasis=basis)
     )
-    return replace(model_b, name="spin_half_b")
+    return replace(model, name=f"spin_half_{params.variant.value}", period=period)
 
 
 def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:

@@ -1,9 +1,14 @@
+import io
 import json
+import re
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiorbit import cli, pipeline
 from adiorbit.cli import load_scenario, main, run_evolve
@@ -522,6 +527,16 @@ class TestConfigErrors:
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_steps", ["1e15", "2e18", "1e19"])
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys, n_steps):
+        # 1e15 + 1 samples would need 7.1 PiB, more than a 128 TiB user
+        # address space or any machine's memory, so the allocation fails
+        # before touching memory; past 2^63 bytes the grid itself rejects
+        # the step count
+        cfg = write_config(tmp_path, SPIN_A_CONFIG.replace("20000", n_steps))
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_tabulated_range_exits_2(self, tmp_path, capsys):
         table = write_tabulated(tmp_path / "short.txt", [0.0, 1.0], [SZ, SZ])
         cfg = write_config(
@@ -532,3 +547,82 @@ class TestConfigErrors:
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "OutsideTabulatedRange" in err and "tabulated range" in err
+
+
+# ---- the exit-code contract over random scenario files ----------------------
+
+# value pools; None drops the key, "@table" is the path of a valid table
+_NUMBERS = ["0", "1", "-1", "0.5", "2", "3", "7", "1e-12", "1e6", "nan", "inf", "-inf"]
+_JUNK = ["", "junk", "1,", "1, 2", "a", "b", "0x10", None]
+_WORDS = [
+    "spin_half", "conjugated", "tabulated", "continuity", "analytic", "fd", "hf",
+    "model.omega", "grid.n_steps", "grid.tau_end", "@table", "missing.txt",
+]
+_MATRICES = [
+    "0, 0.1; 0.1, 0",
+    "1, 0; 0, 1",
+    "0, 1j; -1j, 0",
+    "0, 0.1, 0; 0.1, 0.2, 0.1; 0, 0.1, -0.3",
+    "1, 2; 3, 4",
+    "1, 2; 3",
+    "nan, 0; 0, 0",
+]
+_LISTS = ["0, 1", "0, 1, 2.5", "0, 0", "1", "0.1, 0.2", "50, 100", "0.1, nan"]
+_POOL = _NUMBERS + _JUNK + _WORDS + _MATRICES + _LISTS
+# step counts (the grid and a swept grid.n_steps) stay at or below 100
+_SMALL = [str(n) for n in (-1, 0, 1, 2, 3, 10, 64, 100)] + [
+    "2.5", "nan", "inf", "junk", "0.1, 0.2", "2, 100", None,
+]
+
+_BASES = [
+    {},
+    {
+        "model.kind": "spin_half", "model.omega0": "1", "model.omega": "0.1",
+        "model.theta": "0.7", "grid.tau_end": "10", "grid.n_steps": "100",
+        "sweep.parameter": "model.omega", "sweep.values": "0.1, 0.2",
+    },
+    {
+        "model.kind": "conjugated", "model.energies": "0, 1, 2.5",
+        "model.generator": "0, 0.1, 0; 0.1, 0.2, 0.1; 0, 0.1, -0.3",
+        "grid.tau_end": "4", "grid.n_steps": "64", "fourier.period": "2",
+    },
+    {"model.kind": "tabulated", "model.path": "@table", "grid.tau_end": "3", "grid.n_steps": "50"},
+]
+
+_DIAGNOSTIC = re.compile(r"(config error:|numerical failure in \w+|error:)")
+
+
+@st.composite
+def scenario_texts(draw, table):
+    cfg = dict(draw(st.sampled_from(_BASES)))
+    for key in draw(st.lists(st.sampled_from(sorted(cli._KNOWN_KEYS)), max_size=5, unique=True)):
+        small = key in ("grid.n_steps", "sweep.values")
+        value = draw(st.sampled_from(_SMALL if small else _POOL))
+        if value is None:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    return "".join(f"{k} = {v.replace('@table', str(table))}\n" for k, v in cfg.items())
+
+
+class TestExitCodeContract:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("contract")
+        h0, h1 = np.diag([-1.0, 1.0]), np.array([[-1.0, 0.5], [0.5, 1.0]])
+        write_tabulated(path / "table.txt", [0.0, 2.0, 4.0], [h0, h1, h0])
+        return path
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_scenario_exits_0_2_or_3(self, workdir, data):
+        text = data.draw(scenario_texts(workdir / "table.txt"))
+        cfg = write_config(workdir, text)
+        for command in ("evolve", "check", "fourier", "sweep"):
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(cfg), "--out", str(workdir / "out")])
+            assert code in (0, 2, 3), (command, text)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert any(_DIAGNOSTIC.match(line) for line in lines), (command, text, lines)

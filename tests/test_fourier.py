@@ -17,11 +17,7 @@ from adiorbit import (
     verify_conjugated_coupling,
 )
 from adiorbit.errors import PeriodMismatch, PhaseNotLinear
-from adiorbit.fourier import (
-    PhaseLinearity,
-    first_order_integral_series,
-    reconstruct_magnitude,
-)
+from adiorbit.fourier import PhaseLinearity
 from adiorbit.grid import cumulative_trapezoid
 
 
@@ -127,8 +123,10 @@ class TestDecomposition:
         grid = TimeGrid(tau_end=2.0, n_steps=2000)
         samples = 0.1 + 0.03 * np.cos(np.pi * grid.samples) ** 4  # harmonics up to l=4
         harmonics = fourier_decompose_coupling(samples, grid, period, n_harmonics=2)
-        window = samples[:2000]
-        recon = reconstruct_magnitude(harmonics, grid.samples[:2000]).real
+        window, taus = samples[:2000], grid.samples[:2000]
+        # the truncated series sum_l Gamma_l e^{i Omega_l tau}
+        recon = sum(h.amplitude * np.exp(1j * h.frequency * taus) for h in harmonics.harmonics)
+        recon = recon.real
         rms_sq = np.mean((window - recon) ** 2)
         assert rms_sq == pytest.approx(harmonics.tail_energy, rel=1e-6)
 
@@ -204,7 +202,13 @@ class TestIntegralSeriesEquivalence:
         direct = cumulative_trapezoid(
             np.exp(1j * frame.coupling_phase[:, 1, 0]) * mags, grid.dtau
         )
-        series = first_order_integral_series(lin, harmonics, grid.samples)
+        # sum_l Gamma_l (e^{i (Omega_0 + Omega_l) tau} - 1) / (i (Omega_0 + Omega_l)),
+        # the series form of the integral without its constant phase alpha_0
+        rates = [lin.omega0 + h.frequency for h in harmonics.harmonics]
+        series = sum(
+            h.amplitude * (np.exp(1j * rate * grid.samples) - 1.0) / (1j * rate)
+            for h, rate in zip(harmonics.harmonics, rates)
+        )
         probe = [grid.index_of(t) for t in (5.0, 10.0, 20.0)]
         assert np.abs(np.abs(direct[probe]) - np.abs(series[probe])).max() < 1e-6
 

@@ -7,8 +7,6 @@ from adiorbit._linalg import (
     SCAN_BLOCK,
     SCAN_CHUNK_BLOCKS,
     STEP_CHUNK,
-    SU2_SCAN_BLOCK,
-    SU2_SCAN_CHUNK_BLOCKS,
     _su2_steps,
     _taylor_steps,
     phase_convention,
@@ -137,9 +135,9 @@ def loop_operators(steps):
     return np.array(out)
 
 
-@pytest.mark.parametrize("d", [2, 5])
-# sizes around the block and chunk edges of both scans; 65537 is four
-# d = 2 chunks and one step
+@pytest.mark.parametrize("d", [2, 3, 5])
+# sizes around the block and chunk edges of the scan and between them;
+# 65537 is four chunks and one step
 @pytest.mark.parametrize(
     "n",
     [
@@ -147,11 +145,15 @@ def loop_operators(steps):
         SCAN_BLOCK - 1,
         SCAN_BLOCK,
         SCAN_BLOCK + 1,
+        255,
+        256,
+        257,
         1000,
-        SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 300,
-        SU2_SCAN_BLOCK + 1,
-        SU2_SCAN_BLOCK * SU2_SCAN_CHUNK_BLOCKS + 1,
+        SCAN_BLOCK * SCAN_CHUNK_BLOCKS - 1,
+        SCAN_BLOCK * SCAN_CHUNK_BLOCKS,
+        SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 1,
         65537,
+        65836,
     ],
 )
 class TestBlockedScan:
@@ -272,10 +274,65 @@ class TestPhaseConvention:
         assert np.abs(phase_convention(rotated) - phase_convention(vecs)).max() < 1e-15
 
 
+def su2_order_scan(steps, initial):
+    """The d = 2 scan in the order of operations that fixes the bits of
+    every d = 2 output, one SCAN_BLOCK-step block at a time: each
+    in-block prefix entry is s[i, 0] p[0, l] + s[i, 1] p[1, l], the
+    carry between blocks is chained in Python complex arithmetic, and
+    each output entry is p[i, 0] c[0, l] + p[i, 1] c[1, l]."""
+    out, carry = [initial], initial.tolist()
+    for start in range(0, len(steps), SCAN_BLOCK):
+        prefix = [steps[start]]
+        for step in steps[start + 1 : start + SCAN_BLOCK]:
+            t = step[:, :, None] * prefix[-1][None, :, :]
+            prefix.append(t[:, 0] + t[:, 1])
+        c = np.array(carry)
+        out += [p[:, 0, None] * c[0] + p[:, 1, None] * c[1] for p in prefix]
+        (t00, t01), (t10, t11) = prefix[-1].tolist()
+        carry = [
+            [t00 * x + t01 * y for x, y in zip(*carry)],
+            [t10 * x + t11 * y for x, y in zip(*carry)],
+        ]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, SCAN_BLOCK + 1, SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 300])
+def test_su2_scan_keeps_its_order_of_operations(n):
+    # the d = 2 outputs (evolution.csv, sweep.csv) are byte-identical
+    # only while the generic scan keeps this order at d = 2
+    steps = unitary_steps(random_hermitian(np.random.default_rng(n), n, 2), 0.1, 1)
+    v0 = np.array([0.6, 0.8j])
+    assert np.array_equal(scan_states(steps, v0), su2_order_scan(steps, v0[:, None])[:, :, 0])
+    eye = np.eye(2, dtype=complex)
+    assert np.array_equal(scan_operators(steps), su2_order_scan(steps, eye))
+
+
 def test_su2_scan_of_no_steps():
     v0 = np.array([1.0, 0.0j])
     assert np.array_equal(scan_states(np.empty((0, 2, 2), complex), v0), [v0])
     assert np.array_equal(scan_operators(np.empty((0, 2, 2), complex)), [np.eye(2)])
+
+
+def test_scan_of_no_steps_d5():
+    v0 = np.eye(5, dtype=complex)[0]
+    assert np.array_equal(scan_states(np.empty((0, 5, 5), complex), v0), [v0])
+    assert np.array_equal(scan_operators(np.empty((0, 5, 5), complex)), [np.eye(5)])
+
+
+def scan_states_peak(steps, v0):
+    tracemalloc.start()
+    try:
+        out = scan_states(steps, v0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus one chunk of the d^2 entry arrays; ufunc buffers,
+    # the in-block products and the per-block carries stay under half a
+    # chunk more
+    d = steps.shape[-1]
+    chunk_bytes = d * d * SCAN_BLOCK * SCAN_CHUNK_BLOCKS * np.dtype(complex).itemsize
+    assert peak < out.nbytes + 1.5 * chunk_bytes
+    return peak
 
 
 def test_su2_scan_states_memory_bound():
@@ -284,15 +341,12 @@ def test_su2_scan_states_memory_bound():
     at 10,612,968 bytes on these steps (numpy 2.4: the 6.4 MB output plus
     a 4.2 MB chunk of operators)."""
     steps = unitary_steps(random_hermitian(np.random.default_rng(26), 200_000, 2), 1e-3, -1)
-    v0 = np.array([1.0, 0.0j])
-    tracemalloc.start()
-    try:
-        out = scan_states(steps, v0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10_612_968
-    # the output plus one chunk of the four entry arrays; ufunc buffers
-    # and the per-block carries stay under half a chunk more
-    chunk_bytes = 4 * SU2_SCAN_BLOCK * SU2_SCAN_CHUNK_BLOCKS * np.dtype(complex).itemsize
-    assert peak < out.nbytes + 1.5 * chunk_bytes
+    assert scan_states_peak(steps, np.array([1.0, 0.0j])) <= 10_612_968
+
+
+def test_scan_states_memory_bound_d5():
+    """The same for 4e4 d = 5 steps: the stacked 256 x 256-block scan
+    peaked at 19,381,840 bytes on these steps (numpy 2.4: the 3.2 MB
+    output plus a 16 MB chunk of operators)."""
+    steps = unitary_steps(random_hermitian(np.random.default_rng(27), 40_000, 5), 1e-3, -1)
+    assert scan_states_peak(steps, np.eye(5, dtype=complex)[0]) <= 19_381_840

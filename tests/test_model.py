@@ -6,16 +6,23 @@ from scipy.linalg import expm
 
 from adiorbit import (
     ConjugatedParams,
+    Gauge,
     HamiltonianModel,
     SpinHalfParams,
     SpinVariant,
     TimeGrid,
     build_conjugated_model,
+    build_frame,
     build_spin_half,
+    check_linear_phase,
+    compute_nonadiabatic_coupling,
+    evolve_coefficients,
     load_tabulated_model,
     normalize,
     run_pipeline,
     sample_hamiltonian,
+    solve_quasistationary,
+    survival_probability_exact,
 )
 from adiorbit._linalg import STEP_CHUNK, hermitize, phase_convention, scan_operators, unitary_steps
 from adiorbit.errors import (
@@ -30,7 +37,7 @@ from adiorbit.errors import (
 )
 from adiorbit.model import SIGMA_Z, sample_derivative
 
-from conftest import SX, SZ, write_tabulated
+from conftest import SX, SY, SZ, write_tabulated
 
 
 class TestNormalize:
@@ -105,6 +112,52 @@ class TestSpinHalf:
         assert np.abs(resid).max() < 1e-14
         norms = np.linalg.norm(evecs, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("omega", [0.0, 0.1, -0.3])
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 4, 2.0 * np.pi / 3, np.pi])
+    def test_variant_a_matches_rotating_field_formulas(self, theta, omega):
+        # the entrywise rotating field -(omega0 / 2) n(tau).sigma, with
+        # n = (sin(theta) cos(omega tau), sin(theta) sin(omega tau), cos(theta)),
+        # its derivative and its field-aligned frame
+        model = build_spin_half(SpinHalfParams(omega0=1.0, omega=omega, theta=theta))
+        assert model.name == "spin_half_a"
+        taus = np.linspace(0.0, 30.0, 91)
+        wt = omega * taus
+        n_x, n_y = np.sin(theta) * np.cos(wt), np.sin(theta) * np.sin(wt)
+        h = -0.5 * (
+            np.multiply.outer(n_x, SX) + np.multiply.outer(n_y, SY) + np.cos(theta) * SZ
+        )
+        dh = -0.5 * omega * np.sin(theta) * (
+            np.multiply.outer(-np.sin(wt), SX) + np.multiply.outer(np.cos(wt), SY)
+        )
+        assert np.abs(sample_hamiltonian(model, taus) - h).max() < 1e-15
+        assert np.abs(sample_derivative(model, taus) - dh).max() < 1e-15
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        old = np.empty((taus.size, 2, 2), dtype=complex)
+        old[:, 0, 0], old[:, 1, 0] = c, np.exp(1j * wt) * s
+        old[:, 0, 1], old[:, 1, 1] = -np.exp(-1j * wt) * s, c
+        evals, vecs = model.analytic_frame(taus)
+        assert np.abs(evals - [-0.5, 0.5]).max() < 1e-15
+        # equal up to one phase per column and sample
+        overlaps = np.einsum("kin,kin->kn", old.conj(), vecs)
+        assert np.abs(np.abs(overlaps) - 1.0).max() < 1e-15
+
+    def test_variant_a_gauges_agree_past_a_right_angle(self):
+        # at theta > pi / 2 level 1's largest entry is its first, so the
+        # analytic frame carries the continuity gauge's tau = 0 convention
+        # only if it applies it too
+        model = build_spin_half(SpinHalfParams(omega0=1.0, omega=0.1, theta=2.0 * np.pi / 3))
+        grid = TimeGrid(tau_end=20.0, n_steps=20000)
+        runs = {}
+        for gauge in (Gauge.CONTINUITY_FIXED, Gauge.ANALYTIC):
+            spec = solve_quasistationary(model, grid, gauge=gauge)
+            frame = build_frame(spec, compute_nonadiabatic_coupling(spec))
+            p_exact = survival_probability_exact(evolve_coefficients(frame.coupling, grid, 0))
+            runs[gauge] = p_exact, frame.coupling, check_linear_phase(frame, (1, 0)).alpha0
+        (p_c, coupling_c, alpha_c), (p_a, coupling_a, alpha_a) = runs.values()
+        assert np.abs(p_a - p_c).max() < 1e-9
+        assert np.abs(coupling_a - coupling_c).max() < 1e-9
+        assert alpha_a == pytest.approx(alpha_c, abs=1e-9)
 
     def test_variant_b_builds_without_grid(self):
         params = SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4, variant=SpinVariant.B)
