@@ -64,9 +64,14 @@ class HamiltonianModel:
     complex Hermitian samples. ``derivative_many`` is the analytic
     dh/dtau in the same shape, when available. ``period`` is the
     fundamental period of h when the drive is periodic.
-    ``analytic_frame`` returns the closed-form instantaneous eigensystem
-    (levels ordered by ascending eigenvalue at tau = 0) for models that
-    have one.
+    ``analytic_frame`` maps the same times to the closed-form
+    instantaneous eigensystem of ``evaluate_many``, for models that have
+    one: eigenvalues (n, d), levels ordered by ascending eigenvalue at
+    tau = 0, and unit eigenvectors as columns (n, d, d), in new arrays
+    the solver may overwrite. Both gauges of
+    :func:`adiorbit.spectrum.solve_quasistationary` take their frame
+    from it in place of an eigensolver, and verify it against h sample
+    by sample.
     """
 
     dimension: int
@@ -160,8 +165,26 @@ def sample_derivative(model: HamiltonianModel, taus) -> Optional[np.ndarray]:
     return _checked(model, taus, model.derivative_many(taus), "dh/dtau")
 
 
-def _checked(model: HamiltonianModel, taus: np.ndarray, samples, what: str) -> np.ndarray:
-    expected = (taus.size, model.dimension, model.dimension)
+def sample_frame(model: HamiltonianModel, taus) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Evaluate the closed-form eigenframe, or None if unavailable.
+
+    Returns eigenvalues (n, d) and eigenvectors (n, d, d), checked like
+    :func:`sample_hamiltonian`; whether they are an eigensystem of h is
+    left to the caller, which holds the samples of h.
+    """
+    if model.analytic_frame is None:
+        return None
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    evals, evecs = model.analytic_frame(taus)
+    evals = _checked(model, taus, np.asarray(evals, dtype=float), "eigenvalue", rank=1)
+    evecs = _checked(model, taus, np.asarray(evecs, dtype=complex), "eigenvector")
+    return evals, evecs
+
+
+def _checked(
+    model: HamiltonianModel, taus: np.ndarray, samples, what: str, rank: int = 2
+) -> np.ndarray:
+    expected = (taus.size,) + (model.dimension,) * rank
     shape = getattr(samples, "shape", None)
     if shape != expected:
         raise InvalidSamples(
@@ -170,7 +193,7 @@ def _checked(model: HamiltonianModel, taus: np.ndarray, samples, what: str) -> n
         )
     finite = np.isfinite(samples)
     if not finite.all():
-        k = int(np.argmin(finite.all(axis=(1, 2))))
+        k = int(np.argmin(finite.reshape(taus.size, -1).all(axis=1)))
         raise InvalidSamples(f"model {model.name!r}: {what} is not finite at tau={taus[k]:.6g}")
     return samples
 
@@ -257,8 +280,8 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
     The exponential is exact (eigendecomposition V = W diag(lambda) W^H
     of the Hermitian generator), the derivative is the analytic
     -i[V, h], and the closed-form eigenframe exp(-i tau V) |E_n> is
-    attached for use with the analytic gauge, each |E_n> phased like the
-    continuity gauge at tau = 0 (largest-modulus entry real and
+    attached, so the spectrum needs no eigensolver; each |E_n> is phased
+    like the continuity gauge at tau = 0 (largest-modulus entry real and
     positive). With p = exp(-i tau lambda), h is W (p p^H o C) W^H for
     C = W^H H W, dh/dtau the same with C_jl scaled by
     -i (lambda_j - lambda_l), and the frame W (p o W^H |E_n>); all three
@@ -353,8 +376,8 @@ def _parse_tabulated(text: str, origin: str):
         d = int(header[4:])
     except ValueError as exc:
         raise ParseError(f"{origin}: bad dimension {header[4:]!r}") from exc
-    if d < 1:
-        raise ParseError(f"{origin}: dimension must be positive")
+    if d < 2:
+        raise ParseError(f"{origin}: dimension must be at least 2 (a two-level model)")
 
     n_upper = d * (d + 1) // 2
     n_cols = 1 + 2 * n_upper

@@ -1,20 +1,23 @@
 """Instantaneous eigenproblem on a time grid with continuous labels.
 
-At each grid sample the Hermitian h(tau_k) is fully diagonalized. Levels
-are then matched across neighbouring samples by maximum eigenvector
-overlap (not by eigenvalue order, which would swap labels at avoided
-crossings), and eigenvector phases are fixed by discrete parallel
-transport: the overlap between consecutive frames of the same level is
-made real and positive. Transport starts from a fixed convention at
-tau = 0: each vector's largest-modulus entry is real and positive, so
-the frame does not depend on the phases the eigensolver happens to
-return. Tracking is one vectorized pass over all steps; Python visits
-only the steps where the labels permute. In that gauge the numerical
-Berry connection is close to zero; models with a closed-form
-eigensystem can instead keep their analytic phases.
-
-Two-level models are diagonalized in closed form
-(:func:`adiorbit._linalg.su2_eigh`), larger ones by ``np.linalg.eigh``.
+At each grid sample the frame of the Hermitian h(tau_k) comes from the
+model's closed-form eigensystem when it has one
+(``HamiltonianModel.analytic_frame``), verified against the samples of h,
+and otherwise from an eigensolver: closed form for two-level models
+(:func:`adiorbit._linalg.su2_eigh`), ``np.linalg.eigh`` for larger
+ones. In the default gauge, levels are then matched across
+neighbouring samples by maximum eigenvector overlap (not by eigenvalue
+order, which would swap labels at avoided crossings), and eigenvector
+phases are fixed by discrete parallel transport: the overlap between
+consecutive frames of the same level is made real and positive.
+Transport starts from a fixed convention at tau = 0: each vector's
+largest-modulus entry is real and positive, so the frame does not
+depend on the phases its source happens to return. Tracking is one
+vectorized pass over all steps that forms only the diagonal overlaps
+where they decide the labels; Python visits only the steps where the
+labels permute. In that gauge the numerical Berry connection is close
+to zero; models with a closed-form eigensystem can instead keep their
+analytic phases.
 
 The nonadiabatic coupling gamma_nm = i <phi_n | d phi_m / dtau> is
 computed either by second-order finite differences of the tracked
@@ -28,17 +31,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import central_difference, phase_convention, su2_eigh
+from ._linalg import STEP_CHUNK, central_difference, phase_convention, su2_eigh
 from .errors import (
     AnalyticFrameUnavailable,
     AssignmentAmbiguous,
     DegenerateGap,
     DerivativeUnavailable,
+    InvalidSamples,
 )
 from .grid import TimeGrid
-from .model import HamiltonianModel, sample_derivative, sample_hamiltonian
+from .model import HamiltonianModel, sample_derivative, sample_frame, sample_hamiltonian
 
 _OVERLAP_FLOOR = 1.0 / np.sqrt(2.0)
+# A row of a unitary overlap matrix whose |s_jj| exceeds 1/sqrt(2) has
+# its largest entry at j. A chunk of steps whose diagonal overlaps all
+# clear this margin above that keeps the diagonal without forming the
+# rest; the margin absorbs the roundoff in the frames' orthonormality.
+_DIAGONAL_MARGIN = 0.75
+# Largest |h V - V diag(e)| (relative to max(1, max |e|)) and column norm
+# defect |V^H V - 1|_jj accepted from a closed-form frame.
+_FRAME_TOL = 1e-8
 _CHUNK = 32768
 _FD_STEP = 1e-6
 
@@ -86,9 +98,12 @@ class NonadiabaticCoupling:
     method: GammaMethod
 
 
-def _enforce_min_gap(evals_sorted: np.ndarray, taus: np.ndarray, gap_tol: float) -> float:
-    """Smallest adjacent gap of per-sample-sorted eigenvalues."""
-    diffs = np.diff(evals_sorted, axis=1)
+def _enforce_min_gap(evals: np.ndarray, taus: np.ndarray, gap_tol: float) -> float:
+    """Smallest adjacent gap of each sample's eigenvalues in ascending
+    order; rows are sorted only when one is out of order."""
+    diffs = np.diff(evals, axis=1)
+    if (diffs < 0).any():
+        diffs = np.diff(np.sort(evals, axis=1), axis=1)
     min_gap = float(diffs.min())
     if min_gap < gap_tol:
         k, j = np.unravel_index(np.argmin(diffs), diffs.shape)
@@ -96,14 +111,47 @@ def _enforce_min_gap(evals_sorted: np.ndarray, taus: np.ndarray, gap_tol: float)
     return min_gap
 
 
+def _check_eigensystem(
+    model: HamiltonianModel, taus: np.ndarray, h: np.ndarray, evals: np.ndarray, evecs: np.ndarray
+):
+    """Raise :class:`InvalidSamples` unless every sample of a closed-form
+    frame is an eigensystem of h with unit columns, within _FRAME_TOL.
+
+    Checked STEP_CHUNK samples at a time; only a chunk that fails is
+    searched for its first bad sample.
+    """
+    tol = _FRAME_TOL * max(1.0, float(np.abs(evals).max()))
+    for start in range(0, taus.size, STEP_CHUNK):
+        chunk = slice(start, start + STEP_CHUNK)
+        hc, vc = h[chunk], evecs[chunk]
+        if model.dimension == 2:
+            # a stacked matmul of 2 x 2 matrices pays a per-matrix overhead
+            hv = hc[:, :, :1] * vc[:, None, 0] + hc[:, :, 1:] * vc[:, None, 1]
+        else:
+            hv = hc @ vc
+        hv -= vc * evals[chunk, None, :]
+        resid = np.abs(hv)
+        norm_defect = np.abs(np.einsum("kij,kij->kj", vc.conj(), vc).real - 1.0)
+        if resid.max() > tol or norm_defect.max() > _FRAME_TOL:
+            resid, norm_defect = resid.max(axis=(1, 2)), norm_defect.max(axis=1)
+            k = int(np.argmax((resid > tol) | (norm_defect > _FRAME_TOL)))
+            raise InvalidSamples(
+                f"model {model.name!r}: analytic frame is not a unit eigensystem of h at "
+                f"tau={taus[start + k]:.6g} (|h V - V diag(e)| = {resid[k]:.3e}, "
+                f"column norm defect {norm_defect[k]:.3e}; tolerance {_FRAME_TOL:g} relative)"
+            )
+
+
 def _track(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
-    """Relabel eigh's output by maximum overlap and transport its phases.
+    """Relabel a frame by maximum overlap and transport its phases.
 
     ``evals`` and ``evecs`` are overwritten. Each step's best-overlap
-    column and the overlap it keeps are found chunk by chunk; a step
-    whose best columns are the identity leaves the labels alone. Only at
-    the other steps is the permutation composed and applied to every
-    later sample, so the loop runs over permutation events, not steps.
+    column and the overlap it keeps are found chunk by chunk: a chunk
+    whose diagonal overlaps all exceed _DIAGONAL_MARGIN keeps them, and
+    only the other chunks form the full d x d overlaps. A step whose
+    best columns are the identity leaves the labels alone. Only at the
+    other steps is the permutation composed and applied to every later
+    sample, so the loop runs over permutation events, not steps.
     """
     n1, d, _ = evecs.shape
     ident = np.arange(d)
@@ -111,10 +159,13 @@ def _track(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
     events, event_cols = [np.empty(0, np.intp)], [np.empty((0, d), np.intp)]
     for start in range(0, n1 - 1, _CHUNK):
         stop = min(start + _CHUNK, n1 - 1)
-        s = np.einsum("kij,kil->kjl", evecs[start:stop].conj(), evecs[start + 1 : stop + 1])
+        before, after = evecs[start:stop].conj(), evecs[start + 1 : stop + 1]
+        kept[start:stop] = np.einsum("kij,kij->kj", before, after)
+        if np.abs(kept[start:stop]).min() > _DIAGONAL_MARGIN:
+            continue
+        s = np.einsum("kij,kil->kjl", before, after)
         cols = np.abs(s).argmax(axis=2)
         if np.array_equal(cols, np.broadcast_to(ident, cols.shape)):
-            kept[start:stop] = np.einsum("kjj->kj", s)
             continue
         kept[start:stop] = np.take_along_axis(s, cols[:, :, None], axis=2)[:, :, 0]
         moved = np.flatnonzero((cols != ident).any(axis=1))
@@ -160,14 +211,18 @@ def solve_quasistationary(
     gap_tol: float = 1e-6,
     gauge: Gauge = Gauge.CONTINUITY_FIXED,
 ) -> AdiabaticSpectrum:
-    """Diagonalize h on the grid and return a continuously labeled frame.
+    """Sample the eigensystem of h on the grid as a continuously labeled
+    frame.
 
-    Levels are labeled by ascending eigenvalue at tau = 0 and followed by
-    maximum overlap afterwards. With the default gauge, each vector's
+    The frame is the model's closed-form ``analytic_frame`` when it has
+    one, checked against h at every sample (:class:`InvalidSamples` when
+    it is not a unit eigensystem of h), and the eigensolver's otherwise.
+    With the default gauge, levels are labeled by ascending eigenvalue at
+    tau = 0 and followed by maximum overlap afterwards; each vector's
     largest-modulus entry is real and positive at tau = 0 and phases
-    are then fixed by discrete parallel transport; ``Gauge.ANALYTIC``
-    keeps the model's closed-form frame instead (only for models that
-    provide one).
+    are then fixed by discrete parallel transport. ``Gauge.ANALYTIC``
+    keeps the closed-form frame as it is (only for models that provide
+    one).
 
     Raises :class:`DegenerateGap` when any two levels approach within
     ``gap_tol`` and :class:`AssignmentAmbiguous` when the overlap
@@ -175,24 +230,23 @@ def solve_quasistationary(
     """
     if model.dimension < 2:
         raise ValueError("need at least a two-level model")
+    if gauge is Gauge.ANALYTIC and model.analytic_frame is None:
+        raise AnalyticFrameUnavailable(f"model {model.name!r} has no closed-form eigenframe")
     taus = grid.samples
 
-    if gauge is Gauge.ANALYTIC:
-        if model.analytic_frame is None:
-            raise AnalyticFrameUnavailable(f"model {model.name!r} has no closed-form eigenframe")
-        evals, evecs = model.analytic_frame(taus)
-        evals = np.asarray(evals, dtype=float)
-        evecs = np.asarray(evecs, dtype=complex)
-        min_gap = _enforce_min_gap(np.sort(evals, axis=1), taus, gap_tol)
-        return AdiabaticSpectrum(grid, evals, evecs, gauge, min_gap)
-
     h = sample_hamiltonian(model, taus)
-    evals, evecs = su2_eigh(h) if model.dimension == 2 else np.linalg.eigh(h)
+    frame = sample_frame(model, taus)
+    if frame is None:
+        evals, evecs = su2_eigh(h) if model.dimension == 2 else np.linalg.eigh(h)
+    else:
+        evals, evecs = frame
+        _check_eigensystem(model, taus, h, evals, evecs)
     del h
     min_gap = _enforce_min_gap(evals, taus, gap_tol)
-    # transport keeps the tau = 0 phases, so they fix the whole gauge
-    evecs[0] = phase_convention(evecs[0])
-    evals, evecs = _track(evals, evecs, taus)
+    if gauge is Gauge.CONTINUITY_FIXED:
+        # transport keeps the tau = 0 phases, so they fix the whole gauge
+        evecs[0] = phase_convention(evecs[0])
+        evals, evecs = _track(evals, evecs, taus)
     return AdiabaticSpectrum(grid, evals, evecs, gauge, min_gap)
 
 

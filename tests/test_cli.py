@@ -527,6 +527,18 @@ class TestConfigErrors:
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_one_level_table_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "one.txt"
+        table.write_text("dim=1\n0 1 0\n1 1 0\n2 1 0\n")
+        cfg = write_config(
+            tmp_path,
+            f"model.kind = tabulated\nmodel.path = {table}\n"
+            "grid.tau_end = 2.0\ngrid.n_steps = 100\n",
+        )
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "at least 2" in err
+
     @pytest.mark.parametrize("n_steps", ["1e15", "2e18", "1e19"])
     def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys, n_steps):
         # 1e15 + 1 samples would need 7.1 PiB, more than a 128 TiB user

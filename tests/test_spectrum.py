@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import adiorbit.spectrum
 from adiorbit import (
+    ConjugatedParams,
     Gauge,
     GammaMethod,
     HamiltonianModel,
+    SpinVariant,
     TimeGrid,
     apply_phase_redressing,
+    build_conjugated_model,
     build_frame,
+    build_spin_half,
     compute_nonadiabatic_coupling,
+    run_pipeline,
     sample_hamiltonian,
     solve_quasistationary,
 )
@@ -18,9 +25,10 @@ from adiorbit.errors import (
     DegenerateGap,
     DerivativeUnavailable,
     InputError,
+    InvalidSamples,
 )
 from adiorbit._linalg import phase_convention, su2_eigh
-from adiorbit.spectrum import _CHUNK
+from adiorbit.spectrum import _CHUNK, _DIAGONAL_MARGIN, _OVERLAP_FLOOR
 
 from conftest import SX, SZ, constant_model, smooth_random_model
 
@@ -42,6 +50,15 @@ def tumbling_frame_model():
         return (r @ diag @ r.transpose(0, 2, 1)).astype(complex)
 
     return HamiltonianModel(dimension=3, evaluate_many=evaluate_many, name="tumbling")
+
+
+def conjugated_d5(seed=1):
+    """A d = 5 conjugated model drawn like the benchmark's check workload."""
+    rng = np.random.default_rng(seed)
+    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 2.0, 4))])
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    params = ConjugatedParams(energies=energies, generator=0.05 * (g + g.conj().T) / 2.0)
+    return build_conjugated_model(params)
 
 
 class TestTimeGrid:
@@ -284,6 +301,60 @@ class TestTracking:
             solve_quasistationary(model, grid)
 
 
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """The subscripts of every np.einsum call made while the test runs."""
+    calls = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
+class TestDiagonalFirstTracking:
+    def test_step_below_margin_forms_full_overlaps(self, einsum_calls):
+        # one frame jump rotates levels 0 and 1 by arccos(0.73): the labels
+        # do not permute, but two diagonal overlaps fall between 1/sqrt(2)
+        # and the margin, so the chunk must form the full overlaps
+        rng = np.random.default_rng(11)
+        u0 = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        c, s = 0.73, np.sqrt(1.0 - 0.73**2)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        frames = np.array([u0, u0 @ turn])
+
+        def evaluate_many(taus):
+            v = frames[(taus > 0.505).astype(int)]
+            return v @ np.diag([0.0, 1.0, 2.0]) @ v.conj().transpose(0, 2, 1)
+
+        model = HamiltonianModel(dimension=3, evaluate_many=evaluate_many, name="turn")
+        grid = TimeGrid(tau_end=1.0, n_steps=100)
+        evals, evecs = np.linalg.eigh(sample_hamiltonian(model, grid.samples))
+        evecs[0] = phase_convention(evecs[0])
+        diag = np.abs(np.einsum("kij,kij->kj", evecs[:-1].conj(), evecs[1:]))
+        assert _OVERLAP_FLOOR < diag.min() < _DIAGONAL_MARGIN
+        ref_vals, ref_vecs, perms = reference_track(evals, evecs)
+        assert (perms == np.arange(3)).all()
+
+        einsum_calls.clear()
+        spec = solve_quasistationary(model, grid)
+        assert "kij,kil->kjl" in einsum_calls
+        assert np.array_equal(spec.eigenvalues, ref_vals)
+        assert np.abs(spec.eigenvectors - ref_vecs).max() < 1e-12
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_smooth_frame_forms_only_diagonal_overlaps(
+        self, einsum_calls, spin_a_model, closed_form
+    ):
+        model = spin_a_model if closed_form else replace(spin_a_model, analytic_frame=None)
+        solve_quasistationary(model, TimeGrid(tau_end=20.0, n_steps=2 * _CHUNK + 5))
+        assert "kij,kij->kj" in einsum_calls
+        assert "kij,kil->kjl" not in einsum_calls
+
+
 def rephased(solver, seed):
     """``solver`` with every returned vector times a random phase."""
     rng = np.random.default_rng(seed)
@@ -306,7 +377,12 @@ class TestTauZeroGauge:
 
     @pytest.mark.parametrize("case", ["d3", "spin_a"])
     def test_frame_ignores_eigensolver_phases(self, monkeypatch, spin_a_model, case):
-        model = smooth_random_model(3, seed=5) if case == "d3" else spin_a_model
+        # spin a without its closed-form frame, so the frame comes from su2_eigh
+        model = (
+            smooth_random_model(3, seed=5)
+            if case == "d3"
+            else replace(spin_a_model, analytic_frame=None)
+        )
         grid = TimeGrid(tau_end=10.0, n_steps=2000)
         ref = self.frame(model, grid)
         if model.dimension == 2:
@@ -326,13 +402,123 @@ class TestTauZeroGauge:
         assert np.abs(spec.eigenvectors[0] - [[c, -s], [s, c]]).max() < 1e-15
 
     def test_closed_form_matches_eigh_path(self, monkeypatch, spin_a_model):
+        model = replace(spin_a_model, analytic_frame=None)
         grid = TimeGrid(tau_end=20.0, n_steps=4000)
-        spec = solve_quasistationary(spin_a_model, grid)
+        spec = solve_quasistationary(model, grid)
         monkeypatch.setattr(adiorbit.spectrum, "su2_eigh", np.linalg.eigh)
-        ref = solve_quasistationary(spin_a_model, grid)
+        ref = solve_quasistationary(model, grid)
         assert np.abs(spec.eigenvalues - ref.eigenvalues).max() < 1e-14
         assert np.abs(spec.eigenvectors - ref.eigenvectors).max() < 1e-12
         assert spec.min_gap == pytest.approx(ref.min_gap, rel=1e-14)
+
+
+def bad_frames(model):
+    """Closed-form frames that break the contract, each with the
+    diagnostic it must raise."""
+
+    def three_eigenvalues(taus):
+        evals, evecs = model.analytic_frame(taus)
+        return np.concatenate([evals, evals[:, 1:] + 1.0], axis=1), evecs
+
+    def non_finite(taus):
+        evals, evecs = model.analytic_frame(taus)
+        evecs[taus.size // 2, 0, 1] = np.nan
+        return evals, evecs
+
+    def other_hamiltonian(taus):
+        # the eigensystem of 2 sigma_z, not of h
+        n = taus.size
+        return np.tile([-2.0, 2.0], (n, 1)), np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+
+    def scaled(taus):
+        evals, evecs = model.analytic_frame(taus)
+        return evals, 2.0 * evecs
+
+    return {
+        "three_eigenvalues": (three_eigenvalues, r"eigenvalue samples of shape \(101, 3\)"),
+        "non_finite": (non_finite, r"eigenvector is not finite at tau=2\.5"),
+        "other_hamiltonian": (other_hamiltonian, r"not a unit eigensystem of h at tau=0 "),
+        "scaled": (scaled, r"not a unit eigensystem of h at tau=0 .*norm defect 3\.0"),
+    }
+
+
+class TestClosedFormFrame:
+    """Models with a closed-form frame need no eigensolver; the frame is
+    verified against h at every sample."""
+
+    @pytest.mark.parametrize("gauge", [Gauge.CONTINUITY_FIXED, Gauge.ANALYTIC])
+    @pytest.mark.parametrize(
+        "case", ["three_eigenvalues", "non_finite", "other_hamiltonian", "scaled"]
+    )
+    def test_frame_outside_contract_is_invalid_samples(self, spin_a_model, gauge, case):
+        frame, message = bad_frames(spin_a_model)[case]
+        model = replace(spin_a_model, analytic_frame=frame)
+        grid = TimeGrid(tau_end=5.0, n_steps=100)
+        with pytest.raises(InvalidSamples, match=message):
+            solve_quasistationary(model, grid, gauge=gauge)
+
+    @pytest.mark.parametrize("gauge", [Gauge.CONTINUITY_FIXED, Gauge.ANALYTIC])
+    def test_mislabeled_vectors_are_invalid_samples_d5(self, gauge):
+        model = conjugated_d5()
+
+        def swapped(taus):
+            evals, evecs = model.analytic_frame(taus)
+            return evals, evecs[:, :, [0, 1, 3, 2, 4]]
+
+        grid = TimeGrid(tau_end=5.0, n_steps=100)
+        with pytest.raises(InvalidSamples, match=r"not a unit eigensystem of h at tau=0 "):
+            solve_quasistationary(replace(model, analytic_frame=swapped), grid, gauge=gauge)
+
+    @pytest.mark.parametrize("gauge", [Gauge.CONTINUITY_FIXED, Gauge.ANALYTIC])
+    def test_levels_may_leave_ascending_order(self, gauge):
+        # diabatic levels tau - 1 and 1 - tau cross between two samples;
+        # the closed-form frame keeps their labels, so past the crossing
+        # its eigenvalues are in descending order and the gap is taken
+        # from the sorted values
+        def evaluate_many(taus):
+            return np.multiply.outer(taus - 1.0, SZ)
+
+        def frame(taus):
+            n = taus.size
+            evals = np.stack([taus - 1.0, 1.0 - taus], axis=1)
+            return evals, np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+
+        model = HamiltonianModel(
+            dimension=2, evaluate_many=evaluate_many, name="diabatic", analytic_frame=frame
+        )
+        grid = TimeGrid(tau_end=2.0, n_steps=201)
+        spec = solve_quasistationary(model, grid, gap_tol=1e-4, gauge=gauge)
+        assert np.array_equal(spec.eigenvalues[:, 0], grid.samples - 1.0)
+        assert spec.min_gap == pytest.approx(2.0 / 201.0, rel=1e-12)
+
+    @pytest.mark.parametrize("gauge", [Gauge.CONTINUITY_FIXED, Gauge.ANALYTIC])
+    def test_no_eigensolver_runs(self, monkeypatch, spin_a_model, gauge):
+        def refuse(h):
+            raise AssertionError("eigensolver called")
+
+        models = (spin_a_model, conjugated_d5())  # their builders diagonalize
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(adiorbit.spectrum, "su2_eigh", refuse)
+        for model in models:
+            spec = solve_quasistationary(model, TimeGrid(tau_end=5.0, n_steps=500), gauge=gauge)
+            assert spec.gauge is gauge
+
+    @pytest.mark.parametrize("case", ["spin_a", "spin_b", "conj_d5"])
+    def test_agrees_with_eigensolver(self, spin_a_params, case):
+        # measured on these grids: eigenvalues 1.3e-14, eigenvectors 2.6e-12,
+        # coupling 4.6e-12 and P_exact 4.8e-12 at most
+        if case == "conj_d5":
+            model, grid = conjugated_d5(), TimeGrid(tau_end=40.0, n_steps=40000)
+        else:
+            grid = TimeGrid(tau_end=200.0, n_steps=20000)
+            variant = SpinVariant.A if case == "spin_a" else SpinVariant.B
+            model = build_spin_half(replace(spin_a_params, variant=variant))
+        closed = run_pipeline(model, grid)
+        solved = run_pipeline(replace(model, analytic_frame=None), grid)
+        assert np.abs(closed.spectrum.eigenvalues - solved.spectrum.eigenvalues).max() < 1e-13
+        assert np.abs(closed.spectrum.eigenvectors - solved.spectrum.eigenvectors).max() < 1e-10
+        assert np.abs(closed.frame.coupling - solved.frame.coupling).max() < 5e-11
+        assert np.abs(closed.p_exact - solved.p_exact).max() < 1e-10
 
 
 class TestPhaseRedressing:
