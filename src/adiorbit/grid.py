@@ -2,14 +2,16 @@
 
 Everything downstream (eigenframe tracking, phase integrals, the
 propagators) assumes the same uniform grid, so convergence studies are
-done by step halving rather than adaptive control.
+done by step halving rather than adaptive control. The running
+trapezoid is plain numpy and follows scipy's
+``cumulative_trapezoid(..., initial=0)`` order of operations bit for
+bit, so the package needs no scipy at run time.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,11 @@ def cumulative_trapezoid(values: np.ndarray, dtau: float) -> np.ndarray:
     """Running composite-trapezoid integral along axis 0, starting at 0.
 
     Output has the same shape as ``values``; entry k holds the integral
-    over [tau_0, tau_k].
+    over [tau_0, tau_k]. The same operations in the same order as
+    ``scipy.integrate.cumulative_trapezoid(values, dx=dtau, axis=0,
+    initial=0)`` (scipy 1.17), so the result is equal bit for bit.
+    ``np.cumsum`` rather than ``np.cumulative_sum``, which needs numpy 2.1.
     """
-    return integrate.cumulative_trapezoid(np.asarray(values), dx=dtau, axis=0, initial=0)
+    values = np.asarray(values)
+    steps = np.cumsum(dtau * (values[1:] + values[:-1]) / 2.0, axis=0)
+    return np.concatenate((np.zeros((1,) + steps.shape[1:], steps.dtype), steps))

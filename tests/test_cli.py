@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
@@ -381,6 +384,32 @@ class TestSweep:
                                         "sweep.parameter = model.banana"),
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: neither the import of the CLI nor
+    # a run of it may load any part of it
+    cfg = write_config(
+        tmp_path,
+        SPIN_A_CONFIG.replace("grid.tau_end = 20.0", "grid.tau_end = 2.0").replace(
+            "grid.n_steps = 20000", "grid.n_steps = 200"
+        ),
+    )
+    script = (
+        "import sys\n"
+        "import adiorbit.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        f"code = adiorbit.cli.main(['check', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'run'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "conditions.json").exists()
 
 
 class TestConfigErrors:

@@ -28,6 +28,7 @@ from adiorbit.errors import (
     InvalidSamples,
 )
 from adiorbit._linalg import phase_convention, su2_eigh
+from adiorbit.grid import cumulative_trapezoid
 from adiorbit.spectrum import _CHUNK, _DIAGONAL_MARGIN, _OVERLAP_FLOOR
 
 from conftest import SX, SZ, constant_model, smooth_random_model
@@ -75,6 +76,25 @@ class TestTimeGrid:
         assert grid.samples[-1] == pytest.approx(2.0)
         assert grid.index_of(1.0) == 2
         assert grid.index_of(99.0) == 4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 2)], ids=["n", "n_d", "n_d_d"])
+    @pytest.mark.parametrize("n", [2, 3, 200_001])
+    def test_cumulative_trapezoid_equals_scipy(self, dtype, shape, n):
+        # the package's running trapezoid repeats scipy's operations in
+        # scipy's order, so every phase and kernel integral is unchanged
+        from scipy.integrate import cumulative_trapezoid as scipy_trapezoid
+
+        rng = np.random.default_rng(n + len(shape))
+        values = rng.normal(size=(n, *shape))
+        if dtype is np.complex128:
+            values = values + 1j * rng.normal(size=(n, *shape))
+        dtau = 200.0 / (n - 1)
+        ours = cumulative_trapezoid(values, dtau)
+        ref = scipy_trapezoid(values, dx=dtau, axis=0, initial=0)
+        assert ours.dtype == ref.dtype == dtype
+        assert ours.shape == ref.shape == values.shape
+        assert ours.tobytes() == ref.tobytes()
 
 
 class TestSolveQuasistationary:
