@@ -199,8 +199,10 @@ def _track(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
         raise AssignmentAmbiguous(
             f"overlap assignment is not a permutation at tau={taus[events[n_ok] + 1]:.6g}"
         )
-    # transport phases accumulate multiplicatively
+    # transport phases accumulate multiplicatively; the product's modulus
+    # drifts linearly with the step count, so it is divided out once
     phases = np.concatenate([np.ones((1, d)), np.cumprod(np.conj(kept) / mag, axis=0)])
+    phases /= np.abs(phases)
     evecs *= phases[:, None, :]
     return evals, evecs
 

@@ -301,6 +301,14 @@ class TestTracking:
         assert np.abs(spec.eigenvalues[:, 0]).max() < 1e-4
         assert np.abs(spec.eigenvalues[:, 1] - 0.5).max() < 1e-4
 
+    def test_transport_keeps_unit_norm(self):
+        # the running product of 4e4 unit phases drifts off the unit
+        # circle (7.5e-12 here) unless its modulus is divided out
+        grid = TimeGrid(tau_end=40.0, n_steps=40000)
+        spec = solve_quasistationary(conjugated_d5(), grid, gauge=Gauge.CONTINUITY_FIXED)
+        norms = np.linalg.norm(spec.eigenvectors, axis=1)
+        assert np.abs(norms - 1.0).max() <= 1e-14
+
     def test_ambiguity_reports_earliest_step(self):
         # two frame jumps: a 58 degree turn about (1,1,1) keeps best
         # overlaps at 0.687, the later discrete-Fourier jump at 1/sqrt(3)
