@@ -59,7 +59,6 @@ from .propagate import (
     evolve_schrodinger,
     survival_probability_direct,
     survival_probability_exact,
-    time_ordered_exponential,
 )
 from .spectrum import (
     AdiabaticSpectrum,
@@ -124,6 +123,5 @@ __all__ = [
     "solve_quasistationary",
     "survival_probability_direct",
     "survival_probability_exact",
-    "time_ordered_exponential",
     "verify_conjugated_coupling",
 ]

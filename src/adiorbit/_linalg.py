@@ -12,9 +12,9 @@ of each eigenvector column.
 
 Sequences of steps are multiplied with a blocked two-level scan
 (Blelloch, "Prefix sums and their applications", 1990) that runs over
-chunks of whole blocks and carries the product across chunks, so no
-Python loop runs once per step and no caller of :func:`scan_states`
-holds all n + 1 operators. A chunk is held as d^2 contiguous complex
+chunks of whole blocks and carries the state across chunks, so no
+Python loop runs once per step and no n + 1 operators are ever held,
+only the n + 1 states. A chunk is held as d^2 contiguous complex
 arrays, one per matrix entry, laid out (block, n_blocks): the in-block
 prefix is then d ufunc calls per position (one product, d - 1 sums)
 for all blocks at once, where a stacked matmul of small matrices pays
@@ -200,43 +200,28 @@ def _add_identity(stack: np.ndarray):
 def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Apply a sequence of step matrices to v0, keeping every intermediate.
 
-    Returns shape (n_steps + 1, d) with row 0 equal to v0, with one chunk
-    of steps held at a time. The carry between blocks is the state
-    itself, so this agrees with ``scan_operators(steps) @ v0`` to
-    roundoff, not bit for bit.
-    """
-    d = steps.shape[-1]
-    return _blocked_scan(steps, np.asarray(v0, dtype=complex).reshape(d, 1))[:, :, 0]
-
-
-def scan_operators(steps: np.ndarray) -> np.ndarray:
-    """Ordered products U_k = steps[k-1] @ ... @ steps[0], with U_0 = 1.
-
-    Later steps multiply from the left, i.e. time ordering.
-    """
-    return _blocked_scan(steps, np.eye(steps.shape[-1], dtype=complex))
-
-
-def _blocked_scan(steps: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """out[k] = steps[k-1] @ ... @ steps[0] @ initial, shape (n + 1, d, cols)
-    for a (d, cols) initial: cols = 1 scans a state, cols = d operators.
+    Returns shape (n_steps + 1, d) with out[k] = steps[k-1] @ ... @
+    steps[0] @ v0, so row 0 is v0 and later steps multiply from the
+    left (time ordering). Grouped differently from a step-by-step loop,
+    so the two agree to roundoff, not bit for bit.
 
     Each chunk of whole SCAN_BLOCK-step blocks is copied into one reused
     buffer p[i, k, j, b] = entry (i, k) of step j of block b (the last
     block padded with identities). The in-block prefix runs over j,
-    vectorized across blocks; the carry is chained through the block
-    products in a Python loop once per block, and each block's prefix
-    times its carry is written straight into out. out is allocated with
-    room for the padded steps and trimmed to n + 1 rows on return.
+    vectorized across blocks; the state carried into each block is
+    chained through the block products in a Python loop once per block,
+    and each block's prefix times its carry is formed in p and copied
+    into out. out is allocated with room for the padded steps and
+    trimmed to n + 1 rows on return.
     """
-    n, d, cols = steps.shape[0], steps.shape[-1], initial.shape[-1]
+    n, d = steps.shape[0], steps.shape[-1]
     block = min(SCAN_BLOCK, max(n, 1))
     max_blocks = min(-(-n // block), SCAN_CHUNK_BLOCKS)
-    out = np.empty((1 + -(-n // block) * block, d, cols), dtype=complex)
-    out[0] = initial
+    out = np.empty((1 + -(-n // block) * block, d), dtype=complex)
+    out[0] = v0
     flat = np.empty(d * d * block * max_blocks, dtype=complex)
     products = np.empty((d, d, d, max_blocks), dtype=complex)
-    carry = initial.tolist()
+    carry = out[0].tolist()
     for start in range(0, n, block * SCAN_CHUNK_BLOCKS):
         size = min(block * SCAN_CHUNK_BLOCKS, n - start)
         full, rem = divmod(size, block)
@@ -258,30 +243,15 @@ def _blocked_scan(steps: np.ndarray, initial: np.ndarray) -> np.ndarray:
         carries = []
         for rows in p[:, :, -1].transpose(2, 0, 1).tolist():
             carries.append(carry)
-            columns = list(zip(*carry))
-            carry = [[reduce(add, map(mul, row, col)) for col in columns] for row in rows]
-        dest = out[1 + start : 1 + start + n_blocks * block]
-        dest = dest.reshape(n_blocks, block, d, cols).transpose(2, 3, 1, 0)
-        _apply_carry(p, np.array(carries).transpose(1, 2, 0), dest)
-    return out[: n + 1]
-
-
-def _apply_carry(p: np.ndarray, carry: np.ndarray, dest: np.ndarray):
-    """dest[i, l] = sum_k p[i, k] * carry[k, l] over (j, b) arrays, with
-    carry[k, l] indexed by b. The last column is formed in p itself and
-    copied out, the others use dest as scratch, so nothing chunk-sized is
-    allocated; p is overwritten."""
-    d, cols = carry.shape[:2]
-    for l in range(cols - 1):
-        np.multiply(p[:, 0], carry[0, l], out=dest[:, l])
+            carry = [reduce(add, map(mul, row, carry)) for row in rows]
+        # p[:, 0] <- sum_k p[:, k] * carry[k], carry[k] indexed by block
+        for k, c in enumerate(np.array(carries).T):
+            p[:, k] *= c
         for k in range(1, d):
-            np.multiply(p[:, k], carry[k, l], out=dest[:, l + 1])
-            dest[:, l] += dest[:, l + 1]
-    for k in range(d):
-        p[:, k] *= carry[k, -1]
-    for k in range(1, d):
-        p[:, 0] += p[:, k]
-    dest[:, -1] = p[:, 0]
+            p[:, 0] += p[:, k]
+        dest = out[1 + start : 1 + start + n_blocks * block]
+        dest.reshape(n_blocks, block, d).transpose(2, 1, 0)[...] = p[:, 0]
+    return out[: n + 1]
 
 
 def central_difference(stack: np.ndarray, dtau: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_hermiticity_defect, scan_operators, scan_states, unitary_steps
+from ._linalg import max_hermiticity_defect, scan_states, unitary_steps
 from .errors import GridMismatch
 from .frame import InvariantFrame
 from .grid import TimeGrid
@@ -53,7 +53,14 @@ def evolve_schrodinger(
     return StateTrajectory(grid, scan_states(steps, v0))
 
 
-def _coupling_steps(coupling: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def evolve_coefficients(
+    coupling: np.ndarray, grid: TimeGrid, initial_level: int
+) -> CoefficientTrajectory:
+    """Integrate dc/dtau = i M(tau) c from c_n(0) = delta_nm.
+
+    ``coupling`` holds M at the grid samples; midpoint values are linear
+    interpolations of neighbouring samples.
+    """
     coupling = np.asarray(coupling, dtype=complex)
     if coupling.shape[0] != grid.n_steps + 1:
         raise GridMismatch(
@@ -65,35 +72,13 @@ def _coupling_steps(coupling: np.ndarray, grid: TimeGrid) -> np.ndarray:
     diag = np.einsum("kii->ki", coupling)
     if np.abs(diag).max() > 1e-9 * scale:
         raise ValueError("coupling samples must have zero diagonal")
-    midpoints = 0.5 * (coupling[:-1] + coupling[1:])
-    return unitary_steps(midpoints, grid.dtau, sign=+1)
-
-
-def evolve_coefficients(
-    coupling: np.ndarray, grid: TimeGrid, initial_level: int
-) -> CoefficientTrajectory:
-    """Integrate dc/dtau = i M(tau) c from c_n(0) = delta_nm.
-
-    ``coupling`` holds M at the grid samples; midpoint values are linear
-    interpolations of neighbouring samples.
-    """
-    steps = _coupling_steps(coupling, grid)
     d = coupling.shape[-1]
     if not 0 <= initial_level < d:
         raise ValueError("initial_level out of range")
+    steps = unitary_steps(0.5 * (coupling[:-1] + coupling[1:]), grid.dtau, sign=+1)
     c0 = np.zeros(d, dtype=complex)
     c0[initial_level] = 1.0
     return CoefficientTrajectory(grid, scan_states(steps, c0), initial_level)
-
-
-def time_ordered_exponential(coupling: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Ordered product of the midpoint-exponential steps, all samples.
-
-    Returns shape (n_steps + 1, d, d); entry k solves the coefficient
-    equation up to tau_k, so column m reproduces
-    :func:`evolve_coefficients` started on level m.
-    """
-    return scan_operators(_coupling_steps(coupling, grid))
 
 
 def survival_probability_exact(trajectory: CoefficientTrajectory) -> np.ndarray:

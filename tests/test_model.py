@@ -24,7 +24,7 @@ from adiorbit import (
     solve_quasistationary,
     survival_probability_exact,
 )
-from adiorbit._linalg import STEP_CHUNK, hermitize, phase_convention, scan_operators, unitary_steps
+from adiorbit._linalg import STEP_CHUNK, hermitize, phase_convention, unitary_steps
 from adiorbit.errors import (
     InputError,
     InvalidSamples,
@@ -166,9 +166,10 @@ class TestSpinHalf:
         model_a = build_spin_half(SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4))
         # U_a propagated on a grid, as variant B was once built
         grid = TimeGrid(tau_end=20.0, n_steps=20000)
-        u_a = scan_operators(
-            unitary_steps(sample_hamiltonian(model_a, grid.midpoints), grid.dtau, sign=-1)
-        )
+        u_a = [np.eye(2, dtype=complex)]
+        for step in unitary_steps(sample_hamiltonian(model_a, grid.midpoints), grid.dtau, -1):
+            u_a.append(step @ u_a[-1])
+        u_a = np.array(u_a)
         h_a = sample_hamiltonian(model_a, grid.samples)
         dual = -np.einsum("kji,kjl,klm->kim", u_a.conj(), h_a, u_a)
         assert np.abs(sample_hamiltonian(model_b, grid.samples) - dual).max() < 1e-7
