@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -403,8 +404,7 @@ def test_cli_runs_without_scipy(tmp_path):
         "assert code == 0, code\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'run'\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
