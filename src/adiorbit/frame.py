@@ -1,22 +1,30 @@
 """The phase-dressed eigenframe and its coupling matrix.
 
-Each tracked level is dressed with the accumulated phase of its energy
-minus its Berry connection, which makes the dressed frame invariant (up
-to a global phase) under smooth per-level rephasing of the eigenvectors.
-In that frame the dynamics is generated by a Hermitian, zero-diagonal
-coupling matrix whose entries carry the modulus of the nonadiabatic
-coupling and a phase built from the accumulated energy differences, the
-Berry-connection differences, and the argument of the coupling itself.
+Each tracked level m is dressed with the phase Theta_m, the accumulated
+integral of its energy minus its Berry connection, which makes the
+dressed frame invariant (up to a global phase) under smooth per-level
+rephasing of the eigenvectors. In that frame the dynamics is generated
+by the Hermitian, zero-diagonal coupling
 
-:func:`build_frame` derives all of it in one pass: gamma is hermitized
-once, and the energies and Berry connection are integrated in one
-trapezoid sweep. The coupling matrix is also assembled a second way,
-directly as i times the overlap of dressed frames with their time
-derivative (:func:`coupling_from_overlaps`). The two routes must agree;
-:func:`coupling_route_discrepancy` measures it.
+    M_mn = gamma~_mn e^{i (Theta_m - Theta_n)},
+
+gamma~ being the hermitized nonadiabatic coupling: gamma~ conjugated by
+the dressing phases. :func:`build_frame` forms exactly that, with one
+trapezoid sweep and one complex exponential per level and sample, so
+the coupling does not depend on how the argument of gamma is continued
+where |gamma_mn| vanishes.
+
+The phase decomposition of the coupling, xi (accumulated Berry-connection
+difference plus the unwrapped arg gamma_mn) and alpha = xi plus the
+accumulated energy difference, is only read by the Fourier analysis; the
+frame derives it on first read. The coupling matrix is also assembled a
+second way, directly as i times the overlap of dressed frames with their
+time derivative (:func:`coupling_from_overlaps`). The two routes must
+agree; :func:`coupling_route_discrepancy` measures it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,22 +41,24 @@ ARG_UNDEFINED_TOL = 1e-14
 class InvariantFrame:
     """Phases and coupling of the dressed adiabatic frame.
 
-    ``dynamical_phase[k, m]`` is the integral of e_m minus the Berry
-    connection up to tau_k. ``geometric_phase[k, m, n]`` (xi) is the
-    accumulated Berry-connection difference plus the unwrapped arg of
-    gamma_mn, ``coupling_phase`` (alpha) adds the accumulated energy
-    difference to it, and ``coupling`` is the Hermitian zero-diagonal
-    generator. ``arg_undefined`` flags the samples where |gamma_mn| is
-    below :data:`ARG_UNDEFINED_TOL`.
+    ``dynamical_phase[k, m]`` (Theta) is the integral of e_m minus the
+    Berry connection up to tau_k, and ``coupling`` is the Hermitian
+    zero-diagonal generator gamma~_mn e^{i (Theta_m - Theta_n)}.
+
+    ``geometric_phase[k, m, n]`` (xi), ``coupling_phase`` (alpha) and
+    ``arg_undefined`` are computed from ``gamma`` and ``spectrum`` on
+    first read and then kept; only the Fourier analysis reads them. xi
+    is the accumulated Berry-connection difference plus the unwrapped
+    arg gamma_mn, alpha adds the accumulated energy difference to it,
+    and ``arg_undefined`` flags the samples where |gamma_mn| is below
+    :data:`ARG_UNDEFINED_TOL` (there the argument is bridged by linear
+    interpolation).
     """
 
     spectrum: AdiabaticSpectrum
     gamma: NonadiabaticCoupling
     dynamical_phase: np.ndarray
-    geometric_phase: np.ndarray
-    coupling_phase: np.ndarray
     coupling: np.ndarray
-    arg_undefined: np.ndarray
 
     @property
     def grid(self):
@@ -63,6 +73,32 @@ class InvariantFrame:
         the same elementwise products without building the whole basis."""
         phase = np.exp(-1j * self.dynamical_phase[rows, level])
         return self.spectrum.eigenvectors[rows, :, level] * phase[:, None]
+
+    @cached_property
+    def _arguments(self) -> tuple[np.ndarray, np.ndarray]:
+        gsym = hermitize(self.gamma.values)
+        return _unwrapped_arguments(gsym, np.abs(gsym))
+
+    @cached_property
+    def arg_undefined(self) -> np.ndarray:
+        return self._arguments[1]
+
+    @cached_property
+    def geometric_phase(self) -> np.ndarray:
+        diag = np.arange(self.spectrum.dimension)
+        berry = np.real(np.einsum("knn->kn", hermitize(self.gamma.values)))
+        berry_int = cumulative_trapezoid(berry, self.grid.dtau)
+        xi = berry_int[:, None, :] - berry_int[:, :, None]  # [k, m, n] = int(g_nn - g_mm)
+        xi += self._arguments[0]
+        xi[:, diag, diag] = 0.0
+        return xi
+
+    @cached_property
+    def coupling_phase(self) -> np.ndarray:
+        energy_int = cumulative_trapezoid(self.spectrum.eigenvalues, self.grid.dtau)
+        alpha = energy_int[:, :, None] - energy_int[:, None, :]
+        alpha += self.geometric_phase
+        return alpha
 
 
 def _unwrapped_arguments(gsym: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,60 +128,30 @@ def _unwrapped_arguments(gsym: np.ndarray, magnitude: np.ndarray) -> tuple[np.nd
 def build_frame(spectrum: AdiabaticSpectrum, gamma: NonadiabaticCoupling) -> InvariantFrame:
     """The dressed frame of a tracked spectrum and its coupling matrix.
 
-    The phase of level m accumulates e_m(tau) - gamma_mm(tau) by
-    composite trapezoid from tau = 0. xi_mn accumulates the
-    Berry-connection difference gamma_nn - gamma_mm and adds the
-    continuously unwrapped argument of gamma_mn. Where |gamma_mn| is
-    below :data:`ARG_UNDEFINED_TOL` the argument is undefined; those
-    samples are flagged and bridged by linear interpolation (the
-    coupling entry vanishes there, so the choice cannot influence the
-    dynamics).
-
-    Entry (m, n) of the coupling carries modulus |gamma_mn| and phase
-    alpha_mn = int(e_m - e_n) + xi_mn, which reproduces
+    The phase Theta_m of level m accumulates e_m(tau) - gamma_mm(tau) by
+    composite trapezoid from tau = 0. The coupling is the hermitized
+    gamma conjugated by the dressing phases,
+    M_mn = gamma~_mn e^{i Theta_m} e^{-i Theta_n}, which reproduces
     i <dressed_m | d/dtau dressed_n> off the diagonal. The diagonal is
     exactly zero: its would-be entries are absorbed by the dressing
-    phases.
+    phases. No argument of gamma is taken, so where |gamma_mn| vanishes
+    the entry simply vanishes with it.
     """
     if not spectrum.grid.matches(gamma.grid):
         raise GridMismatch("spectrum and coupling live on different grids")
-    d = spectrum.dimension
-    diag = np.arange(d)
+    diag = np.arange(spectrum.dimension)
     # the continuum gamma is exactly Hermitian; averaging projects out
     # the discretization noise so phases stay real and M exactly Hermitian
-    gsym = hermitize(gamma.values)
-    magnitude = np.abs(gsym)
-    args, undefined = _unwrapped_arguments(gsym, magnitude)
-    energies = spectrum.eigenvalues
-    berry = np.real(np.einsum("knn->kn", gsym))
-    # the trapezoid acts column by column, so one sweep over the stacked
-    # integrands gives each integral exactly as a separate sweep would
-    integrals = cumulative_trapezoid(
-        np.concatenate([energies - berry, berry, energies], axis=1), spectrum.grid.dtau
+    coupling = hermitize(gamma.values)
+    theta = cumulative_trapezoid(
+        spectrum.eigenvalues - coupling[:, diag, diag].real, spectrum.grid.dtau
     )
-    del gsym, berry
-    theta = integrals[:, :d].copy()  # the frame keeps theta, not the stacked sweep
-    berry_int, energy_int = integrals[:, d : 2 * d], integrals[:, 2 * d :]
-
-    xi = berry_int[:, None, :] - berry_int[:, :, None]  # [k, m, n] = int(g_nn - g_mm)
-    xi += args
-    del args
-    xi[:, diag, diag] = 0.0
-    alpha = energy_int[:, :, None] - energy_int[:, None, :]
-    alpha += xi
-    del integrals, berry_int, energy_int
-    coupling = np.exp(1j * alpha)
-    coupling *= magnitude
-    del magnitude
+    rot = np.exp(1j * theta)
+    coupling *= rot[:, :, None]
+    coupling *= rot.conj()[:, None, :]
     coupling[:, diag, diag] = 0.0
     return InvariantFrame(
-        spectrum=spectrum,
-        gamma=gamma,
-        dynamical_phase=theta,
-        geometric_phase=xi,
-        coupling_phase=alpha,
-        coupling=coupling,
-        arg_undefined=undefined,
+        spectrum=spectrum, gamma=gamma, dynamical_phase=theta, coupling=coupling
     )
 
 

@@ -66,6 +66,15 @@ def smooth_random_model(dim, seed, base_gap=1.0, drive=0.1):
     )
 
 
+def conjugated_d5(seed=1):
+    """A d = 5 conjugated model drawn like the benchmark's check workload."""
+    rng = np.random.default_rng(seed)
+    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 2.0, 4))])
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    params = ConjugatedParams(energies=energies, generator=0.05 * (g + g.conj().T) / 2.0)
+    return build_conjugated_model(params)
+
+
 def write_tabulated(path, taus, matrices):
     """Write samples in the tabulated-model text format."""
     matrices = np.asarray(matrices)

@@ -49,8 +49,9 @@ def test_traced_cli_records_layer_spans(tmp_path):
 @pytest.mark.parametrize(
     "workload, expected",
     [
-        ("evolve_spin_a", {"model.sample", "spectrum.solve", "linalg.unitary_steps",
-                           "propagate.schrodinger", "perturb.conditions"}),
+        ("evolve_spin_a", {"model.sample", "spectrum.solve", "frame.build",
+                           "linalg.unitary_steps", "propagate.schrodinger",
+                           "perturb.conditions"}),
         ("check_conj_d5", {"model.build", "model.sample", "spectrum.solve",
                            "frame.build", "perturb.conditions"}),
     ],

@@ -1,22 +1,32 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import adiorbit.frame
 from adiorbit import (
     ConjugatedParams,
     Gauge,
     NonadiabaticCoupling,
+    SpinHalfParams,
     TimeGrid,
     apply_phase_redressing,
     build_conjugated_model,
     build_frame,
+    build_spin_half,
     compute_nonadiabatic_coupling,
     coupling_route_discrepancy,
+    run_pipeline,
     solve_quasistationary,
 )
 from adiorbit.errors import GridMismatch
+from adiorbit.frame import ARG_UNDEFINED_TOL
+from adiorbit.grid import cumulative_trapezoid
 from adiorbit.spectrum import GammaMethod
 
-from conftest import constant_model, smooth_random_model
+from conftest import conjugated_d5, constant_model, smooth_random_model
+
+LAZY_PHASES = ("geometric_phase", "coupling_phase", "arg_undefined")
 
 
 def pipeline_frame(model, grid, gauge=Gauge.CONTINUITY_FIXED):
@@ -29,6 +39,89 @@ def synthetic_frame(grid, values):
     # a constant model's spectrum on the same grid carries the synthetic gamma
     spec = solve_quasistationary(constant_model(np.diag([0.0, 1.0])), grid)
     return build_frame(spec, NonadiabaticCoupling(grid, values, GammaMethod.FINITE_DIFFERENCE))
+
+
+def per_pair_frame(spectrum, gamma):
+    """Reference: the coupling assembled from its modulus and phase,
+    alpha_mn = int(e_m - e_n) + int(g_nn - g_mm) + arg g_mn, with each
+    pair's argument unwrapped on its own and linearly interpolated over
+    the samples where |g_mn| < ARG_UNDEFINED_TOL."""
+    d = spectrum.dimension
+    diag = np.arange(d)
+    gsym = 0.5 * (gamma.values + np.conj(np.swapaxes(gamma.values, -1, -2)))
+    magnitude = np.abs(gsym)
+    n1 = gsym.shape[0]
+    args = np.zeros((n1, d, d))
+    undefined = np.zeros((n1, d, d), dtype=bool)
+    for m in range(d):
+        for n in range(d):
+            if m == n:
+                continue
+            undef = magnitude[:, m, n] < ARG_UNDEFINED_TOL
+            undefined[:, m, n] = undef
+            if undef.all():
+                continue
+            defined = np.nonzero(~undef)[0]
+            unwrapped = np.unwrap(np.angle(gsym[defined, m, n]))
+            if undef.any():
+                args[:, m, n] = np.interp(np.arange(n1), defined, unwrapped)
+            else:
+                args[:, m, n] = unwrapped
+    energies = spectrum.eigenvalues
+    berry = np.real(np.einsum("knn->kn", gsym))
+    integrals = cumulative_trapezoid(
+        np.concatenate([energies - berry, berry, energies], axis=1), spectrum.grid.dtau
+    )
+    theta, berry_int, energy_int = integrals[:, :d], integrals[:, d : 2 * d], integrals[:, 2 * d :]
+    xi = berry_int[:, None, :] - berry_int[:, :, None]
+    xi += args
+    xi[:, diag, diag] = 0.0
+    alpha = energy_int[:, :, None] - energy_int[:, None, :]
+    alpha += xi
+    coupling = np.exp(1j * alpha) * magnitude
+    coupling[:, diag, diag] = 0.0
+    return SimpleNamespace(
+        dynamical_phase=theta,
+        geometric_phase=xi,
+        coupling_phase=alpha,
+        coupling=coupling,
+        arg_undefined=undefined,
+    )
+
+
+def isolated_zero_gamma(grid):
+    """Synthetic coupling whose off-diagonal modulus vanishes at sample 50."""
+    taus = grid.samples
+    values = np.zeros((taus.size, 2, 2), dtype=complex)
+    envelope = taus - 0.5
+    values[:, 0, 1] = envelope * np.exp(1j * 0.7 * taus)
+    values[:, 1, 0] = np.conj(values[:, 0, 1])
+    return values
+
+
+def reference_case(name):
+    """(spectrum, gamma) of a named case of the per-pair comparisons."""
+    if name == "isolated_zero":
+        grid = TimeGrid(tau_end=1.0, n_steps=100)
+        spec = solve_quasistationary(constant_model(np.diag([0.0, 1.0])), grid)
+        values = isolated_zero_gamma(grid)
+        return spec, NonadiabaticCoupling(grid, values, GammaMethod.FINITE_DIFFERENCE)
+    grid = TimeGrid(tau_end=10.0, n_steps=5000)
+    gauge = Gauge.CONTINUITY_FIXED
+    if name.startswith("spin_a"):
+        model = build_spin_half(SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4))
+        gauge = Gauge.ANALYTIC if name == "spin_a_analytic" else gauge
+    elif name == "smooth_random_3":
+        model = smooth_random_model(3, seed=5)
+    else:
+        model = conjugated_d5()
+    spec = solve_quasistationary(model, grid, gauge=gauge)
+    return spec, compute_nonadiabatic_coupling(spec)
+
+
+REFERENCE_CASES = [
+    "spin_a_continuity", "spin_a_analytic", "smooth_random_3", "conjugated_d5", "isolated_zero"
+]
 
 
 def phase_rate(frame):
@@ -127,12 +220,7 @@ class TestGeometricPotential:
     def test_isolated_zero_is_flagged_and_bridged(self):
         # synthetic coupling whose off-diagonal modulus crosses zero mid-grid
         grid = TimeGrid(tau_end=1.0, n_steps=100)
-        taus = grid.samples
-        values = np.zeros((taus.size, 2, 2), dtype=complex)
-        envelope = taus - 0.5  # vanishes exactly at sample 50
-        values[:, 0, 1] = envelope * np.exp(1j * 0.7 * taus)
-        values[:, 1, 0] = np.conj(values[:, 0, 1])
-        frame = synthetic_frame(grid, values)
+        frame = synthetic_frame(grid, isolated_zero_gamma(grid))
         xi = frame.geometric_phase
         assert frame.arg_undefined[50, 0, 1]
         assert not frame.arg_undefined[49, 0, 1]
@@ -213,3 +301,83 @@ class TestCouplingMatrix:
         dbasis = (basis[2:] - basis[:-2]) / (2 * dtau)
         raw_diag = 1j * np.einsum("kim,kim->km", basis[1:-1].conj(), dbasis)
         assert np.abs(raw_diag.real - spec.eigenvalues[1:-1]).max() < 1e-5
+
+
+class TestPerPairReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_coupling_matches_per_pair_route(self, case):
+        spec, gamma = reference_case(case)
+        frame = build_frame(spec, gamma)
+        ref = per_pair_frame(spec, gamma)
+        scale = max(1.0, float(np.abs(gamma.values).max()))
+        assert np.abs(frame.coupling - ref.coupling).max() <= 1e-13 * scale
+        assert np.array_equal(frame.dynamical_phase, ref.dynamical_phase)
+
+    def test_vanishing_entries_stay_vanishing(self):
+        spec, gamma = reference_case("isolated_zero")
+        frame = build_frame(spec, gamma)
+        ref = per_pair_frame(spec, gamma)
+        tiny = np.abs(gamma.values) < ARG_UNDEFINED_TOL
+        assert tiny[50, 0, 1] and tiny[50, 1, 0]
+        assert np.abs(frame.coupling[tiny]).max() < 1e-14
+        assert np.abs(ref.coupling[tiny]).max() < 1e-14
+
+    def test_large_dressing_phases(self):
+        # |Theta| reaches ~1e3: multiplying e^{i Theta_m} by e^{-i Theta_n}
+        # must be as accurate as exponentiating the difference
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        params = ConjugatedParams(
+            energies=[0.0, 12.5, 25.0], generator=0.05 * (g + g.conj().T) / 2.0
+        )
+        spec = solve_quasistationary(
+            build_conjugated_model(params), TimeGrid(tau_end=40.0, n_steps=4000)
+        )
+        gamma = compute_nonadiabatic_coupling(spec)
+        frame = build_frame(spec, gamma)
+        theta = frame.dynamical_phase
+        assert np.abs(theta).max() > 900.0
+
+        diag = np.arange(3)
+        gsym = 0.5 * (gamma.values + np.conj(np.swapaxes(gamma.values, -1, -2)))
+        gsym[:, diag, diag] = 0.0
+        wide = theta.astype(np.longdouble)
+        exact = gsym * np.exp(1j * (wide[:, :, None] - wide[:, None, :]))
+        difference = gsym * np.exp(1j * (theta[:, :, None] - theta[:, None, :]))
+        err_product = float(np.abs(frame.coupling - exact).max())
+        err_difference = float(np.abs(difference - exact).max())
+        scale = float(np.abs(gsym).max())
+        assert err_product <= max(err_difference, 4 * np.finfo(float).eps * scale)
+
+        ref = per_pair_frame(spec, gamma)
+        assert np.abs(frame.coupling - ref.coupling).max() <= 1e-13 * max(1.0, scale)
+
+
+class TestPhasesOnDemand:
+    def test_pipeline_leaves_phases_uncomputed(self, spin_a_model, monkeypatch):
+        calls = []
+        unwrap = adiorbit.frame._unwrapped_arguments
+        monkeypatch.setattr(
+            adiorbit.frame, "_unwrapped_arguments", lambda *a: calls.append(1) or unwrap(*a)
+        )
+        result = run_pipeline(spin_a_model, TimeGrid(tau_end=10.0, n_steps=2000))
+        assert not set(LAZY_PHASES) & vars(result.frame).keys()
+        assert not calls
+        for name in LAZY_PHASES:
+            getattr(result.frame, name)
+        assert set(LAZY_PHASES) <= vars(result.frame).keys()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_phases_equal_eager_route(self, case):
+        spec, gamma = reference_case(case)
+        frame = build_frame(spec, gamma)
+        ref = per_pair_frame(spec, gamma)
+        for name in LAZY_PHASES:
+            assert np.array_equal(getattr(frame, name), getattr(ref, name)), name
+
+    def test_pipeline_phases_equal_eager_route(self):
+        result = run_pipeline(conjugated_d5(), TimeGrid(tau_end=10.0, n_steps=5000))
+        ref = per_pair_frame(result.spectrum, result.gamma)
+        for name in LAZY_PHASES:
+            assert np.array_equal(getattr(result.frame, name), getattr(ref, name)), name

@@ -5,14 +5,12 @@ import pytest
 
 import adiorbit.spectrum
 from adiorbit import (
-    ConjugatedParams,
     Gauge,
     GammaMethod,
     HamiltonianModel,
     SpinVariant,
     TimeGrid,
     apply_phase_redressing,
-    build_conjugated_model,
     build_frame,
     build_spin_half,
     compute_nonadiabatic_coupling,
@@ -31,7 +29,7 @@ from adiorbit._linalg import phase_convention, su2_eigh
 from adiorbit.grid import cumulative_trapezoid
 from adiorbit.spectrum import _CHUNK, _DIAGONAL_MARGIN, _OVERLAP_FLOOR
 
-from conftest import SX, SZ, constant_model, smooth_random_model
+from conftest import SX, SZ, conjugated_d5, constant_model, smooth_random_model
 
 
 def tumbling_frame_model():
@@ -51,15 +49,6 @@ def tumbling_frame_model():
         return (r @ diag @ r.transpose(0, 2, 1)).astype(complex)
 
     return HamiltonianModel(dimension=3, evaluate_many=evaluate_many, name="tumbling")
-
-
-def conjugated_d5(seed=1):
-    """A d = 5 conjugated model drawn like the benchmark's check workload."""
-    rng = np.random.default_rng(seed)
-    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 2.0, 4))])
-    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    params = ConjugatedParams(energies=energies, generator=0.05 * (g + g.conj().T) / 2.0)
-    return build_conjugated_model(params)
 
 
 class TestTimeGrid:
@@ -590,6 +579,21 @@ class TestNonadiabaticCoupling:
         gamma = compute_nonadiabatic_coupling(spec)
         diag = np.einsum("knn->kn", gamma.values)
         assert np.abs(diag.imag).max() < 1e-10
+
+    @pytest.mark.parametrize("case", ["spin_a", "conjugated_d5", "smooth_random_3"])
+    def test_hf_diagonal_is_fd_diagonal(self, spin_a_model, case):
+        # the Hellmann-Feynman route forms only the d diagonal overlaps of
+        # the finite-difference route; they must be the same numbers
+        model = {
+            "spin_a": spin_a_model,
+            "conjugated_d5": conjugated_d5(),
+            "smooth_random_3": smooth_random_model(3, seed=2),
+        }[case]
+        spec = solve_quasistationary(model, TimeGrid(tau_end=10.0, n_steps=5000))
+        g_fd = compute_nonadiabatic_coupling(spec)
+        g_hf = compute_nonadiabatic_coupling(spec, model, GammaMethod.HELLMANN_FEYNMAN)
+        idx = np.arange(model.dimension)
+        assert np.array_equal(g_hf.values[:, idx, idx], g_fd.values[:, idx, idx])
 
     def test_methods_agree_on_conjugated(self, conjugated_example, medium_grid):
         _, model = conjugated_example
