@@ -53,6 +53,15 @@ def hermitize(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
 
 
+def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of square matrices. A stacked matmul of
+    2 x 2 matrices pays a per-matrix overhead, so those are two
+    elementwise products and a sum."""
+    if a.shape[-1] == 2:
+        return a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
+    return a @ b
+
+
 def max_hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.abs(mat - np.conj(np.swapaxes(mat, -1, -2))).max())
 

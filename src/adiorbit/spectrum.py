@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import STEP_CHUNK, central_difference, phase_convention, su2_eigh
+from ._linalg import STEP_CHUNK, central_difference, phase_convention, stacked_matmul, su2_eigh
 from .errors import (
     AnalyticFrameUnavailable,
     AssignmentAmbiguous,
@@ -124,11 +124,7 @@ def _check_eigensystem(
     for start in range(0, taus.size, STEP_CHUNK):
         chunk = slice(start, start + STEP_CHUNK)
         hc, vc = h[chunk], evecs[chunk]
-        if model.dimension == 2:
-            # a stacked matmul of 2 x 2 matrices pays a per-matrix overhead
-            hv = hc[:, :, :1] * vc[:, None, 0] + hc[:, :, 1:] * vc[:, None, 1]
-        else:
-            hv = hc @ vc
+        hv = stacked_matmul(hc, vc)
         hv -= vc * evals[chunk, None, :]
         resid = np.abs(hv)
         norm_defect = np.abs(np.einsum("kij,kij->kj", vc.conj(), vc).real - 1.0)
@@ -304,11 +300,10 @@ def compute_nonadiabatic_coupling(
     step 1e-6 when the model has no analytic derivative); the diagonal
     always comes from the finite-difference route.
     """
-    dtau = spectrum.grid.dtau
     vecs = spectrum.eigenvectors
-    dvecs = central_difference(vecs, dtau)
-    gamma_fd = 1j * np.einsum("kin,kim->knm", vecs.conj(), dvecs)
+    dvecs = central_difference(vecs, spectrum.grid.dtau)
     if method is GammaMethod.FINITE_DIFFERENCE:
+        gamma_fd = 1j * np.einsum("kin,kim->knm", vecs.conj(), dvecs)
         return NonadiabaticCoupling(spectrum.grid, gamma_fd, method)
 
     if model is None:
@@ -317,12 +312,15 @@ def compute_nonadiabatic_coupling(
     if hdot is None:
         hdot = _fd_hamiltonian_derivative(model, spectrum.grid)
 
-    numer = 1j * np.einsum("kin,kij,kjm->knm", vecs.conj(), hdot, vecs)
+    # only the d diagonal overlaps of the finite-difference route are kept
+    berry = 1j * np.einsum("kin,kin->kn", vecs.conj(), dvecs)
+    del dvecs
+    numer = stacked_matmul(vecs.conj().swapaxes(-1, -2), stacked_matmul(hdot, vecs))
+    numer *= 1j
+    del hdot
     denom = spectrum.eigenvalues[:, None, :] - spectrum.eigenvalues[:, :, None]
     d = spectrum.dimension
-    off = ~np.eye(d, dtype=bool)
-    gamma = np.zeros_like(gamma_fd)
-    gamma[:, off] = numer[:, off] / denom[:, off]
+    gamma = np.divide(numer, denom, out=np.zeros_like(numer), where=~np.eye(d, dtype=bool))
     idx = np.arange(d)
-    gamma[:, idx, idx] = gamma_fd[:, idx, idx]
+    gamma[:, idx, idx] = berry
     return NonadiabaticCoupling(spectrum.grid, gamma, method)
