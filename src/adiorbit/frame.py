@@ -8,11 +8,11 @@ by the Hermitian, zero-diagonal coupling
 
     M_mn = gamma~_mn e^{i (Theta_m - Theta_n)},
 
-gamma~ being the hermitized nonadiabatic coupling: gamma~ conjugated by
-the dressing phases. :func:`build_frame` forms exactly that, with one
-trapezoid sweep and one complex exponential per level and sample, so
-the coupling does not depend on how the argument of gamma is continued
-where |gamma_mn| vanishes.
+where gamma~ is the hermitized nonadiabatic coupling: M is gamma~
+conjugated by the dressing phases. :func:`build_frame` forms it with one
+trapezoid sweep and one complex exponential per level and sample. It
+takes no argument of gamma, so the coupling does not depend on how that
+argument is continued where |gamma_mn| vanishes.
 
 The phase decomposition of the coupling, xi (accumulated Berry-connection
 difference plus the unwrapped arg gamma_mn) and alpha = xi plus the
@@ -76,8 +76,7 @@ class InvariantFrame:
 
     @cached_property
     def _arguments(self) -> tuple[np.ndarray, np.ndarray]:
-        gsym = hermitize(self.gamma.values)
-        return _unwrapped_arguments(gsym, np.abs(gsym))
+        return _unwrapped_arguments(hermitize(self.gamma.values))
 
     @cached_property
     def arg_undefined(self) -> np.ndarray:
@@ -86,8 +85,8 @@ class InvariantFrame:
     @cached_property
     def geometric_phase(self) -> np.ndarray:
         diag = np.arange(self.spectrum.dimension)
-        berry = np.real(np.einsum("knn->kn", hermitize(self.gamma.values)))
-        berry_int = cumulative_trapezoid(berry, self.grid.dtau)
+        # the real part of gamma's diagonal is that of the hermitized gamma
+        berry_int = cumulative_trapezoid(self.gamma.values[:, diag, diag].real, self.grid.dtau)
         xi = berry_int[:, None, :] - berry_int[:, :, None]  # [k, m, n] = int(g_nn - g_mm)
         xi += self._arguments[0]
         xi[:, diag, diag] = 0.0
@@ -101,10 +100,11 @@ class InvariantFrame:
         return alpha
 
 
-def _unwrapped_arguments(gsym: np.ndarray, magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unwrapped_arguments(gsym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped arg gamma_mn per pair, with undefined samples
     linearly interpolated from their defined neighbours."""
     n1, d, _ = gsym.shape
+    magnitude = np.abs(gsym)
     args = np.zeros((n1, d, d))
     undefined = np.zeros((n1, d, d), dtype=bool)
     sample_idx = np.arange(n1)

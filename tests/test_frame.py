@@ -305,13 +305,16 @@ class TestCouplingMatrix:
 
 class TestPerPairReference:
     @pytest.mark.parametrize("case", REFERENCE_CASES)
-    def test_coupling_matches_per_pair_route(self, case):
+    def test_matches_per_pair_route(self, case):
+        # the coupling agrees at roundoff; the phases, derived on demand,
+        # are the reference's numbers bit for bit
         spec, gamma = reference_case(case)
         frame = build_frame(spec, gamma)
         ref = per_pair_frame(spec, gamma)
         scale = max(1.0, float(np.abs(gamma.values).max()))
         assert np.abs(frame.coupling - ref.coupling).max() <= 1e-13 * scale
-        assert np.array_equal(frame.dynamical_phase, ref.dynamical_phase)
+        for name in ("dynamical_phase",) + LAZY_PHASES:
+            assert np.array_equal(getattr(frame, name), getattr(ref, name)), name
 
     def test_vanishing_entries_stay_vanishing(self):
         spec, gamma = reference_case("isolated_zero")
@@ -363,21 +366,8 @@ class TestPhasesOnDemand:
         result = run_pipeline(spin_a_model, TimeGrid(tau_end=10.0, n_steps=2000))
         assert not set(LAZY_PHASES) & vars(result.frame).keys()
         assert not calls
-        for name in LAZY_PHASES:
-            getattr(result.frame, name)
-        assert set(LAZY_PHASES) <= vars(result.frame).keys()
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("case", REFERENCE_CASES)
-    def test_phases_equal_eager_route(self, case):
-        spec, gamma = reference_case(case)
-        frame = build_frame(spec, gamma)
-        ref = per_pair_frame(spec, gamma)
-        for name in LAZY_PHASES:
-            assert np.array_equal(getattr(frame, name), getattr(ref, name)), name
-
-    def test_pipeline_phases_equal_eager_route(self):
-        result = run_pipeline(conjugated_d5(), TimeGrid(tau_end=10.0, n_steps=5000))
         ref = per_pair_frame(result.spectrum, result.gamma)
         for name in LAZY_PHASES:
             assert np.array_equal(getattr(result.frame, name), getattr(ref, name)), name
+        assert set(LAZY_PHASES) <= vars(result.frame).keys()
+        assert len(calls) == 1
