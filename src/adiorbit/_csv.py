@@ -17,9 +17,24 @@ A field whose y lies within ``_GUARD`` of a half-integer (a possible
 tie, which ``%`` rounds half-even on the exact binary value) or of 1e16
 or 1e17 is formatted by ``%`` itself, and so is every other field: nan,
 ±inf, subnormals and magnitudes outside the range above. ±0.0 is written
-directly. Each field fills a 25-byte slot: sign or pad, lead digit,
-``.``, 16 digits, ``e±XX`` or ``e±XXX``, then ``,`` or ``\\n``. Pads are
-zero bytes and are compressed out at the end.
+directly.
+
+Each field fills a slot of seven uint32 words, every word a 1-D ``take``
+from a small table of four ASCII bytes:
+
+    [pad|sign|lead|.] [dddd] [dddd] [dddd] [dddd] [e|±|X|X] [X|sep|pad|pad]
+
+The sign word is indexed by 10 * signbit + lead digit, each digit word by
+a 4-digit group of D (split by scalar divisors: 10^16, 10^8, 10^4), and
+the two exponent words by E; the last word holds the separator, ``,`` or
+``\\n``, right after the exponent's last digit (``[sep|pad|pad|pad]``
+when |E| < 100). A ``%`` field is its text plus the separator, zero-padded
+to the slot. Pads are zero bytes, deleted at the end by
+``bytes.translate``; where every field of a chunk is positive, with
+|E| < 100 and no ``%`` text, they sit at fixed places and a strided copy
+of bytes 2..24 of each slot drops them instead. Tables are formatted
+``_CHUNK`` fields at a time, so every temporary stays small (large fresh
+arrays cost a page fault per 4 KiB).
 """
 
 import numpy as np
@@ -28,7 +43,8 @@ _E_MIN, _E_MAX = -210, 210  # decimal exponents the power table covers
 _X_MIN, _X_MAX = 1e-200, 1e200  # magnitudes formatted without '%'
 _GUARD = 1e-6  # distance from a tie or a decade edge that falls back to '%'
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-_SLOT = 25  # bytes per field: "-d." + 16 digits + "e+XXX" + separator
+_CHUNK = 4096  # fields formatted at once, so that every temporary stays small
+_WORDS = 7  # uint32 words per field: "-d." + 16 digits + "e+XXX" + separator + pads
 
 
 def _split(a: np.ndarray):
@@ -64,23 +80,46 @@ def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
     return (values[:, None] // places % 10 + ord("0")).astype(np.uint8)
 
 
-# ASCII of every 4-digit group 0000..9999, four bytes viewed as one uint32
-_DIGITS4 = _ascii_digits(np.arange(10000), 4).view(np.uint32).ravel()
-_GROUP_PLACES = np.array([10**12, 10**8, 10**4, 1])
-# ASCII of |E|: two digits and a zero pad below 100, else three digits
-_EXP3 = _ascii_digits(np.arange(400), 3)
-_EXP3[:100] = np.roll(_EXP3[:100], -1, axis=1)
-_EXP3[:100, 2] = 0
+def _words(*columns) -> np.ndarray:
+    """A 1-D uint32 table whose entry i holds the four bytes ``columns[:][i]``."""
+    columns = np.broadcast_arrays(*columns)
+    return np.stack(columns, axis=-1).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _exponent_tables():
+    """The last two words of a field, from its exponent E and separator.
+
+    ``['e'|±|X|X]`` at index E - _E_MIN, then ``[X|sep|pad|pad]`` or
+    ``[sep|pad|pad|pad]`` at index 2 (E - _E_MIN) + (sep is ``\\n``): |E|
+    takes two digits below 100, else three.
+    """
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    d = _ascii_digits(np.abs(e), 3).T
+    three = np.abs(e) >= 100
+    sign = np.where(e < 0, ord("-"), ord("+"))
+    high = _words(ord("e"), sign, np.where(three, d[0], d[1]), np.where(three, d[1], d[2]))
+    sep = np.array([ord(","), ord("\n")])
+    three, last = three[:, None], d[2][:, None]
+    return high, _words(np.where(three, last, sep), np.where(three, sep, 0), 0, 0)
+
+
+# every 4-digit group 0000..9999
+_DIGITS4 = _words(*_ascii_digits(np.arange(10000), 4).T)
+# [pad|sign|lead|'.'] at index 10 * signbit + lead digit
+_LEAD = _words(
+    0, np.where(np.arange(20) < 10, 0, ord("-")), np.arange(20) % 10 + ord("0"), ord(".")
+)
+_EXP_HI, _EXP_SEP = _exponent_tables()
 
 
 def _scaled(ax: np.ndarray, e: np.ndarray):
     """y = ax * 10^(16 - e) as a normalized double-double (yh, yl)."""
     idx = _E_MAX - e
-    b, b_hi, b_lo = _P_HI[idx], _P_HI_HI[idx], _P_HI_LO[idx]
+    b, b_hi, b_lo = _P_HI.take(idx), _P_HI_HI.take(idx), _P_HI_LO.take(idx)
     a_hi, a_lo = _split(ax)
     p = ax * b
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    t = err + ax * _P_LO[idx]
+    t = err + ax * _P_LO.take(idx)
     yh = p + t
     return yh, t - (yh - p)
 
@@ -93,31 +132,36 @@ def _digits(ax: np.ndarray):
     """
     e = np.floor(np.log10(ax)).astype(np.int64)
     yh, yl = _scaled(ax, e)
-    low = (yh < 1e16) | ((yh == 1e16) & (yl < 0))
-    high = (yh > 1e17) | ((yh == 1e17) & (yl >= 0))
-    off = low | high
-    if off.any():
-        e[off] += np.where(high[off], 1, -1)
-        yh[off], yl[off] = _scaled(ax[off], e[off])
+    i = np.flatnonzero((yh <= 1e16) | (yh >= 1e17))  # E may be one off
+    if i.size:
+        h, l = yh[i], yl[i]
+        low = (h < 1e16) | ((h == 1e16) & (l < 0))
+        high = (h > 1e17) | ((h == 1e17) & (l >= 0))
+        e[i] += high.astype(np.int64) - low
+        yh[i], yl[i] = _scaled(ax[i], e[i])
     floor = np.floor(yl)
     frac = yl - floor
-    exact = (
-        (np.abs(frac - 0.5) >= _GUARD)
-        & (np.abs((yh - 1e16) + yl) >= _GUARD)
-        & (np.abs((yh - 1e17) + yl) >= _GUARD)
-        & (yh >= 1e16)
-        & (yh <= 1e17)
-    )
+    exact = np.abs(frac - 0.5) >= _GUARD
     digits = yh.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    e += carry
+    # |yl| <= 8, half an ulp of yh: only these y can lie within _GUARD of
+    # 1e16 or 1e17, or round up to 1e17
+    i = np.flatnonzero((yh < 1e16 + 16) | (yh > 1e17 - 32))
+    if i.size:
+        h, l = yh[i], yl[i]
+        exact[i] &= (
+            (np.abs((h - 1e16) + l) >= _GUARD)
+            & (np.abs((h - 1e17) + l) >= _GUARD)
+            & (h >= 1e16)
+            & (h <= 1e17)
+        )
+        carry = i[digits[i] == 10**17]
+        digits[carry] = 10**16
+        e[carry] += 1
     return digits, e, exact
 
 
-def format_rows(table: np.ndarray) -> bytes:
-    """The CSV bytes of a 2-D float table, every field as ``'%.16e'``."""
-    table = np.asarray(table, dtype=np.float64)
+def _format_fields(table: np.ndarray) -> bytes:
+    """``format_rows`` of one chunk of rows."""
     rows, cols = table.shape
     x = table.ravel()
     ax = np.abs(x)
@@ -125,23 +169,37 @@ def format_rows(table: np.ndarray) -> bytes:
     zero = ax == 0
     digits, exponent, exact = _digits(np.where(fast, ax, 1.0))
     digits[zero] = 0  # 1.0 stood in for ±0.0: exponent 0 already
-    slow = ~(fast & exact | zero)  # nan, ±inf, subnormals, out of range, near ties
+    # nan, ±inf, subnormals, out of range, near ties
+    slow = np.flatnonzero(~(fast & exact | zero))
+    negative = np.signbit(x)
 
-    out = np.zeros((x.size, _SLOT), dtype=np.uint8)
-    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    lead, rest = np.divmod(digits, 10**16)
-    out[:, 1] = lead + ord("0")
-    out[:, 2] = ord(".")
-    out[:, 3:19] = _DIGITS4[rest[:, None] // _GROUP_PLACES % 10000].view(np.uint8)
-    out[:, 19] = ord("e")
-    out[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
-    out[:, 21:24] = _EXP3[np.abs(exponent)]
-    sep = out.reshape(rows, cols, _SLOT)[:, :, _SLOT - 1]
-    sep[:] = ord(",")
-    sep[:, -1] = ord("\n")
-    for i in np.flatnonzero(slow):
-        text = ("%.16e" % x[i]).encode()
-        out[i, : _SLOT - 1] = 0
-        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-    flat = out.ravel()
-    return flat[flat != 0].tobytes()
+    out = np.empty((x.size, _WORDS), dtype=np.uint32)
+    lead = digits // 10**16
+    out[:, 0] = _LEAD.take(lead + 10 * negative)
+    digits -= lead * 10**16
+    high = digits // 10**8
+    for word, half in ((1, high), (3, digits - high * 10**8)):
+        group = half // 10**4
+        out[:, word] = _DIGITS4.take(group)
+        out[:, word + 1] = _DIGITS4.take(half - group * 10**4)
+    narrow = not (slow.size or negative.any()) and -100 < exponent.min() and exponent.max() < 100
+    exponent -= _E_MIN
+    out[:, 5] = _EXP_HI.take(exponent)
+    exponent *= 2
+    exponent.reshape(rows, cols)[:, -1] += 1
+    out[:, 6] = _EXP_SEP.take(exponent)
+    for i in slow:
+        sep = b"\n" if i % cols == cols - 1 else b","
+        text = ("%.16e" % x[i]).encode() + sep
+        out[i] = np.frombuffer(text.ljust(4 * _WORDS, b"\0"), dtype=np.uint32)
+    if narrow:  # every field is "d." + 16 digits + "e±XX" + separator
+        return out.view(np.uint8)[:, 2:25].tobytes()
+    return out.tobytes().translate(None, b"\0")
+
+
+def format_rows(table: np.ndarray) -> bytes:
+    """The CSV bytes of a 2-D float table, every field as ``'%.16e'``."""
+    table = np.asarray(table, dtype=np.float64)
+    rows, cols = table.shape
+    step = max(1, _CHUNK // max(cols, 1))
+    return b"".join(_format_fields(table[i : i + step]) for i in range(0, rows, step))

@@ -151,13 +151,13 @@ def fourier_decompose_coupling(
         Harmonic(index=l, frequency=base * l, amplitude=complex(spectrum[l % steps_per_period]))
         for l in range(-n_harmonics, n_harmonics + 1)
     )
-    mean_square = float(np.mean(window**2))
-    kept = sum(abs(h.amplitude) ** 2 for h in harmonics)
+    # Parseval: the dropped harmonics' weight, a sum of squares and so >= 0
+    dropped = spectrum[n_harmonics + 1 : steps_per_period - n_harmonics]
     return CouplingHarmonics(
         period=period,
         harmonics=harmonics,
-        mean_square=mean_square,
-        tail_energy=float(mean_square - kept),
+        mean_square=float(np.mean(window**2)),
+        tail_energy=float(np.sum(np.abs(dropped) ** 2)),
     )
 
 

@@ -3,9 +3,9 @@
 This is the programmatic counterpart of the CLI ``evolve`` command and
 the work-horse of the test suite: one call produces the exact survival
 probability (coefficient route), the perturbative approximations, and
-the conservation residuals, all on a shared grid. The Schrodinger route
-and its direct overlap probability are a cross-check; they are computed
-the first time ``states`` or ``p_direct`` is read.
+the conservation residuals, all on a shared grid. The perturbative
+probabilities, and the Schrodinger route with its direct overlap
+probability (a cross-check), are computed the first time they are read.
 """
 
 from dataclasses import dataclass
@@ -45,8 +45,9 @@ from .spectrum import (
 class PipelineResult:
     """Everything one scenario produces, on a single grid.
 
-    ``states`` and ``p_direct`` (the Schrodinger route) are computed on
-    first read and then kept.
+    ``p_first``, ``p_second`` and ``p_ratio`` (the perturbative
+    approximations) and ``states`` and ``p_direct`` (the Schrodinger
+    route) are computed on first read and then kept.
     """
 
     model: HamiltonianModel
@@ -57,15 +58,26 @@ class PipelineResult:
     frame: InvariantFrame
     coefficients: CoefficientTrajectory
     p_exact: np.ndarray
-    p_first: np.ndarray
-    p_second: np.ndarray
-    p_ratio: np.ndarray
     norm_residual: np.ndarray
     ratio_valid: bool
 
     @property
     def min_p_exact(self) -> float:
         return float(self.p_exact.min())
+
+    @cached_property
+    def p_first(self) -> np.ndarray:
+        return first_order_probability(self.frame.coupling, self.grid, self.initial_level)
+
+    @cached_property
+    def p_second(self) -> np.ndarray:
+        return second_order_probability(self.frame.coupling, self.grid, self.initial_level)
+
+    @cached_property
+    def p_ratio(self) -> np.ndarray:
+        return ratio_probability_first_iteration(
+            self.frame.coupling, self.grid, self.initial_level, check_breakdown=False
+        )
 
     @cached_property
     def states(self) -> StateTrajectory:
@@ -87,23 +99,17 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the full evolution pipeline for one scenario.
 
-    The perturbative ratio probability is always computed (it is a
-    well-defined formula regardless of regime); ``ratio_valid`` records
-    whether the exact coefficient magnitude stayed above the breakdown
-    floor so downstream reporting can distrust it.
+    The perturbative ratio probability is defined in every regime (and,
+    like the other perturbative probabilities, computed on first read);
+    ``ratio_valid`` records whether the exact coefficient magnitude stayed
+    above the breakdown floor so downstream reporting can distrust it.
     """
     spectrum = solve_quasistationary(model, grid, gap_tol=gap_tol, gauge=gauge)
     gamma = compute_nonadiabatic_coupling(spectrum, model=model, method=gamma_method)
     frame = build_frame(spectrum, gamma)
-    coupling = frame.coupling
 
-    coefficients = evolve_coefficients(coupling, grid, initial_level)
+    coefficients = evolve_coefficients(frame.coupling, grid, initial_level)
     p_exact = survival_probability_exact(coefficients)
-    p_first = first_order_probability(coupling, grid, initial_level)
-    p_second = second_order_probability(coupling, grid, initial_level)
-    p_ratio = ratio_probability_first_iteration(
-        coupling, grid, initial_level, check_breakdown=False
-    )
     ratio_valid = bool(
         np.abs(coefficients.coefficients[:, initial_level]).min() >= RATIO_FLOOR
     )
@@ -117,9 +123,6 @@ def run_pipeline(
         frame=frame,
         coefficients=coefficients,
         p_exact=p_exact,
-        p_first=p_first,
-        p_second=p_second,
-        p_ratio=p_ratio,
         norm_residual=norm_residuals(coefficients),
         ratio_valid=ratio_valid,
     )

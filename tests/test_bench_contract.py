@@ -51,7 +51,7 @@ def test_traced_cli_records_layer_spans(tmp_path):
     [
         ("evolve_spin_a", {"model.sample", "spectrum.solve", "frame.build",
                            "linalg.unitary_steps", "propagate.schrodinger",
-                           "perturb.conditions"}),
+                           "perturb.probabilities", "perturb.conditions"}),
         ("check_conj_d5", {"model.build", "model.sample", "spectrum.solve",
                            "frame.build", "perturb.conditions"}),
     ],

@@ -201,6 +201,47 @@ class TestSchrodingerRoute:
         assert len(calls) == 1
 
 
+class TestPerturbativeProbabilities:
+    """P_first, P_second and P_ratio are computed only when read: by evolve's CSV."""
+
+    NAMES = (
+        "first_order_probability",
+        "second_order_probability",
+        "ratio_probability_first_iteration",
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        for name in self.NAMES:
+            original = getattr(pipeline, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counted.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counting)
+        return counted
+
+    @pytest.mark.parametrize("command, expected", [("check", 0), ("sweep", 0), ("evolve", 1)])
+    def test_run_only_for_evolve(self, tmp_path, calls, command, expected):
+        cfg = write_config(
+            tmp_path, SPIN_A_CONFIG + "sweep.parameter = model.omega\nsweep.values = 0.1, 0.2\n"
+        )
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(calls) == sorted(self.NAMES * expected)
+
+    def test_read_twice_runs_once(self, tmp_path, calls):
+        scenario = load_scenario(write_config(tmp_path, SPIN_A_CONFIG))
+        result = pipeline.run_pipeline(scenario.model, scenario.grid)
+        assert calls == []
+        for name, attr in zip(self.NAMES, ("p_first", "p_second", "p_ratio")):
+            first = getattr(result, attr)
+            assert getattr(result, attr) is first
+            assert calls[-1] == name
+        assert sorted(calls) == sorted(self.NAMES)
+
+
 class TestCheck:
     def test_adiabatic_regime_all_pass(self, tmp_path):
         cfg = write_config(tmp_path, SPIN_A_CONFIG)
@@ -280,6 +321,20 @@ class TestFourier:
         ) == 0
         payload = json.loads((out / "fourier.json").read_text())
         assert payload["pairs"][0]["pass"] is True
+
+    def test_tail_energy_is_not_negative(self, tmp_path):
+        # the benchmark's seed-1 evolve_spin_a scenario over two periods
+        cfg = write_config(
+            tmp_path,
+            "model.kind = spin_half\nmodel.variant = a\n"
+            "model.omega0 = 1.0\nmodel.omega = 0.1\n"
+            "model.theta = 0.7915879516160853\n"
+            f"grid.tau_end = {4 * np.pi / 0.1!r}\ngrid.n_steps = 40000\n",
+        )
+        out = tmp_path / "out"
+        assert main(["fourier", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "fourier.json").read_text())
+        assert [pair["tail_energy"] >= 0.0 for pair in payload["pairs"]] == [True]
 
     def test_no_period_is_config_error(self, tmp_path):
         cfg = write_config(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiorbit import _csv
 from adiorbit._csv import format_rows
 
 
@@ -83,3 +84,53 @@ def test_edge_values():
 def test_shapes(shape):
     values = np.random.default_rng(1).standard_normal(shape) * 1e3
     assert format_rows(values) == reference(values)
+
+
+
+def test_separators_on_fallback_fields():
+    # every fallback kind in the first, a middle and the last column, in rows
+    # that also hold negative values and 3-digit exponents
+    near_tie = 1234567890123456.75  # its 17 digits end in a tie, see above
+    assert not _csv._digits(np.array([near_tie]))[2][0]
+    fallbacks = [np.nan, -np.inf, np.inf, 5e-324, -2.5e-310, near_tie, -near_tie, 1e-250]
+    rng = np.random.default_rng(9)
+    blocks = []
+    for value in fallbacks:
+        for col in (0, 3, 6):
+            rows = rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-150, 150, (3, 7))
+            rows[1, col] = value
+            blocks.append(rows)
+    table = np.concatenate(blocks)
+    assert np.signbit(table).sum() > 50 and (np.abs(table) < 1e-99).sum() > 50
+    assert format_rows(table) == reference(table)
+    # fallback fields side by side, and rows of nothing else
+    assert_formats_like_percent(fallbacks, cols=4)
+    assert_formats_like_percent(fallbacks, cols=1)
+
+
+def test_fast_path_covers_probability_tables(monkeypatch):
+    # a 2e5-row table shaped like evolution.csv: tau, probabilities near 1,
+    # tiny residuals and level populations. '%' must stay a rare fallback.
+    seen, masks = [], []
+    digits = _csv._digits
+
+    def recording(ax):
+        out = digits(ax)
+        seen.append(ax)
+        masks.append(out[2])
+        return out
+
+    monkeypatch.setattr(_csv, "_digits", recording)
+    n = 200_001
+    rng = np.random.default_rng(13)
+    p = 1.0 - 1e-2 * rng.random((n, 5))
+    table = np.column_stack(
+        [np.linspace(0.0, 200.0, n), p, 1e-15 * rng.random(n), p[:, 0], 1.0 - p[:, 0]]
+    )
+    text = format_rows(table)
+    # a field takes the fast path when its own magnitude reached _digits
+    # (not a stand-in) and came back exact
+    fast = (np.concatenate(seen) == np.abs(table.ravel())) & np.concatenate(masks)
+    assert fast.mean() >= 0.9999
+    rows = slice(None, None, 97)
+    assert text.splitlines(keepends=True)[rows] == reference(table[rows]).splitlines(keepends=True)

@@ -118,6 +118,16 @@ class TestDecomposition:
         )
         assert harmonics.tail_energy < 1e-12  # band-limited input
 
+    def test_tail_energy_is_a_sum_of_squares(self):
+        # a constant has no tail; mean_square minus the kept weight can
+        # round below zero, the dropped weight cannot
+        grid = TimeGrid(tau_end=2.0, n_steps=2000)
+        for level in np.linspace(0.01, 1.0, 50):
+            harmonics = fourier_decompose_coupling(
+                np.full(2001, level), grid, 2.0, n_harmonics=2
+            )
+            assert 0.0 <= harmonics.tail_energy < 1e-30
+
     def test_reconstruction_within_tail(self):
         period = 2.0
         grid = TimeGrid(tau_end=2.0, n_steps=2000)
