@@ -33,8 +33,9 @@ to the slot. Pads are zero bytes, deleted at the end by
 ``bytes.translate``; where every field of a chunk is positive, with
 |E| < 100 and no ``%`` text, they sit at fixed places and a strided copy
 of bytes 2..24 of each slot drops them instead. Tables are formatted
-``_CHUNK`` fields at a time, so every temporary stays small (large fresh
-arrays cost a page fault per 4 KiB).
+``_CHUNK`` fields at a time: each temporary array then takes 64 KiB or
+less, which malloc reuses from its heap, where temporaries of a whole block
+can be mapped fresh from the system and page-faulted in on every call.
 """
 
 import numpy as np
@@ -43,7 +44,7 @@ _E_MIN, _E_MAX = -210, 210  # decimal exponents the power table covers
 _X_MIN, _X_MAX = 1e-200, 1e200  # magnitudes formatted without '%'
 _GUARD = 1e-6  # distance from a tie or a decade edge that falls back to '%'
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-_CHUNK = 4096  # fields formatted at once, so that every temporary stays small
+_CHUNK = 8192  # fields formatted at once, so that every temporary stays small
 _WORDS = 7  # uint32 words per field: "-d." + 16 digits + "e+XXX" + separator + pads
 
 
