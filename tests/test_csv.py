@@ -86,7 +86,6 @@ def test_shapes(shape):
     assert format_rows(values) == reference(values)
 
 
-
 def test_separators_on_fallback_fields():
     # every fallback kind in the first, a middle and the last column, in rows
     # that also hold negative values and 3-digit exponents
