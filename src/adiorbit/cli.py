@@ -317,13 +317,17 @@ def _evolution_blocks(result: PipelineResult):
 
     Every block is a view of one buffer, refilled on the next step.
     """
+    # The perturbative curves are computed on first read. Read before the
+    # Schrodinger route, their temporaries are freed before the route's are
+    # taken, so the heap's peak does not grow.
+    p_first, p_second, p_ratio = result.p_first, result.p_second, result.p_ratio
     columns = [
         result.grid.samples,
         result.p_exact,
         result.p_direct,
-        result.p_first,
-        result.p_second,
-        result.p_ratio,
+        p_first,
+        p_second,
+        p_ratio,
         result.norm_residual,
     ]
     coefficients = result.coefficients.coefficients

@@ -241,6 +241,21 @@ class TestPerturbativeProbabilities:
             assert calls[-1] == name
         assert sorted(calls) == sorted(self.NAMES)
 
+    def test_evolve_reads_them_before_the_schrodinger_route(self, tmp_path, calls, monkeypatch):
+        """Their temporaries are freed before the route's are taken, which keeps
+        evolve's peak RSS down."""
+        original = pipeline.evolve_schrodinger
+
+        def marking(*args, **kwargs):
+            calls.append("evolve_schrodinger")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "evolve_schrodinger", marking)
+        cfg = write_config(tmp_path, SPIN_A_CONFIG)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert calls[-1] == "evolve_schrodinger"
+        assert sorted(calls[:-1]) == sorted(self.NAMES)
+
 
 class TestCheck:
     def test_adiabatic_regime_all_pass(self, tmp_path):
