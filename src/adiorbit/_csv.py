@@ -1,7 +1,7 @@
 """Exact, vectorized ``'%.16e'`` formatting of float tables as CSV bytes.
 
-``format_rows(table)`` returns the bytes of
-``"".join(",".join("%.16e" % x for x in row) + "\\n" for row in table)``
+``write_rows(fh, columns)`` writes to ``fh`` the bytes of
+``"".join(",".join("%.16e" % x for x in row) + "\\n" for row in zip(*columns))``
 without calling ``%`` once per field. For a finite x with
 1e-200 <= |x| <= 1e200 the 17 significant digits D and the decimal
 exponent E are computed in numpy:
@@ -32,10 +32,11 @@ when |E| < 100). A ``%`` field is its text plus the separator, zero-padded
 to the slot. Pads are zero bytes, deleted at the end by
 ``bytes.translate``; where every field of a chunk is positive, with
 |E| < 100 and no ``%`` text, they sit at fixed places and a strided copy
-of bytes 2..24 of each slot drops them instead. Tables are formatted
-``_CHUNK`` fields at a time: each temporary array then takes 64 KiB or
-less, which malloc reuses from its heap, where temporaries of a whole block
-can be mapped fresh from the system and page-faulted in on every call.
+of bytes 2..24 of each slot drops them instead. ``_CHUNK`` is the one
+size of the writer's working set: each pass copies ``_CHUNK // len(columns)``
+rows into one reused buffer, so every temporary takes 64 KiB or less,
+which malloc reuses from its heap, where temporaries of a larger block can
+be mapped fresh from the system and page-faulted in on every call.
 """
 
 import numpy as np
@@ -162,7 +163,7 @@ def _digits(ax: np.ndarray):
 
 
 def _format_fields(table: np.ndarray) -> bytes:
-    """``format_rows`` of one chunk of rows."""
+    """The CSV bytes of one C-contiguous 2-D chunk of rows."""
     rows, cols = table.shape
     x = table.ravel()
     ax = np.abs(x)
@@ -198,9 +199,12 @@ def _format_fields(table: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def format_rows(table: np.ndarray) -> bytes:
-    """The CSV bytes of a 2-D float table, every field as ``'%.16e'``."""
-    table = np.asarray(table, dtype=np.float64)
-    rows, cols = table.shape
-    step = max(1, _CHUNK // max(cols, 1))
-    return b"".join(_format_fields(table[i : i + step]) for i in range(0, rows, step))
+def write_rows(fh, columns) -> None:
+    """Write equal-length 1-D float columns to ``fh`` as ``'%.16e'`` CSV rows."""
+    n_rows, step = len(columns[0]), max(1, _CHUNK // len(columns))
+    buffer = np.empty((step, len(columns)))
+    for start in range(0, n_rows, step):
+        rows = buffer[: n_rows - start]
+        for j, column in enumerate(columns):
+            rows[:, j] = column[start : start + step]
+        fh.write(_format_fields(rows))

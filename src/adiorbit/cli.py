@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._csv import format_rows
+from ._csv import write_rows
 from .errors import AdiorbitError, ConfigError, InputError, NumericalError
 from .fourier import (
     check_linear_phase,
@@ -82,10 +82,6 @@ _SWEEPABLE = {
     "conditions.threshold",
     "conditions.tau_end",
 }
-
-
-# rows formatted per write of evolution.csv
-_CSV_BLOCK_ROWS = 4096
 
 
 def parse_config_text(text: str, origin: str = "config") -> dict[str, str]:
@@ -304,19 +300,15 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], blocks):
-    """Write a header line, then each 2-D float block, every field as ``%.16e``."""
+def _write_csv(path: Path, header: list[str], columns):
+    """Write a header line, then the rows of equal-length float columns."""
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for block in blocks:
-            fh.write(format_rows(block))
+        write_rows(fh, columns)
 
 
-def _evolution_blocks(result: PipelineResult):
-    """The evolution table, ``_CSV_BLOCK_ROWS`` rows at a time, from column slices.
-
-    Every block is a view of one buffer, refilled on the next step.
-    """
+def _write_evolution_csv(path: Path, result: PipelineResult):
+    """Stream the evolution table to ``path`` from its columns."""
     # The perturbative curves are computed on first read. Read before the
     # Schrodinger route, their temporaries are freed before the route's are
     # taken, so the heap's peak does not grow.
@@ -330,23 +322,10 @@ def _evolution_blocks(result: PipelineResult):
         p_ratio,
         result.norm_residual,
     ]
-    coefficients = result.coefficients.coefficients
-    n_rows, d = coefficients.shape
-    block = np.empty((_CSV_BLOCK_ROWS, len(columns) + d))
-    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
-        rows = block[: stop - start]
-        for j, column in enumerate(columns):
-            rows[:, j] = column[start:stop]
-        rows[:, len(columns) :] = np.abs(coefficients[start:stop]) ** 2
-        yield rows
-
-
-def _write_evolution_csv(path: Path, result: PipelineResult):
-    """Stream the evolution table to ``path``, a block of rows at a time."""
+    columns += [np.abs(c) ** 2 for c in result.coefficients.coefficients.T]
     header = ["tau", "P_exact", "P_direct", "P_first", "P_second", "P_ratio", "norm_residual"]
     header += [f"|c_{n}|^2" for n in range(result.model.dimension)]
-    _write_csv(path, header, _evolution_blocks(result))
+    _write_csv(path, header, columns)
 
 
 def run_evolve(scenario: ScenarioConfig, out_dir: Path) -> PipelineResult:
@@ -518,7 +497,7 @@ def run_sweep(scenario: ScenarioConfig, out_dir: Path, threads: int = 1):
     header = [parameter, "min_P_exact", *criteria]
     table = np.array([[row[key] for key in keys] for row in rows])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "sweep.csv", header, [table])
+    _write_csv(out_dir / "sweep.csv", header, table.T)
     _write_json(
         out_dir / "sweep_report.json",
         {

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiorbit import cli, pipeline
+from adiorbit import _csv, cli, pipeline
 from adiorbit.cli import load_scenario, main, run_evolve
 
 from conftest import SZ, write_tabulated
@@ -29,6 +29,16 @@ model.theta = 0.7853981633974483
 grid.tau_end = 20.0
 grid.n_steps = 20000
 evolve.initial_level = 0
+"""
+
+# a d = 5 conjugated model: its evolution.csv has 12 columns
+CONJ_D5_CONFIG = """\
+model.kind = conjugated
+model.energies = 0, 1.3, 2.9, 4.1, 5.6
+model.generator = 0.02, 0.01+0.03j, 0, 0.02j, 0.01; 0.01-0.03j, -0.01, 0.02, 0, 0.03-0.01j; \
+0, 0.02, 0.03, 0.01+0.01j, 0; -0.02j, 0, 0.01-0.01j, 0, 0.02; 0.01, 0.03+0.01j, 0, 0.02, -0.02
+grid.tau_end = 20.0
+grid.n_steps = 2000
 """
 
 
@@ -81,24 +91,31 @@ class TestEvolve:
         assert np.abs(p_exact["analytic"] - p_exact["continuity"]).max() < 3e-7
 
     def test_csv_bytes_match_per_field_format(self, tmp_path):
-        scenario = load_scenario(write_config(tmp_path, SPIN_A_CONFIG.replace("20000", "5000")))
-        assert scenario.grid.n_steps + 1 > cli._CSV_BLOCK_ROWS  # more than one write
-        out = tmp_path / "out"
-        result = run_evolve(scenario, out)
-        columns = [
-            result.grid.samples,
-            result.p_exact,
-            result.p_direct,
-            result.p_first,
-            result.p_second,
-            result.p_ratio,
-            result.norm_residual,
-            *(np.abs(result.coefficients.coefficients) ** 2).T,
-        ]
-        lines = ["tau,P_exact,P_direct,P_first,P_second,P_ratio,norm_residual,|c_0|^2,|c_1|^2"]
-        lines += [",".join(f"{float(x):.16e}" for x in row) for row in zip(*columns)]
-        expected = "\n".join(lines) + "\n"
-        assert (out / "evolution.csv").read_bytes() == expected.encode()
+        scenarios = {"spin_a": SPIN_A_CONFIG.replace("20000", "5000"), "d5": CONJ_D5_CONFIG}
+        for name, text in scenarios.items():
+            scenario = load_scenario(write_config(tmp_path, text, name=f"{name}.cfg"))
+            d = scenario.model.dimension
+            rows_per_chunk = _csv._CHUNK // (7 + d)
+            n_rows = scenario.grid.n_steps + 1
+            # at least two writer chunks, the last one partial
+            assert n_rows > rows_per_chunk and n_rows % rows_per_chunk
+            out = tmp_path / name
+            result = run_evolve(scenario, out)
+            columns = [
+                result.grid.samples,
+                result.p_exact,
+                result.p_direct,
+                result.p_first,
+                result.p_second,
+                result.p_ratio,
+                result.norm_residual,
+                *(np.abs(result.coefficients.coefficients) ** 2).T,
+            ]
+            lines = ["tau,P_exact,P_direct,P_first,P_second,P_ratio,norm_residual"]
+            lines[0] += "".join(f",|c_{n}|^2" for n in range(d))
+            lines += [",".join(f"{float(x):.16e}" for x in row) for row in zip(*columns)]
+            expected = "\n".join(lines) + "\n"
+            assert (out / "evolution.csv").read_bytes() == expected.encode()
 
     def test_csv_writer_holds_no_whole_table(self, tmp_path):
         # a 2e5-row, d = 2 table as the baseline scenario writes it

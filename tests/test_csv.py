@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiorbit import _csv
-from adiorbit._csv import format_rows
+from adiorbit._csv import write_rows
+
+
+def format_rows(table):
+    """The bytes ``write_rows`` writes for the columns of a 2-D table."""
+    fh = io.BytesIO()
+    write_rows(fh, np.asarray(table, dtype=np.float64).T)
+    return fh.getvalue()
 
 
 def reference(table):
@@ -80,7 +88,8 @@ def test_edge_values():
     )
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (3, 7)])
+# (2500, 7): three chunks of _CHUNK // 7 rows (1170 at 8192), the last one partial
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (3, 7), (2500, 7)])
 def test_shapes(shape):
     values = np.random.default_rng(1).standard_normal(shape) * 1e3
     assert format_rows(values) == reference(values)
