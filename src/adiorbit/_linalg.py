@@ -63,7 +63,22 @@ def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def max_hermiticity_defect(mat: np.ndarray) -> float:
-    return float(np.abs(mat - np.conj(np.swapaxes(mat, -1, -2))).max())
+    """max |M - M^H| over a matrix or a stack of matrices.
+
+    One pass per row i over the entries j <= i, in one buffer of a row
+    per matrix, so no temporary is a whole stack. |a - conj(b)| =
+    |b - conj(a)| exactly, so the result equals the whole difference's
+    maximum bit for bit, NaN included (np.max keeps a NaN that Python's
+    max may drop).
+    """
+    buf = np.empty(mat.shape[:-1], dtype=complex)
+    defects = []
+    for i in range(mat.shape[-1]):
+        diff = buf[..., : i + 1]
+        np.conj(mat[..., : i + 1, i], out=diff)
+        np.subtract(mat[..., i, : i + 1], diff, out=diff)
+        defects.append(np.abs(diff).max())
+    return float(np.max(defects))
 
 
 def unitary_steps(generators: np.ndarray, dtau: float, sign: int) -> np.ndarray:

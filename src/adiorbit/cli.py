@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -27,11 +26,6 @@ import numpy as np
 
 from ._csv import write_rows
 from .errors import AdiorbitError, ConfigError, InputError, NumericalError
-from .fourier import (
-    check_linear_phase,
-    fourier_condition_report,
-    fourier_decompose_coupling,
-)
 from .grid import TimeGrid
 from .model import (
     ConjugatedParams,
@@ -392,6 +386,9 @@ def run_check(scenario: ScenarioConfig, out_dir: Path):
 
 def run_fourier(scenario: ScenarioConfig, out_dir: Path):
     """Evaluate the harmonic condition for every pair (k, m)."""
+    # only this command reads the fourier module, so only it imports it
+    from .fourier import check_linear_phase, fourier_condition_report, fourier_decompose_coupling
+
     if scenario.fourier_period is None:
         raise ConfigError(
             "the model declares no period; set fourier.period in the config"
@@ -487,6 +484,10 @@ def run_sweep(scenario: ScenarioConfig, out_dir: Path, threads: int = 1):
         raise ConfigError("sweep.values is empty")
 
     if threads > 1:
+        # imported here, so the other commands do not load
+        # concurrent.futures and the logging it pulls in
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda v: _sweep_point(cfg, parameter, v), values))
     else:

@@ -5,17 +5,27 @@ the exponential of the generator evaluated at the interval midpoint
 (closed SU(2) form for d = 2, Taylor scaling and squaring otherwise).
 Every step is unitary to roundoff, so norm conservation is a float-noise
 check rather than a tolerance check, and the global error is second
-order in the step. All steps are computed at once and multiplied
-together by a blocked scan, so their products are grouped differently
-from a step-by-step loop and agree with it to roundoff. Grids are
-fixed-step; convergence is assessed by halving the step.
+order in the step. Both run one scan chunk (SCAN_BLOCK *
+SCAN_CHUNK_BLOCKS steps) at a time: each pass forms that chunk's
+midpoint generators and steps and multiplies them by the blocked scan
+from the previous chunk's last state, so only one chunk of (d, d)
+stacks is held at a time. The products are grouped differently from a
+step-by-step loop and agree with it to roundoff. Grids are fixed-step;
+convergence is assessed by halving the step.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ._linalg import max_hermiticity_defect, scan_states, unitary_steps
+from ._linalg import (
+    SCAN_BLOCK,
+    SCAN_CHUNK_BLOCKS,
+    max_hermiticity_defect,
+    scan_states,
+    unitary_steps,
+)
 from .errors import GridMismatch
 from .frame import InvariantFrame
 from .grid import TimeGrid
@@ -49,8 +59,10 @@ def evolve_schrodinger(
     norm = np.linalg.norm(v0)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state is not normalized (|v| = {norm:.3e})")
-    steps = unitary_steps(sample_hamiltonian(model, grid.midpoints), grid.dtau, sign=-1)
-    return StateTrajectory(grid, scan_states(steps, v0))
+    states = _propagate(
+        lambda lo, hi: sample_hamiltonian(model, grid.midpoints[lo:hi]), grid, v0, sign=-1
+    )
+    return StateTrajectory(grid, states)
 
 
 def evolve_coefficients(
@@ -66,7 +78,8 @@ def evolve_coefficients(
         raise GridMismatch(
             f"{coupling.shape[0]} coupling samples for {grid.n_steps + 1} grid points"
         )
-    scale = max(1.0, float(np.abs(coupling).max()))
+    # per row, like max_hermiticity_defect, so no (n, d, d) temporary
+    scale = max(1.0, float(np.max([np.abs(row).max() for row in coupling.swapaxes(0, 1)])))
     if max_hermiticity_defect(coupling) > 1e-9 * scale:
         raise ValueError("coupling samples must be Hermitian")
     diag = np.einsum("kii->ki", coupling)
@@ -75,10 +88,37 @@ def evolve_coefficients(
     d = coupling.shape[-1]
     if not 0 <= initial_level < d:
         raise ValueError("initial_level out of range")
-    steps = unitary_steps(0.5 * (coupling[:-1] + coupling[1:]), grid.dtau, sign=+1)
     c0 = np.zeros(d, dtype=complex)
     c0[initial_level] = 1.0
-    return CoefficientTrajectory(grid, scan_states(steps, c0), initial_level)
+
+    def midpoints(lo, hi):
+        mid = coupling[lo:hi] + coupling[lo + 1 : hi + 1]
+        mid *= 0.5
+        return mid
+
+    return CoefficientTrajectory(grid, _propagate(midpoints, grid, c0, sign=+1), initial_level)
+
+
+def _propagate(
+    generators: Callable[[int, int], np.ndarray], grid: TimeGrid, v0: np.ndarray, sign: int
+) -> np.ndarray:
+    """States (n + 1, d) from v0 under the midpoint steps of
+    ``generators(lo, hi)``, the generators of steps lo..hi - 1.
+
+    One scan chunk at a time: STEP_CHUNK divides the chunk, so every
+    step is the one a whole-grid unitary_steps would form, and only the
+    state carried from one chunk to the next is rounded differently.
+    """
+    chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
+    n, dtau = grid.n_steps, grid.dtau
+    out = np.empty((n + 1, v0.size), dtype=complex)
+    out[0] = v0
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        # no name holds the steps, so they are freed before the next
+        # chunk's generators are formed
+        out[lo : hi + 1] = scan_states(unitary_steps(generators(lo, hi), dtau, sign), out[lo])
+    return out
 
 
 def survival_probability_exact(trajectory: CoefficientTrajectory) -> np.ndarray:

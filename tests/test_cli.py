@@ -499,6 +499,37 @@ def test_cli_runs_without_scipy(tmp_path):
     assert (tmp_path / "out" / "conditions.json").exists()
 
 
+def test_check_loads_only_what_it_runs(tmp_path):
+    # the package imports its submodules on first use, and the CLI imports
+    # fourier only for the fourier command and the thread pool only for a
+    # threaded sweep
+    cfg = write_config(
+        tmp_path,
+        SPIN_A_CONFIG.replace("grid.tau_end = 20.0", "grid.tau_end = 2.0").replace(
+            "grid.n_steps = 20000", "grid.n_steps = 200"
+        ),
+    )
+    script = (
+        "import sys\n"
+        "import adiorbit\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('adiorbit.'))\n"
+        "assert loaded == ['adiorbit.errors'], loaded\n"
+        "import adiorbit.cli\n"
+        f"code = adiorbit.cli.main(['check', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'adiorbit.fourier' not in sys.modules, 'fourier'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'thread pool'\n"
+        "from adiorbit import *\n"
+        "assert all(name in globals() for name in adiorbit.__all__)\n"
+        "assert 'adiorbit.fourier' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "line",

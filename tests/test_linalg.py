@@ -9,6 +9,7 @@ from adiorbit._linalg import (
     STEP_CHUNK,
     _su2_steps,
     _taylor_steps,
+    max_hermiticity_defect,
     phase_convention,
     scan_states,
     su2_eigh,
@@ -118,6 +119,58 @@ class TestUnitarySteps:
         # the Taylor kernel holds A and one product buffer per chunk; the
         # other buffer is the output itself (the 1% covers array headers)
         assert peak < steps.nbytes + 2.01 * chunk_bytes
+
+
+def full_stack_defect(m):
+    """The whole-stack formula max_hermiticity_defect must equal bit for bit."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max()
+
+
+class TestHermiticityDefect:
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_equals_the_full_stack_formula(self, d):
+        rng = np.random.default_rng(30 + d)
+        hermitian = random_hermitian(rng, 300, d)
+        lopsided = rng.normal(size=(300, d, d)) + 1j * rng.normal(size=(300, d, d))
+        nearly = hermitian + 1e-13 * lopsided
+        for m in (hermitian, lopsided, nearly, lopsided[7], lopsided.real, hermitian.real + 0j):
+            got = max_hermiticity_defect(m)
+            assert type(got) is float
+            assert got == full_stack_defect(m)
+        # a defect on the diagonal is twice the imaginary part
+        hermitian[100, d - 1, d - 1] += 0.25j
+        assert max_hermiticity_defect(hermitian) == full_stack_defect(hermitian) == 0.5
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf])
+    def test_non_finite_entries(self, d, value):
+        # NaN must survive however many finite rows come after it: a
+        # Python max(best, nan) would drop it
+        rng = np.random.default_rng(40 + d)
+        for i, j in {(0, 0), (d - 1, 0), (0, d - 1), (d - 1, d - 1), (d // 2, d // 2 - 1)}:
+            m = random_hermitian(rng, 50, d)
+            m[20, i, j] = value
+            with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+                expected = full_stack_defect(m)
+                got = max_hermiticity_defect(m)
+            if np.isnan(expected):
+                assert np.isnan(got)
+            else:
+                assert got == expected
+
+    def test_temporaries_are_one_row(self):
+        n, d = 40_000, 5
+        m = random_hermitian(np.random.default_rng(41), n, d)
+        tracemalloc.start()
+        try:
+            max_hermiticity_defect(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one buffer for a row of d entries per sample and its modulus;
+        # the whole-stack formula holds 1.5 stacks of d * d entries
+        row_bytes = n * d * np.dtype(complex).itemsize
+        assert peak < 1.6 * row_bytes
 
 
 def loop_states(steps, v0):
@@ -297,8 +350,10 @@ def su2_order_scan(steps, initial):
 
 @pytest.mark.parametrize("n", [1, SCAN_BLOCK + 1, SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 300])
 def test_su2_scan_keeps_its_order_of_operations(n):
-    # the d = 2 outputs (evolution.csv, sweep.csv) are byte-identical
-    # only while the generic scan keeps this order at d = 2
+    # the bits of the d = 2 outputs (evolution.csv, sweep.csv) are fixed
+    # by this order at d = 2 together with the propagators' chunks: each
+    # SCAN_BLOCK * SCAN_CHUNK_BLOCKS steps they restart the scan from the
+    # last state, which is rounded differently from the scan's own carry
     steps = unitary_steps(random_hermitian(np.random.default_rng(n), n, 2), 0.1, 1)
     v0 = np.array([0.6, 0.8j])
     assert np.array_equal(scan_states(steps, v0), su2_order_scan(steps, v0[:, None])[:, :, 0])

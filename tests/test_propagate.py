@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -5,6 +7,7 @@ from scipy.linalg import expm
 
 from adiorbit import (
     CoefficientTrajectory,
+    HamiltonianModel,
     SpinHalfParams,
     TimeGrid,
     build_frame,
@@ -18,9 +21,14 @@ from adiorbit import (
     survival_probability_direct,
     survival_probability_exact,
 )
+from adiorbit._linalg import SCAN_BLOCK, SCAN_CHUNK_BLOCKS, STEP_CHUNK, unitary_steps
 from adiorbit.errors import GridMismatch
+from adiorbit.model import sample_hamiltonian
 
 from conftest import SX, constant_model
+
+# steps per pass of the propagators
+CHUNK = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
 
 
 def zero_diag_hermitian(entries):
@@ -288,3 +296,108 @@ class TestConservation:
         grid = TimeGrid(tau_end=50.0, n_steps=100000)
         result = run_pipeline(model, grid)
         assert conservation_residual(result.coefficients) < 1e-10
+
+
+def random_coupling(n_samples, d, seed):
+    """Hermitian zero-diagonal samples of size about 0.3."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_samples, d, d)) + 1j * rng.normal(size=(n_samples, d, d))
+    m = 0.1 * (a + a.conj().swapaxes(1, 2))
+    for i in range(d):
+        m[:, i, i] = 0.0
+    return m
+
+
+def random_midpoint_model(grid, seed):
+    """A d = 2 model whose h at each midpoint of ``grid`` is an independent
+    Hermitian matrix of size about 0.3, like :func:`random_coupling`.
+    Independent steps round independently; the steps of a slowly varying
+    h round alike, and a scan and a loop then part linearly in n (6e-13
+    at n = CHUNK for spin a, where no chunk edge is crossed)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(grid.n_steps, 2, 2)) + 1j * rng.normal(size=(grid.n_steps, 2, 2))
+    table = 0.1 * (a + a.conj().swapaxes(1, 2))
+    return HamiltonianModel(2, lambda taus: table[(taus / grid.dtau).astype(int)])
+
+
+def step_by_step(steps, v0):
+    out = [v0]
+    for step in steps:
+        out.append(step @ out[-1])
+    return np.array(out)
+
+
+class TestChunkEdges:
+    """The propagators run one scan chunk at a time; the state carried
+    across chunk edges must be the state the steps reach."""
+
+    def test_step_chunk_divides_the_chunk(self):
+        # so the Taylor degree of every STEP_CHUNK pass is the one a
+        # whole-grid unitary_steps would pick
+        assert CHUNK % STEP_CHUNK == 0
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_coefficients_match_a_step_loop(self, d, n):
+        grid = TimeGrid(tau_end=1e-3 * n, n_steps=n)
+        coupling = random_coupling(n + 1, d, seed=n + d)
+        traj = evolve_coefficients(coupling, grid, initial_level=1)
+        steps = unitary_steps(0.5 * (coupling[:-1] + coupling[1:]), grid.dtau, sign=+1)
+        expected = step_by_step(steps, np.eye(d, dtype=complex)[1])
+        assert traj.coefficients.shape == (n + 1, d)
+        assert np.abs(traj.coefficients - expected).max() < 1e-13
+        assert np.abs(np.linalg.norm(traj.coefficients, axis=1) - 1.0).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_schrodinger_matches_a_step_loop(self, n):
+        grid = TimeGrid(tau_end=1e-3 * n, n_steps=n)
+        model = random_midpoint_model(grid, seed=n)
+        v0 = np.array([0.6, 0.8j])
+        traj = evolve_schrodinger(model, v0, grid)
+        steps = unitary_steps(sample_hamiltonian(model, grid.midpoints), grid.dtau, sign=-1)
+        expected = step_by_step(steps, v0)
+        assert traj.states.shape == (n + 1, 2)
+        assert np.abs(traj.states - expected).max() < 1e-13
+        # the SU(2) steps miss unit norm by a few 1e-18 each, alike, so
+        # the loop itself drifts 1.6e-13 over 2 * CHUNK + 1 steps; the
+        # chunks add nothing to that
+        drift = [np.abs(np.linalg.norm(v, axis=1) - 1.0).max() for v in (traj.states, expected)]
+        assert drift[0] < max(1e-13, drift[1] + 1e-14)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestPropagationMemory:
+    """Only one chunk of (d, d) stacks is held at a time: a propagator
+    that forms every midpoint generator and step at once holds several
+    (n, d, d) stacks (4.9 chunks over the output on the d = 5 case below
+    and 22 on the d = 2 one, numpy 2.4)."""
+
+    def test_coefficients_d5(self):
+        n, d = 40_000, 5
+        coupling = random_coupling(n + 1, d, seed=51)
+        grid = TimeGrid(tau_end=40.0, n_steps=n)
+        traj, peak = traced_peak(lambda: evolve_coefficients(coupling, grid, 0))
+        # the chunk's generators and steps, the Taylor kernel's buffers
+        # and the scan's chunk buffer (2.5 chunks, numpy 2.4)
+        chunk_bytes = CHUNK * d * d * np.dtype(complex).itemsize
+        assert peak < traj.coefficients.nbytes + 3 * chunk_bytes
+
+    def test_schrodinger_d2(self, spin_a_model):
+        n = 200_000
+        grid = TimeGrid(tau_end=200.0, n_steps=n)
+        v0 = np.array([1.0, 0.0j])
+        traj, peak = traced_peak(lambda: evolve_schrodinger(spin_a_model, v0, grid))
+        # the grid's midpoints (n floats), and per chunk the samples of
+        # h, their checks, the SU(2) kernel's real temporaries, the steps
+        # and the scan's chunk buffer (5.7 chunks, numpy 2.4)
+        chunk_bytes = CHUNK * 4 * np.dtype(complex).itemsize
+        assert peak < traj.states.nbytes + 8 * chunk_bytes
