@@ -8,6 +8,12 @@ comments). Four subcommands share them:
 * ``fourier`` - evaluate the harmonic sufficient condition per level pair;
 * ``sweep``   - rerun a scenario over a list of parameter values.
 
+One table, ``_SCHEMA``, declares every key: its parser, its default or
+that it is required, whether ``sweep`` may vary it, and the model kinds
+it applies to. Every key present is parsed and checked, whatever the
+command; a key of another model kind, or a ``sweep.parameter`` that the
+model kind does not read, is a configuration error.
+
 All output is deterministic: fixed column order, floats printed with 17
 significant digits, JSON keys sorted, and every report embeds the fully
 resolved configuration. Exit codes: 0 success, 2 configuration or usage
@@ -20,7 +26,6 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -39,43 +44,6 @@ from .model import (
 from .perturb import DEFAULT_THRESHOLD, evaluate_conditions
 from .pipeline import PipelineResult, run_pipeline
 from .spectrum import Gauge, GammaMethod
-
-_KNOWN_KEYS = {
-    "model.kind",
-    "model.variant",
-    "model.omega0",
-    "model.omega",
-    "model.theta",
-    "model.energies",
-    "model.generator",
-    "model.eigenbasis",
-    "model.path",
-    "grid.tau_end",
-    "grid.n_steps",
-    "evolve.initial_level",
-    "spectrum.gauge",
-    "spectrum.gamma_method",
-    "spectrum.gap_tol",
-    "conditions.threshold",
-    "conditions.tau_end",
-    "fourier.period",
-    "fourier.n_harmonics",
-    "fourier.linearity_tol",
-    "fourier.resonance_tol",
-    "sweep.parameter",
-    "sweep.values",
-}
-
-_SWEEPABLE = {
-    "model.omega0",
-    "model.omega",
-    "model.theta",
-    "grid.tau_end",
-    "grid.n_steps",
-    "spectrum.gap_tol",
-    "conditions.threshold",
-    "conditions.tau_end",
-}
 
 
 def parse_config_text(text: str, origin: str = "config") -> dict[str, str]:
@@ -97,37 +65,44 @@ def parse_config_text(text: str, origin: str = "config") -> dict[str, str]:
     return cfg
 
 
-def _get_float(cfg, key, default=None) -> Optional[float]:
-    if key not in cfg:
-        if default is None:
-            return None
-        return default
+def _number(key: str, text: str) -> float:
     try:
-        value = float(cfg[key])
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
+        raise ConfigError(f"{key} must be a number, got {text!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
+        raise ConfigError(f"{key} must be finite, got {text!r}")
     return value
 
 
-def _get_positive(cfg, key, default=None) -> Optional[float]:
-    value = _get_float(cfg, key, default)
-    if value is not None and not value > 0:
-        raise ConfigError(f"{key} must be > 0, got {cfg[key]!r}")
+def _positive(key: str, text: str) -> float:
+    value = _number(key, text)
+    if not value > 0:
+        raise ConfigError(f"{key} must be > 0, got {text!r}")
     return value
 
 
-def _get_int(cfg, key, default=None) -> Optional[int]:
-    value = _get_float(cfg, key, default)
-    if value is None:
-        return None
-    if value != int(value):
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+def _count(key: str, text: str) -> int:
+    value = _number(key, text)
+    if value != int(value) or value < 0:
+        raise ConfigError(f"{key} must be an integer >= 0, got {text!r}")
     return int(value)
 
 
-def _parse_matrix(text: str, key: str) -> np.ndarray:
+def _numbers(key: str, text: str) -> list[float]:
+    return [_number(f"each entry of {key}", entry) for entry in text.split(",")]
+
+
+def _choice(key: str, text: str, choices):
+    """The one of ``choices`` (strings, or an enum's members) that ``text`` names."""
+    for choice in choices:
+        if text == getattr(choice, "value", choice):
+            return choice
+    names = ", ".join(repr(getattr(choice, "value", choice)) for choice in choices)
+    raise ConfigError(f"{key} must be one of {names}, got {text!r}")
+
+
+def _matrix(key: str, text: str) -> np.ndarray:
     try:
         rows = [
             [complex(entry.replace(" ", "")) for entry in row.split(",")]
@@ -144,132 +119,124 @@ def _parse_matrix(text: str, key: str) -> np.ndarray:
     return matrix
 
 
+_REQUIRED = object()
+
+# key: (parser, default or _REQUIRED, sweepable, the model kinds it applies
+# to or None for all). model.kind comes first: the rows after it read it.
+_SCHEMA = {
+    "model.kind": (
+        lambda k, t: _choice(k, t, ("spin_half", "conjugated", "tabulated")), _REQUIRED, False, None
+    ),
+    "model.variant": (
+        lambda k, t: _choice(k, t.lower(), SpinVariant), SpinVariant.A, False, ("spin_half",)
+    ),
+    "model.omega0": (_positive, _REQUIRED, True, ("spin_half",)),
+    "model.omega": (_number, _REQUIRED, True, ("spin_half",)),
+    "model.theta": (_number, _REQUIRED, True, ("spin_half",)),
+    "model.energies": (_numbers, _REQUIRED, False, ("conjugated",)),
+    "model.generator": (_matrix, _REQUIRED, False, ("conjugated",)),
+    "model.eigenbasis": (_matrix, None, False, ("conjugated",)),
+    "model.path": (lambda k, t: Path(t), _REQUIRED, False, ("tabulated",)),
+    "grid.tau_end": (_positive, _REQUIRED, True, None),
+    "grid.n_steps": (_count, _REQUIRED, True, None),
+    "evolve.initial_level": (_count, 0, False, None),
+    "spectrum.gauge": (lambda k, t: _choice(k, t, Gauge), Gauge.CONTINUITY_FIXED, False, None),
+    "spectrum.gamma_method": (
+        lambda k, t: _choice(k, t, GammaMethod), GammaMethod.FINITE_DIFFERENCE, False, None
+    ),
+    "spectrum.gap_tol": (_positive, 1e-6, True, None),
+    "conditions.threshold": (_positive, DEFAULT_THRESHOLD, True, None),
+    # build_scenario defaults these two to grid.tau_end and the model's period
+    "conditions.tau_end": (_positive, None, True, None),
+    "fourier.period": (_positive, None, False, None),
+    "fourier.n_harmonics": (_count, 8, False, None),
+    "fourier.linearity_tol": (_positive, 1e-6, False, None),
+    "fourier.resonance_tol": (_positive, None, False, None),
+    "sweep.parameter": (lambda k, t: _choice(k, t, _SWEEPABLE), None, False, None),
+    "sweep.values": (_numbers, None, False, None),
+}
+_KNOWN_KEYS = frozenset(_SCHEMA)
+_SWEEPABLE = tuple(key for key, row in _SCHEMA.items() if row[2])
+
+
+def _resolve(cfg: dict[str, str]) -> dict:
+    """Every key of the table that applies to the model kind, parsed from
+    ``cfg`` or defaulted; a key of another kind is an error."""
+    resolved = {}
+    for key, (parse, default, _, kinds) in _SCHEMA.items():
+        kind = resolved.get("model.kind")
+        if kinds is not None and kind not in kinds:
+            if key in cfg:
+                raise ConfigError(f"{key} does not apply to model.kind = {kind}")
+        elif key in cfg:
+            resolved[key] = parse(key, cfg[key])
+        elif default is _REQUIRED:
+            raise ConfigError(f"{key} is required")
+        else:
+            resolved[key] = default
+    parameter = resolved["sweep.parameter"]
+    if parameter is not None and parameter not in resolved:
+        raise ConfigError(f"sweep.parameter {parameter} does not apply to model.kind = {kind}")
+    return resolved
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A parsed scenario: the built model plus every resolved knob."""
+    """A parsed scenario: the raw keys, the built model and grid, and the
+    value of every key that applies to the model kind."""
 
     raw: dict[str, str]
     model: HamiltonianModel
     grid: TimeGrid
-    initial_level: int
-    gauge: Gauge
-    gamma_method: GammaMethod
-    gap_tol: float
-    threshold: float
-    conditions_tau_end: float
-    fourier_period: Optional[float]
-    fourier_harmonics: int
-    linearity_tol: float
-    resonance_tol: Optional[float]
+    resolved: dict
 
 
-def _build_model(cfg: dict[str, str]) -> HamiltonianModel:
-    kind = cfg.get("model.kind")
-    if kind is None:
-        raise ConfigError("model.kind is required")
-    if kind == "spin_half":
-        variant_text = cfg.get("model.variant", "a").lower()
-        try:
-            variant = SpinVariant(variant_text)
-        except ValueError as exc:
-            raise ConfigError(f"model.variant must be 'a' or 'b', got {variant_text!r}") from exc
-        omega0 = _get_float(cfg, "model.omega0")
-        omega = _get_float(cfg, "model.omega")
-        theta = _get_float(cfg, "model.theta")
-        if omega0 is None or omega is None or theta is None:
-            raise ConfigError("spin_half needs model.omega0, model.omega, model.theta")
-        try:
-            params = SpinHalfParams(omega0=omega0, omega=omega, theta=theta, variant=variant)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return build_spin_half(params)
-    if kind == "conjugated":
-        if "model.energies" not in cfg or "model.generator" not in cfg:
-            raise ConfigError("conjugated needs model.energies and model.generator")
-        try:
-            energies = [float(e) for e in cfg["model.energies"].split(",")]
-        except ValueError as exc:
-            raise ConfigError("model.energies must be a comma list of reals") from exc
-        generator = _parse_matrix(cfg["model.generator"], "model.generator")
-        eigenbasis = (
-            _parse_matrix(cfg["model.eigenbasis"], "model.eigenbasis")
-            if "model.eigenbasis" in cfg
-            else None
-        )
-        try:
-            return build_conjugated_model(
-                ConjugatedParams(energies=energies, generator=generator, eigenbasis=eigenbasis)
-            )
-        except (ValueError, InputError) as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "tabulated":
-        if "model.path" not in cfg:
-            raise ConfigError("tabulated needs model.path")
-        path = Path(cfg["model.path"])
-        if not path.exists():
-            raise ConfigError(f"model file not found: {path}")
-        return load_tabulated_model(path)
-    raise ConfigError(f"unknown model.kind {kind!r}")
+def _build_model(resolved: dict) -> HamiltonianModel:
+    kind = resolved["model.kind"]
+    # the keys of one model kind are named after the fields of its parameters
+    params = {
+        key.removeprefix("model."): value
+        for key, value in resolved.items()
+        if _SCHEMA[key][3] == (kind,)
+    }
+    try:
+        if kind == "spin_half":
+            return build_spin_half(SpinHalfParams(**params))
+        if kind == "conjugated":
+            return build_conjugated_model(ConjugatedParams(**params))
+    except (ValueError, InputError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if not params["path"].exists():
+        raise ConfigError(f"model file not found: {params['path']}")
+    return load_tabulated_model(params["path"])
 
 
 def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
-    tau_end = _get_float(cfg, "grid.tau_end")
-    n_steps = _get_int(cfg, "grid.n_steps")
-    if tau_end is None or n_steps is None:
-        raise ConfigError("grid.tau_end and grid.n_steps are required")
+    resolved = _resolve(cfg)
     try:
-        grid = TimeGrid(tau_end=tau_end, n_steps=n_steps)
+        grid = TimeGrid(tau_end=resolved["grid.tau_end"], n_steps=resolved["grid.n_steps"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    model = _build_model(cfg)
-    initial_level = _get_int(cfg, "evolve.initial_level", 0)
-    if not 0 <= initial_level < model.dimension:
+    model = _build_model(resolved)
+    if resolved["evolve.initial_level"] >= model.dimension:
         raise ConfigError(
-            f"evolve.initial_level {initial_level} out of range for dimension {model.dimension}"
+            f"evolve.initial_level {resolved['evolve.initial_level']} out of range "
+            f"for dimension {model.dimension}"
         )
-
-    gauge_text = cfg.get("spectrum.gauge", "continuity")
-    try:
-        gauge = Gauge(gauge_text)
-    except ValueError as exc:
-        raise ConfigError("spectrum.gauge must be 'continuity' or 'analytic'") from exc
-    if gauge is Gauge.ANALYTIC and model.analytic_frame is None:
+    if resolved["spectrum.gauge"] is Gauge.ANALYTIC and model.analytic_frame is None:
         raise ConfigError(
             f"spectrum.gauge = analytic needs a closed-form eigenframe, "
             f"which model {model.name!r} does not have"
         )
-    method_text = cfg.get("spectrum.gamma_method", "fd")
-    try:
-        gamma_method = GammaMethod(method_text)
-    except ValueError as exc:
-        raise ConfigError("spectrum.gamma_method must be 'fd' or 'hf'") from exc
-
-    conditions_tau_end = _get_float(cfg, "conditions.tau_end", tau_end)
-    if not 0 < conditions_tau_end <= tau_end:
+    # both are > 0 when set, so `or` falls back only when they are unset
+    resolved["conditions.tau_end"] = resolved["conditions.tau_end"] or grid.tau_end
+    if resolved["conditions.tau_end"] > grid.tau_end:
         raise ConfigError(
-            f"conditions.tau_end must lie in (0, grid.tau_end = {tau_end:g}], "
+            f"conditions.tau_end must lie in (0, grid.tau_end = {grid.tau_end:g}], "
             f"got {cfg['conditions.tau_end']!r}"
         )
-    period = _get_float(cfg, "fourier.period")
-    if period is None:
-        period = model.period
-
-    return ScenarioConfig(
-        raw=dict(cfg),
-        model=model,
-        grid=grid,
-        initial_level=initial_level,
-        gauge=gauge,
-        gamma_method=gamma_method,
-        gap_tol=_get_positive(cfg, "spectrum.gap_tol", 1e-6),
-        threshold=_get_positive(cfg, "conditions.threshold", DEFAULT_THRESHOLD),
-        conditions_tau_end=conditions_tau_end,
-        fourier_period=period,
-        fourier_harmonics=_get_int(cfg, "fourier.n_harmonics", 8),
-        linearity_tol=_get_positive(cfg, "fourier.linearity_tol", 1e-6),
-        resonance_tol=_get_positive(cfg, "fourier.resonance_tol"),
-    )
+    resolved["fourier.period"] = resolved["fourier.period"] or model.period
+    return ScenarioConfig(raw=dict(cfg), model=model, grid=grid, resolved=resolved)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -280,13 +247,14 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def _execute(scenario: ScenarioConfig) -> PipelineResult:
+    resolved = scenario.resolved
     return run_pipeline(
         scenario.model,
         scenario.grid,
-        initial_level=scenario.initial_level,
-        gauge=scenario.gauge,
-        gamma_method=scenario.gamma_method,
-        gap_tol=scenario.gap_tol,
+        initial_level=resolved["evolve.initial_level"],
+        gauge=resolved["spectrum.gauge"],
+        gamma_method=resolved["spectrum.gamma_method"],
+        gap_tol=resolved["spectrum.gap_tol"],
     )
 
 
@@ -348,8 +316,8 @@ def _condition_payload(result: PipelineResult, scenario: ScenarioConfig):
         result.coefficients,
         result.grid,
         result.initial_level,
-        tau_end=scenario.conditions_tau_end,
-        threshold=scenario.threshold,
+        tau_end=scenario.resolved["conditions.tau_end"],
+        threshold=scenario.resolved["conditions.threshold"],
     )
     criteria = []
     for rec in report.records:
@@ -389,10 +357,9 @@ def run_fourier(scenario: ScenarioConfig, out_dir: Path):
     # only this command reads the fourier module, so only it imports it
     from .fourier import check_linear_phase, fourier_condition_report, fourier_decompose_coupling
 
-    if scenario.fourier_period is None:
-        raise ConfigError(
-            "the model declares no period; set fourier.period in the config"
-        )
+    resolved = scenario.resolved
+    if resolved["fourier.period"] is None:
+        raise ConfigError("the model declares no period; set fourier.period in the config")
     result = _execute(scenario)
     frame = result.frame
     m = result.initial_level
@@ -400,18 +367,18 @@ def run_fourier(scenario: ScenarioConfig, out_dir: Path):
     for k in range(scenario.model.dimension):
         if k == m:
             continue
-        linearity = check_linear_phase(frame, (k, m), scenario.linearity_tol)
+        linearity = check_linear_phase(frame, (k, m), resolved["fourier.linearity_tol"])
         harmonics = fourier_decompose_coupling(
             np.abs(frame.coupling[:, k, m]),
             scenario.grid,
-            scenario.fourier_period,
-            scenario.fourier_harmonics,
+            resolved["fourier.period"],
+            resolved["fourier.n_harmonics"],
         )
         report = fourier_condition_report(
             linearity,
             harmonics,
-            threshold=scenario.threshold,
-            resonance_tol=scenario.resonance_tol,
+            threshold=resolved["conditions.threshold"],
+            resonance_tol=resolved["fourier.resonance_tol"],
         )
         pairs.append(
             {
@@ -469,19 +436,9 @@ def _sweep_point(base_cfg: dict[str, str], parameter: str, value: float):
 def run_sweep(scenario: ScenarioConfig, out_dir: Path, threads: int = 1):
     """Rerun the scenario for each sweep value; rows keep input order."""
     cfg = scenario.raw
-    parameter = cfg.get("sweep.parameter")
-    if parameter is None or "sweep.values" not in cfg:
+    parameter, values = scenario.resolved["sweep.parameter"], scenario.resolved["sweep.values"]
+    if parameter is None or values is None:
         raise ConfigError("sweep needs sweep.parameter and sweep.values")
-    if parameter not in _SWEEPABLE:
-        raise ConfigError(
-            f"unknown sweep parameter {parameter!r}; allowed: {sorted(_SWEEPABLE)}"
-        )
-    try:
-        values = [float(v) for v in cfg["sweep.values"].split(",")]
-    except ValueError as exc:
-        raise ConfigError("sweep.values must be a comma list of numbers") from exc
-    if not values:
-        raise ConfigError("sweep.values is empty")
 
     if threads > 1:
         # imported here, so the other commands do not load

@@ -40,10 +40,6 @@ class TimeGrid:
     def samples(self) -> np.ndarray:
         return np.linspace(0.0, self.tau_end, self.n_steps + 1)
 
-    @cached_property
-    def midpoints(self) -> np.ndarray:
-        return self.samples[:-1] + 0.5 * self.dtau
-
     def index_of(self, tau: float) -> int:
         """Nearest sample index for ``tau``, clamped to the grid."""
         idx = int(round(tau / self.dtau))

@@ -49,7 +49,6 @@ from .errors import (
     ParseError,
     ZeroHamiltonian,
 )
-from .grid import TimeGrid
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -238,9 +237,7 @@ def normalize(
     return model, record
 
 
-def build_spin_half(
-    params: SpinHalfParams, grid: Optional[TimeGrid] = None
-) -> HamiltonianModel:
+def build_spin_half(params: SpinHalfParams) -> HamiltonianModel:
     """Build the rotating-field spin-1/2 model; both variants are
     conjugated models (:func:`build_conjugated_model`) in closed form.
 
@@ -255,8 +252,7 @@ def build_spin_half(
     exp(-i tau K) with K = h_a(0) - (omega / 2) sigma_z (Rabi's rotating
     frame), so h_b(tau) = -exp(i tau K) h_a(0) exp(-i tau K), with
     H = -h_a(0) and V = -K. Both have an analytic derivative and a frame
-    phased by the tau = 0 convention. ``grid`` is unused and accepted
-    for callers that still pass one.
+    phased by the tau = 0 convention.
     """
     w0, w, th = params.omega0, params.omega, params.theta
     sin_t, cos_t = np.sin(th), np.cos(th)

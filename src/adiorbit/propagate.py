@@ -59,8 +59,9 @@ def evolve_schrodinger(
     norm = np.linalg.norm(v0)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state is not normalized (|v| = {norm:.3e})")
+    half = 0.5 * grid.dtau  # step k's midpoint is samples[k] + half
     states = _propagate(
-        lambda lo, hi: sample_hamiltonian(model, grid.midpoints[lo:hi]), grid, v0, sign=-1
+        lambda lo, hi: sample_hamiltonian(model, grid.samples[lo:hi] + half), grid, v0, sign=-1
     )
     return StateTrajectory(grid, states)
 

@@ -71,7 +71,7 @@ def spin_b_default():
     grid = TimeGrid(tau_end=200.0, n_steps=100000)
     start = time.perf_counter()
     model = build_spin_half(
-        SpinHalfParams(omega0=W0, omega=W, theta=THETA, variant=SpinVariant.B), grid
+        SpinHalfParams(omega0=W0, omega=W, theta=THETA, variant=SpinVariant.B)
     )
     result = run_pipeline(model, grid)
     return result, time.perf_counter() - start
@@ -178,7 +178,7 @@ def test_a5_condition_inconsistency_resolution():
     analytic = (W * np.sin(THETA) / 2) / (W0 + W * np.cos(THETA))
 
     model_b = build_spin_half(
-        SpinHalfParams(omega0=W0, omega=W, theta=THETA, variant=SpinVariant.B), grid
+        SpinHalfParams(omega0=W0, omega=W, theta=THETA, variant=SpinVariant.B)
     )
     res_b = run_pipeline(model_b, grid)
     first_b = max(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from adiorbit import _csv, cli, pipeline
 from adiorbit.cli import load_scenario, main, run_evolve
+from adiorbit.errors import ConfigError
 
 from conftest import SZ, write_tabulated
 
@@ -707,6 +708,64 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "OutsideTabulatedRange" in err and "tabulated range" in err
 
+    @pytest.mark.parametrize("command", ["evolve", "check", "fourier", "sweep"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("model.generator", "0, nonsense; 1, 0"),
+            ("model.path", "/nonexistent"),
+            ("model.energies", "7, 8, 9"),
+            ("sweep.values", "banana"),
+        ],
+        ids=["generator", "path", "energies", "sweep_values"],
+    )
+    def test_foreign_or_bad_key_exits_2_on_every_command(
+        self, tmp_path, capsys, command, key, value
+    ):
+        # model.generator, model.path and model.energies belong to other
+        # model kinds; sweep.values is checked even where no sweep runs
+        cfg = {
+            "model.kind": "spin_half",
+            "model.omega0": "1.0",
+            "model.omega": "0.1",
+            "model.theta": "0.7",
+            "grid.tau_end": "20.0",
+            "grid.n_steps": "200",
+            "sweep.parameter": "model.omega",
+            "sweep.values": "0.1",
+            key: value,
+        }
+        path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
+    @pytest.mark.parametrize("command", ["evolve", "check", "fourier", "sweep"])
+    def test_sweep_parameter_the_kind_never_reads_exits_2(self, tmp_path, capsys, command):
+        # a conjugated model has no model.omega, so every row of this sweep
+        # would be the same
+        cfg = write_config(
+            tmp_path,
+            "model.kind = conjugated\nmodel.energies = 0, 1\n"
+            "model.generator = 0, 0.1; 0.1, 0\nfourier.period = 1.0\n"
+            "grid.tau_end = 1.0\ngrid.n_steps = 100\n"
+            "sweep.parameter = model.omega\nsweep.values = 0.1, 0.2, 0.3\n",
+        )
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "model.omega" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sweep.parameter", "model.banana"), ("fourier.period", "-1")],
+        ids=["sweep_parameter", "fourier_period"],
+    )
+    def test_bad_value_of_a_key_check_never_reads_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, SPIN_A_CONFIG + f"{key} = {value}\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
 
 # ---- the exit-code contract over random scenario files ----------------------
 
@@ -764,6 +823,40 @@ def scenario_texts(draw, table):
     return "".join(f"{k} = {v.replace('@table', str(table))}\n" for k, v in cfg.items())
 
 
+def _values_for(key):
+    """The pool's values that the parser in ``key``'s row accepts, plus
+    "junk", which most parsers reject, and None, which drops the key."""
+    parse = cli._SCHEMA[key][0]
+    accepted = []
+    for value in _SMALL if key in ("grid.n_steps", "sweep.values") else _POOL:
+        if value is None:
+            continue
+        try:
+            parse(key, value)
+        except ConfigError:
+            continue
+        accepted.append(value)
+    return accepted + ["junk", None]
+
+
+@st.composite
+def applicable_scenario_texts(draw, table):
+    """A base scenario with up to five keys redrawn, each a key whose row
+    applies to the base's model kind, mostly to values its parser accepts."""
+    cfg = dict(draw(st.sampled_from([base for base in _BASES if "model.kind" in base])))
+    kind = cfg["model.kind"]
+    keys = sorted(
+        key for key, row in cli._SCHEMA.items() if key != "model.kind" and row[3] in (None, (kind,))
+    )
+    for key in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True)):
+        value = draw(st.sampled_from(_values_for(key)))
+        if value is None:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    return "".join(f"{k} = {v.replace('@table', str(table))}\n" for k, v in cfg.items())
+
+
 class TestExitCodeContract:
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -776,6 +869,21 @@ class TestExitCodeContract:
     @given(data=st.data())
     def test_every_scenario_exits_0_2_or_3(self, workdir, data):
         text = data.draw(scenario_texts(workdir / "table.txt"))
+        cfg = write_config(workdir, text)
+        for command in ("evolve", "check", "fourier", "sweep"):
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(cfg), "--out", str(workdir / "out")])
+            assert code in (0, 2, 3), (command, text)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert any(_DIAGNOSTIC.match(line) for line in lines), (command, text, lines)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_applicable_scenario_exits_0_2_or_3(self, workdir, data):
+        # only keys the model kind reads, so more scenarios reach the numerics
+        text = data.draw(applicable_scenario_texts(workdir / "table.txt"))
         cfg = write_config(workdir, text)
         for command in ("evolve", "check", "fourier", "sweep"):
             err = io.StringIO()

@@ -161,13 +161,14 @@ class TestSpinHalf:
 
     def test_variant_b_builds_without_grid(self):
         params = SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4, variant=SpinVariant.B)
-        model_b = build_spin_half(params, grid=None)
+        model_b = build_spin_half(params)
         assert model_b.name == "spin_half_b"
         model_a = build_spin_half(SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4))
         # U_a propagated on a grid, as variant B was once built
         grid = TimeGrid(tau_end=20.0, n_steps=20000)
         u_a = [np.eye(2, dtype=complex)]
-        for step in unitary_steps(sample_hamiltonian(model_a, grid.midpoints), grid.dtau, -1):
+        midpoints = grid.samples[:-1] + 0.5 * grid.dtau
+        for step in unitary_steps(sample_hamiltonian(model_a, midpoints), grid.dtau, -1):
             u_a.append(step @ u_a[-1])
         u_a = np.array(u_a)
         h_a = sample_hamiltonian(model_a, grid.samples)
@@ -195,7 +196,7 @@ class TestSpinHalf:
     def test_variant_b_shape(self):
         grid = TimeGrid(tau_end=10.0, n_steps=2000)
         params = SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4, variant=SpinVariant.B)
-        model_b = build_spin_half(params, grid)
+        model_b = build_spin_half(params)
         model_a = build_spin_half(SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4))
         # at tau = 0 the evolution operator is the identity
         h_a, h_b = sample_hamiltonian(model_a, 0.0)[0], sample_hamiltonian(model_b, 0.0)[0]
@@ -406,7 +407,7 @@ class TestHermiticityProperty:
     def test_all_builtins(self, spin_a_model, conjugated_example):
         grid = TimeGrid(tau_end=5.0, n_steps=500)
         params_b = SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4, variant=SpinVariant.B)
-        models = [spin_a_model, conjugated_example[1], build_spin_half(params_b, grid)]
+        models = [spin_a_model, conjugated_example[1], build_spin_half(params_b)]
         rng = np.random.default_rng(5)
         taus = rng.uniform(0.0, 5.0, size=100)
         for model in models:

@@ -354,7 +354,8 @@ class TestChunkEdges:
         model = random_midpoint_model(grid, seed=n)
         v0 = np.array([0.6, 0.8j])
         traj = evolve_schrodinger(model, v0, grid)
-        steps = unitary_steps(sample_hamiltonian(model, grid.midpoints), grid.dtau, sign=-1)
+        midpoints = grid.samples[:-1] + 0.5 * grid.dtau
+        steps = unitary_steps(sample_hamiltonian(model, midpoints), grid.dtau, sign=-1)
         expected = step_by_step(steps, v0)
         assert traj.states.shape == (n + 1, 2)
         assert np.abs(traj.states - expected).max() < 1e-13
@@ -396,8 +397,8 @@ class TestPropagationMemory:
         grid = TimeGrid(tau_end=200.0, n_steps=n)
         v0 = np.array([1.0, 0.0j])
         traj, peak = traced_peak(lambda: evolve_schrodinger(spin_a_model, v0, grid))
-        # the grid's midpoints (n floats), and per chunk the samples of
+        # the grid's samples (n + 1 floats), and per chunk the samples of
         # h, their checks, the SU(2) kernel's real temporaries, the steps
-        # and the scan's chunk buffer (5.7 chunks, numpy 2.4)
+        # and the scan's chunk buffer (4.2 chunks, numpy 2.4)
         chunk_bytes = CHUNK * 4 * np.dtype(complex).itemsize
         assert peak < traj.states.nbytes + 8 * chunk_bytes
