@@ -11,7 +11,8 @@ comments). Four subcommands share them:
 One table, ``_SCHEMA``, declares every key: its parser, its default or
 that it is required, whether ``sweep`` may vary it, and the model kinds
 it applies to. Every key present is parsed and checked, whatever the
-command; a key of another model kind, or a ``sweep.parameter`` that the
+command, and each of ``sweep.values`` is also parsed by the swept key's
+row; a key of another model kind, or a ``sweep.parameter`` that the
 model kind does not read, is a configuration error.
 
 All output is deterministic: fixed column order, floats printed with 17
@@ -24,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,10 @@ def _resolve(cfg: dict[str, str]) -> dict:
     parameter = resolved["sweep.parameter"]
     if parameter is not None and parameter not in resolved:
         raise ConfigError(f"sweep.parameter {parameter} does not apply to model.kind = {kind}")
+    if parameter is not None and resolved["sweep.values"] is not None:
+        # each value is checked as the sweep point that sets it will parse it
+        for value in resolved["sweep.values"]:
+            _SCHEMA[parameter][0](parameter, repr(value))
     return resolved
 
 
@@ -284,7 +289,11 @@ def _write_evolution_csv(path: Path, result: PipelineResult):
         p_ratio,
         result.norm_residual,
     ]
-    columns += [np.abs(c) ** 2 for c in result.coefficients.coefficients.T]
+    # p_exact is |c_m|^2 of the initial level m, so that column is not formed again
+    columns += [
+        result.p_exact if n == result.initial_level else np.abs(c) ** 2
+        for n, c in enumerate(result.coefficients.coefficients.T)
+    ]
     header = ["tau", "P_exact", "P_direct", "P_first", "P_second", "P_ratio", "norm_residual"]
     header += [f"|c_{n}|^2" for n in range(result.model.dimension)]
     _write_csv(path, header, columns)
@@ -496,9 +505,14 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.config)
         if args.threshold is not None:
-            cfg = dict(scenario.raw)
-            cfg["conditions.threshold"] = repr(args.threshold)
-            scenario = build_scenario(cfg)
+            # checked by the key's own row; no other key depends on it, so
+            # the model is not built again
+            key, text = "conditions.threshold", repr(args.threshold)
+            scenario = replace(
+                scenario,
+                raw={**scenario.raw, key: text},
+                resolved={**scenario.resolved, key: _SCHEMA[key][0](key, text)},
+            )
         out_dir = Path(args.out)
         if args.command == "evolve":
             run_evolve(scenario, out_dir)

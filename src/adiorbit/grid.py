@@ -5,7 +5,8 @@ propagators) assumes the same uniform grid, so convergence studies are
 done by step halving rather than adaptive control. The running
 trapezoid is plain numpy and follows scipy's
 ``cumulative_trapezoid(..., initial=0)`` order of operations bit for
-bit, so the package needs no scipy at run time.
+bit, so the package needs no scipy at run time; it writes each of those
+operations in place into its one output array.
 """
 
 from dataclasses import dataclass
@@ -58,9 +59,17 @@ def cumulative_trapezoid(values: np.ndarray, dtau: float) -> np.ndarray:
     Output has the same shape as ``values``; entry k holds the integral
     over [tau_0, tau_k]. The same operations in the same order as
     ``scipy.integrate.cumulative_trapezoid(values, dx=dtau, axis=0,
-    initial=0)`` (scipy 1.17), so the result is equal bit for bit.
-    ``np.cumsum`` rather than ``np.cumulative_sum``, which needs numpy 2.1.
+    initial=0)`` (scipy 1.17), so the result is equal bit for bit; each
+    one writes in place into rows 1: of the output, so the output is the
+    only whole-grid array. ``np.cumsum`` rather than
+    ``np.cumulative_sum``, which needs numpy 2.1.
     """
     values = np.asarray(values)
-    steps = np.cumsum(dtau * (values[1:] + values[:-1]) / 2.0, axis=0)
-    return np.concatenate((np.zeros((1,) + steps.shape[1:], steps.dtype), steps))
+    out = np.empty(values.shape, np.result_type(values, dtau))
+    out[:1] = 0
+    steps = out[1:]
+    np.add(values[1:], values[:-1], out=steps)
+    np.multiply(dtau, steps, out=steps)
+    np.divide(steps, 2.0, out=steps)
+    np.cumsum(steps, axis=0, out=steps)
+    return out

@@ -11,7 +11,9 @@ midpoint generators and steps and multiplies them by the blocked scan
 from the previous chunk's last state, so only one chunk of (d, d)
 stacks is held at a time. The products are grouped differently from a
 step-by-step loop and agree with it to roundoff. Grids are fixed-step;
-convergence is assessed by halving the step.
+convergence is assessed by halving the step. The direct overlap of the
+states with a dressed frame column is formed STEP_CHUNK samples at a
+time into its result, so it holds no whole-grid temporary.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ import numpy as np
 from ._linalg import (
     SCAN_BLOCK,
     SCAN_CHUNK_BLOCKS,
+    STEP_CHUNK,
     max_hermiticity_defect,
     scan_states,
     unitary_steps,
@@ -130,12 +133,22 @@ def survival_probability_exact(trajectory: CoefficientTrajectory) -> np.ndarray:
 def survival_probability_direct(
     states: StateTrajectory, frame: InvariantFrame, level: int
 ) -> np.ndarray:
-    """Overlap-squared of the evolved state with the dressed frame vector."""
+    """Overlap-squared of the evolved state with the dressed frame vector.
+
+    Formed STEP_CHUNK samples at a time into the (n + 1,) result, so only
+    one chunk of the dressed column is held at a time; each sample's sum
+    is the one a whole-grid einsum would form.
+    """
     if not states.grid.matches(frame.grid):
         raise GridMismatch("state trajectory and frame live on different grids")
-    basis = frame.dressed_column(level)
-    overlaps = np.einsum("ki,ki->k", basis.conj(), states.states)
-    return np.abs(overlaps) ** 2
+    out = np.empty(states.states.shape[0])
+    for start in range(0, out.size, STEP_CHUNK):
+        rows = slice(start, start + STEP_CHUNK)
+        # deleted below, so it is not held while the next chunk's is formed
+        bra = frame.dressed_column(level, rows).conj()
+        out[rows] = np.abs(np.einsum("ki,ki->k", bra, states.states[rows])) ** 2
+        del bra
+    return out
 
 
 def conservation_residual(trajectory: CoefficientTrajectory) -> float:

@@ -126,6 +126,7 @@ class TestEvolve:
         result = SimpleNamespace(
             model=SimpleNamespace(dimension=2),
             grid=SimpleNamespace(samples=columns[0]),
+            initial_level=0,
             p_exact=columns[1],
             p_direct=columns[2],
             p_first=columns[3],
@@ -142,6 +143,34 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * table_bytes
+
+    def test_peak_is_the_live_set_at_the_write(self, tmp_path, monkeypatch):
+        """No stage of evolve holds a whole-grid temporary over what the run
+        keeps: the traced peak stays within the writer's buffers of the
+        memory held when the CSV write starts."""
+        text = SPIN_A_CONFIG.replace("tau_end = 20.0", "tau_end = 100.0")
+        scenario = load_scenario(write_config(tmp_path, text.replace("20000", "100000")))
+        at_write = []
+        original = cli._write_csv
+
+        def recording(*args):
+            at_write.append(tracemalloc.get_traced_memory()[0])
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_write_csv", recording)
+        tracemalloc.start()
+        try:
+            run_evolve(scenario, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.2 MB over the live set, the writer's buffers (numpy 2.4). At
+        # 2e4 steps one chunk of the propagators' stacks is larger than a
+        # whole-grid temporary, so the grid is 1e5 steps: a direct overlap
+        # formed over the whole grid at once peaks 5.3 MB over the live set
+        # here, and one (n + 1, 2) complex temporary is 3.2 MB.
+        assert len(at_write) == 1
+        assert peak <= at_write[0] + 2 * 2**20
 
     def test_constant_model_all_columns_one(self, tmp_path):
         table = write_tabulated(tmp_path / "const.txt", [0.0, 30.0], [SZ, SZ])
@@ -299,6 +328,31 @@ class TestCheck:
         ) == 0
         payload = json.loads((out / "conditions.json").read_text())
         assert payload["passed"] is False
+
+    def test_threshold_override_builds_the_model_once(self, tmp_path, monkeypatch):
+        builds = []
+        original = cli.build_spin_half
+
+        def counting(params):
+            builds.append(params)
+            return original(params)
+
+        monkeypatch.setattr(cli, "build_spin_half", counting)
+        cfg = write_config(tmp_path, SPIN_A_CONFIG)
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out), "--threshold", "0.5"]) == 0
+        assert len(builds) == 1
+        payload = json.loads((out / "conditions.json").read_text())
+        assert payload["resolved_config"]["conditions.threshold"] == "0.5"
+        assert {c["threshold"] for c in payload["criteria"]} == {0.5}
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_threshold_override_out_of_range_exits_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, SPIN_A_CONFIG)
+        argv = ["check", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threshold", value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "conditions.threshold" in err
 
     def test_variant_b_verdict_differs_from_a(self, tmp_path):
         # same parameters, conjugated-dual drive: the first-order value is
@@ -754,6 +808,16 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "model.omega" in err
+
+    @pytest.mark.parametrize("command", ["evolve", "check", "fourier", "sweep"])
+    def test_sweep_value_the_swept_key_rejects_exits_2(self, tmp_path, capsys, command):
+        # each value is parsed by grid.n_steps's own row, on every command
+        cfg = write_config(
+            tmp_path, SPIN_A_CONFIG + "sweep.parameter = grid.n_steps\nsweep.values = 200, 2.5\n"
+        )
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "grid.n_steps" in err and "'2.5'" in err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -6,9 +6,13 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from adiorbit import (
+    AdiabaticSpectrum,
     CoefficientTrajectory,
+    Gauge,
     HamiltonianModel,
+    InvariantFrame,
     SpinHalfParams,
+    StateTrajectory,
     TimeGrid,
     build_frame,
     build_spin_half,
@@ -327,6 +331,20 @@ def step_by_step(steps, v0):
     return np.array(out)
 
 
+def random_frame_and_states(n_samples, d, seed):
+    """A frame of random eigenvectors and phases, and random states, on
+    one grid; the direct overlap reads nothing else of either."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(tau_end=1e-3 * (n_samples - 1), n_steps=n_samples - 1)
+    vectors = rng.normal(size=(n_samples, d, d)) + 1j * rng.normal(size=(n_samples, d, d))
+    spectrum = AdiabaticSpectrum(
+        grid, np.zeros((n_samples, d)), vectors, Gauge.CONTINUITY_FIXED, min_gap=1.0
+    )
+    frame = InvariantFrame(spectrum, None, rng.normal(size=(n_samples, d)), None)
+    states = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
+    return frame, StateTrajectory(grid, states)
+
+
 class TestChunkEdges:
     """The propagators run one scan chunk at a time; the state carried
     across chunk edges must be the state the steps reach."""
@@ -365,6 +383,18 @@ class TestChunkEdges:
         drift = [np.abs(np.linalg.norm(v, axis=1) - 1.0).max() for v in (traj.states, expected)]
         assert drift[0] < max(1e-13, drift[1] + 1e-14)
 
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize(
+        "n_samples", [STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 200_001]
+    )
+    def test_direct_overlap_matches_the_whole_grid_einsum(self, d, n_samples):
+        frame, states = random_frame_and_states(n_samples, d, seed=n_samples + d)
+        basis = frame.dressed_column(1)
+        expected = np.abs(np.einsum("ki,ki->k", basis.conj(), states.states)) ** 2
+        ours = survival_probability_direct(states, frame, 1)
+        assert ours.dtype == expected.dtype and ours.shape == (n_samples,)
+        assert ours.tobytes() == expected.tobytes()
+
 
 def traced_peak(run):
     tracemalloc.start()
@@ -402,3 +432,13 @@ class TestPropagationMemory:
         # and the scan's chunk buffer (4.2 chunks, numpy 2.4)
         chunk_bytes = CHUNK * 4 * np.dtype(complex).itemsize
         assert peak < traj.states.nbytes + 8 * chunk_bytes
+
+    def test_direct_overlap_d2(self):
+        n_samples, d = 200_001, 2
+        frame, states = random_frame_and_states(n_samples, d, seed=7)
+        p, peak = traced_peak(lambda: survival_probability_direct(states, frame, 0))
+        # per chunk the phases and the dressed column, then its conjugate
+        # and the overlaps (2.5 chunks, numpy 2.4); the whole-grid einsum
+        # holds 14 MB over the output here
+        chunk_bytes = STEP_CHUNK * d * np.dtype(complex).itemsize
+        assert peak < p.nbytes + 4 * chunk_bytes
