@@ -26,9 +26,9 @@ _SOURCES = {
     ),
     "grid": ("TimeGrid",),
     "model": (
-        "ConjugatedParams", "HamiltonianModel", "NormalizationRecord", "SpinHalfParams",
-        "SpinVariant", "build_conjugated_model", "build_spin_half", "load_tabulated_model",
-        "normalize", "sample_hamiltonian",
+        "ConjugatedParams", "HamiltonianModel", "SpinHalfParams", "SpinVariant",
+        "build_conjugated_model", "build_spin_half", "load_tabulated_model", "normalize",
+        "sample_hamiltonian",
     ),
     "perturb": (
         "ConditionReport", "CriterionRecord", "compact_condition_functional",
@@ -65,7 +65,6 @@ __all__ = [
     "Harmonic",
     "InvariantFrame",
     "NonadiabaticCoupling",
-    "NormalizationRecord",
     "PhaseLinearity",
     "PipelineResult",
     "SpinHalfParams",

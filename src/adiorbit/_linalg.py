@@ -32,10 +32,12 @@ from .errors import NonFiniteStep
 # Steps per block of the two-level scan: the in-block prefix loops over
 # this many positions, the chaining loop over n / SCAN_BLOCK blocks.
 SCAN_BLOCK = 128
-# Blocks per scan chunk; only one chunk of steps is held at a time. The
-# scan's ufunc calls run over rows of SCAN_CHUNK_BLOCKS entries, so a
-# chunk of 128 x 128 steps (1 MB for d = 2) is as fast as 256 x 256 at a
-# quarter of the buffer.
+# Blocks per scan chunk of d = 2 steps; only one chunk of steps is held
+# at a time. The scan's ufunc calls run over rows of SCAN_CHUNK_BLOCKS
+# entries, so a chunk of 128 x 128 steps (1 MB for d = 2) is as fast as
+# 256 x 256 at a quarter of the buffer. The propagators give a chunk of
+# larger steps at most as many matrix entries, in whole STEP_CHUNKs and
+# at least one: 4096 steps for every d >= 3.
 SCAN_CHUNK_BLOCKS = 128
 # Generators exponentiated per pass of unitary_steps.
 STEP_CHUNK = 4096
@@ -278,16 +280,23 @@ def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     return out[: n + 1]
 
 
-def central_difference(stack: np.ndarray, dtau: float) -> np.ndarray:
+def central_difference(stack: np.ndarray, dtau: float, rows: slice = slice(None)) -> np.ndarray:
     """d/dtau of a sampled quantity along axis 0, second order.
 
     Central differences in the interior, one-sided three-point stencils
-    at both endpoints.
+    at both endpoints. Only the derivative at ``rows`` is formed, each
+    sample's the one the whole stack's would be.
     """
-    if stack.shape[0] < 3:
+    n = stack.shape[0]
+    if n < 3:
         raise ValueError("need at least 3 samples for second-order differences")
-    out = np.empty_like(stack)
-    out[1:-1] = (stack[2:] - stack[:-2]) / (2.0 * dtau)
-    out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / (2.0 * dtau)
-    out[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * dtau)
+    start, stop, _ = rows.indices(n)
+    out = np.empty((max(stop - start, 0),) + stack.shape[1:], stack.dtype)
+    lo, hi, width = max(start, 1), min(stop, n - 1), 2.0 * dtau
+    if hi > lo:
+        out[lo - start : hi - start] = (stack[lo + 1 : hi + 1] - stack[lo - 1 : hi - 1]) / width
+    if start == 0 < stop:
+        out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / width
+    if stop == n > start:
+        out[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / width
     return out

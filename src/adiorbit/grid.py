@@ -67,9 +67,23 @@ def cumulative_trapezoid(values: np.ndarray, dtau: float) -> np.ndarray:
     values = np.asarray(values)
     out = np.empty(values.shape, np.result_type(values, dtau))
     out[:1] = 0
-    steps = out[1:]
-    np.add(values[1:], values[:-1], out=steps)
-    np.multiply(dtau, steps, out=steps)
-    np.divide(steps, 2.0, out=steps)
-    np.cumsum(steps, axis=0, out=steps)
+    running_trapezoid(values, dtau, out[1:])
     return out
+
+
+def running_trapezoid(values: np.ndarray, dtau: float, out: np.ndarray, initial=None):
+    """The running trapezoid integral at ``values[1:]``, written into
+    ``out``, from ``initial``, its value at ``values[0]`` (0 when None).
+
+    The steps of :func:`cumulative_trapezoid`, with ``initial`` added to
+    the first before the cumsum, which is the addition the cumsum over
+    the whole grid makes there: an integral formed a chunk at a time,
+    each chunk from the previous chunk's last sample and value, equals
+    the whole-grid one bit for bit.
+    """
+    np.add(values[1:], values[:-1], out=out)
+    np.multiply(dtau, out, out=out)
+    np.divide(out, 2.0, out=out)
+    if initial is not None:
+        out[:1] += initial
+    np.cumsum(out, axis=0, out=out)

@@ -17,10 +17,13 @@ adiabatic limit:
 
 The first three read two kernels of M: the column integrals
 A_k(tau) = int_0^tau M_km, and the ordered double integral D_mm, whose
-inner integral is A itself. :func:`evaluate_conditions` builds A once
-and D_mm once from it; each public probability and condition function
-is a thin view over the same two private helpers. Integrals use the
-composite trapezoid, so the cost stays linear in the number of steps.
+inner integral is A itself. One private walker forms both running
+integrals one STEP_CHUNK of samples at a time, carrying their last
+values across chunk edges, so the curves are filled into their (n + 1,)
+results and the criteria walk only up to their horizon, with no
+whole-grid temporary; every value equals the whole-grid composite
+trapezoid's bit for bit. :func:`evaluate_conditions` walks once for
+all three criteria. The cost stays linear in the number of steps.
 Evaluation horizons (``tau_end``) snap to the nearest grid sample.
 """
 
@@ -29,8 +32,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._linalg import STEP_CHUNK
 from .errors import RatioBreakdown
-from .grid import TimeGrid, cumulative_trapezoid
+from .grid import TimeGrid, running_trapezoid
 from .propagate import CoefficientTrajectory, evolve_coefficients
 
 #: |c_m| below which ratio-based quantities are meaningless
@@ -78,21 +82,55 @@ def _end_index(grid: TimeGrid, tau_end: Optional[float]) -> int:
     return grid.n_steps if tau_end is None else grid.index_of(tau_end)
 
 
-def _column_integrals(coupling: np.ndarray, grid: TimeGrid, level: int) -> np.ndarray:
-    """Running integrals A_k(tau) = int_0^tau M_km dlambda, shape (n+1, d)."""
-    return cumulative_trapezoid(coupling[:, :, level], grid.dtau)
+def _kernels(coupling: np.ndarray, grid: TimeGrid, level: int, stop: Optional[int] = None):
+    """Yield ``(rows, A[rows], D_mm[rows])`` one STEP_CHUNK of samples at
+    a time, for the samples before ``stop`` (all by default).
 
-
-def _double_integral_kernel(
-    coupling: np.ndarray, column_integrals: np.ndarray, grid: TimeGrid, level: int
-) -> np.ndarray:
-    """D_mm(tau_k) = int_0^tau dl1 sum_k M_mk(l1) int_0^l1 dl2 M_km(l2).
-
-    ``column_integrals`` is the inner integral, A from
-    :func:`_column_integrals` for the same level.
+    A_k(tau) = int_0^tau M_km, and D_mm(tau) = int_0^tau sum_k M_mk A_k,
+    the ordered double integral whose inner integral is A. Each chunk
+    continues both running trapezoids from the previous chunk's last
+    values of A, D_mm and D_mm's integrand, so every row equals the
+    whole-grid ``cumulative_trapezoid``'s bit for bit. The yielded arrays
+    are buffers that the next chunk overwrites.
     """
-    integrand = np.einsum("jk,jk->j", coupling[:, level, :], column_integrals)
-    return cumulative_trapezoid(integrand, grid.dtau)
+    column, row, dtau = coupling[:, :, level], coupling[:, level, :], grid.dtau
+    stop = coupling.shape[0] if stop is None else stop
+    chunk, dtype = min(STEP_CHUNK, stop), np.result_type(coupling, dtau)
+    a_buf, d_buf = np.empty((chunk, column.shape[1]), dtype), np.empty(chunk, dtype)
+    # D_mm's integrand, after the value carried in from the previous chunk
+    g_buf = np.empty(chunk + 1, dtype)
+    carry = None
+    for start in range(0, stop, STEP_CHUNK):
+        rows = slice(start, min(start + STEP_CHUNK, stop))
+        n = rows.stop - start
+        a, d_mm, g = a_buf[:n], d_buf[:n], g_buf[: n + 1]
+        if carry is None:
+            # both integrals are 0 at sample 0; steps fill the rows after it
+            head, a_end, d_end = 1, None, None
+            a[0] = d_mm[0] = 0
+        else:
+            head = 0
+            a_end, g[0], d_end = carry
+        running_trapezoid(column[start - 1 + head : rows.stop], dtau, a[head:], a_end)
+        np.einsum("jk,jk->j", row[rows], a, out=g[1:])
+        running_trapezoid(g[head:], dtau, d_mm[head:], d_end)
+        carry = a[-1].copy(), g[-1], d_mm[-1]
+        yield rows, a, d_mm
+
+
+def _kernels_at(coupling: np.ndarray, grid: TimeGrid, level: int, idx: int):
+    """A and D_mm at sample ``idx``, walking no further."""
+    for _, a, d_mm in _kernels(coupling, grid, level, idx + 1):
+        pass
+    return a[-1], d_mm[-1]
+
+
+def _curve(coupling: np.ndarray, grid: TimeGrid, level: int, of_kernels) -> np.ndarray:
+    """``of_kernels(A, D_mm)`` at every sample, filled chunk by chunk."""
+    out = np.empty(coupling.shape[0])
+    for rows, a, d_mm in _kernels(coupling, grid, level):
+        out[rows] = of_kernels(a, d_mm)
+    return out
 
 
 def _first_order_deficits(a_end: np.ndarray, level: int) -> dict[int, float]:
@@ -101,8 +139,9 @@ def _first_order_deficits(a_end: np.ndarray, level: int) -> dict[int, float]:
 
 def first_order_probability(coupling: np.ndarray, grid: TimeGrid, initial_level: int) -> np.ndarray:
     """P1(tau_k) = 1 - sum_{k != m} |int_0^tau M_km|^2."""
-    a = _column_integrals(coupling, grid, initial_level)
-    return 1.0 - np.sum(np.abs(a) ** 2, axis=1)
+    return _curve(
+        coupling, grid, initial_level, lambda a, _: 1.0 - np.sum(np.abs(a) ** 2, axis=1)
+    )
 
 
 def first_order_condition(
@@ -113,15 +152,13 @@ def first_order_condition(
 ) -> dict[int, float]:
     """Per-level first-order deficits |int_0^tau_end M_km|^2, k != m."""
     idx = _end_index(grid, tau_end)
-    a = _column_integrals(coupling, grid, initial_level)
-    return _first_order_deficits(a[idx], initial_level)
+    a_end, _ = _kernels_at(coupling, grid, initial_level, idx)
+    return _first_order_deficits(a_end, initial_level)
 
 
 def second_order_probability(coupling: np.ndarray, grid: TimeGrid, initial_level: int) -> np.ndarray:
     """P2(tau_k) = |1 - D_mm(tau_k)|^2 from the ordered double integral."""
-    a = _column_integrals(coupling, grid, initial_level)
-    d_mm = _double_integral_kernel(coupling, a, grid, initial_level)
-    return np.abs(1.0 - d_mm) ** 2
+    return _curve(coupling, grid, initial_level, lambda _, d_mm: np.abs(1.0 - d_mm) ** 2)
 
 
 def second_order_condition(
@@ -132,8 +169,8 @@ def second_order_condition(
 ) -> float:
     """|D_mm(tau_end)|^2, the squared second-order kernel."""
     idx = _end_index(grid, tau_end)
-    a = _column_integrals(coupling, grid, initial_level)
-    return float(np.abs(_double_integral_kernel(coupling, a, grid, initial_level)[idx]) ** 2)
+    _, d_end = _kernels_at(coupling, grid, initial_level, idx)
+    return float(np.abs(d_end) ** 2)
 
 
 def ratio_condition_first_order(
@@ -148,8 +185,8 @@ def ratio_condition_first_order(
     half the total first-order deficit, so it is non-negative.
     """
     idx = _end_index(grid, tau_end)
-    a = _column_integrals(coupling, grid, initial_level)
-    return float(np.real(_double_integral_kernel(coupling, a, grid, initial_level)[idx]))
+    _, d_end = _kernels_at(coupling, grid, initial_level, idx)
+    return float(np.real(d_end))
 
 
 def _guard_ratio(coefficients: np.ndarray, level: int, idx: int, what: str):
@@ -183,9 +220,9 @@ def ratio_probability_first_iteration(
             coefficients.coefficients, initial_level, grid.n_steps,
             "first-iteration ratio probability",
         )
-    a = _column_integrals(coupling, grid, initial_level)
-    d_mm = _double_integral_kernel(coupling, a, grid, initial_level)
-    return np.exp(-2.0 * np.real(d_mm))
+    return _curve(
+        coupling, grid, initial_level, lambda _, d_mm: np.exp(-2.0 * np.real(d_mm))
+    )
 
 
 def compact_condition_functional(
@@ -204,17 +241,22 @@ def compact_condition_functional(
     and vanishing exactly in the adiabatic limit.
 
     Raises :class:`RatioBreakdown` when |c_m| dips below 0.1 anywhere in
-    the range, where the expansion in ratios loses meaning.
+    the range, where the expansion in ratios loses meaning. The ratios
+    are formed one STEP_CHUNK of samples at a time; only the real
+    integrand is kept over the range.
     """
     if not grid.matches(coefficients.grid):
         raise ValueError("coefficients were computed on a different grid")
     idx = _end_index(grid, tau_end)
     c = coefficients.coefficients
     _guard_ratio(c, initial_level, idx, "compact condition functional")
-    ratios = c[: idx + 1] / c[: idx + 1, initial_level][:, None]
-    integrand = np.einsum("jk,jk->j", coupling[: idx + 1, initial_level, :], ratios)
+    integrand = np.empty(idx + 1)
+    for start in range(0, idx + 1, STEP_CHUNK):
+        rows = slice(start, min(start + STEP_CHUNK, idx + 1))
+        ratios = c[rows] / c[rows, initial_level][:, None]
+        integrand[rows] = np.einsum("jk,jk->j", coupling[rows, initial_level, :], ratios).imag
     # value = -Re{ i int ... } = Im int ...
-    return float(np.trapezoid(integrand.imag, dx=grid.dtau))
+    return float(np.trapezoid(integrand, dx=grid.dtau))
 
 
 def evaluate_conditions(
@@ -227,14 +269,13 @@ def evaluate_conditions(
 ) -> ConditionReport:
     """Evaluate all four criteria at the same horizon and threshold.
 
-    A and D_mm are built once here and shared by the first-order,
-    second-order and first-iteration ratio criteria.
+    A and D_mm are walked once, up to the horizon, and shared by the
+    first-order, second-order and first-iteration ratio criteria.
     """
     idx = _end_index(grid, tau_end)
     t_end = grid.samples[idx]
-    a = _column_integrals(coupling, grid, initial_level)
-    d_end = _double_integral_kernel(coupling, a, grid, initial_level)[idx]
-    per_level = _first_order_deficits(a[idx], initial_level)
+    a_end, d_end = _kernels_at(coupling, grid, initial_level, idx)
+    per_level = _first_order_deficits(a_end, initial_level)
     first = max(per_level.values())
     second = float(np.abs(d_end) ** 2)
     ratio = float(np.real(d_end))

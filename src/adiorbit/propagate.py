@@ -5,15 +5,17 @@ the exponential of the generator evaluated at the interval midpoint
 (closed SU(2) form for d = 2, Taylor scaling and squaring otherwise).
 Every step is unitary to roundoff, so norm conservation is a float-noise
 check rather than a tolerance check, and the global error is second
-order in the step. Both run one scan chunk (SCAN_BLOCK *
-SCAN_CHUNK_BLOCKS steps) at a time: each pass forms that chunk's
-midpoint generators and steps and multiplies them by the blocked scan
-from the previous chunk's last state, so only one chunk of (d, d)
-stacks is held at a time. The products are grouped differently from a
-step-by-step loop and agree with it to roundoff. Grids are fixed-step;
-convergence is assessed by halving the step. The direct overlap of the
-states with a dressed frame column is formed STEP_CHUNK samples at a
-time into its result, so it holds no whole-grid temporary.
+order in the step. Both run one scan chunk at a time: each pass forms
+that chunk's midpoint generators and steps and multiplies them by the
+blocked scan from the previous chunk's last state, so only one chunk of
+(d, d) stacks is held at a time. A chunk holds at most as many matrix
+entries as SCAN_BLOCK * SCAN_CHUNK_BLOCKS steps of d = 2, in whole
+STEP_CHUNKs and at least one (16384 steps for d = 2, 4096 for d >= 3).
+The products are grouped differently from a step-by-step loop and
+agree with it to roundoff. Grids are fixed-step; convergence is
+assessed by halving the step. The direct overlap of the states with a
+dressed frame column is formed STEP_CHUNK samples at a time into its
+result, so it holds no whole-grid temporary.
 """
 
 from dataclasses import dataclass
@@ -103,17 +105,27 @@ def evolve_coefficients(
     return CoefficientTrajectory(grid, _propagate(midpoints, grid, c0, sign=+1), initial_level)
 
 
+def _scan_chunk(d: int) -> int:
+    """Steps per scan chunk of (d, d) steps: as many matrix entries as a
+    d = 2 chunk of SCAN_BLOCK * SCAN_CHUNK_BLOCKS steps, rounded down to a
+    multiple of STEP_CHUNK and at least STEP_CHUNK (16384 steps for
+    d = 2, 4096 for d >= 3)."""
+    entries = SCAN_BLOCK * SCAN_CHUNK_BLOCKS * 2 * 2
+    return max(STEP_CHUNK, entries // (d * d) // STEP_CHUNK * STEP_CHUNK)
+
+
 def _propagate(
     generators: Callable[[int, int], np.ndarray], grid: TimeGrid, v0: np.ndarray, sign: int
 ) -> np.ndarray:
     """States (n + 1, d) from v0 under the midpoint steps of
     ``generators(lo, hi)``, the generators of steps lo..hi - 1.
 
-    One scan chunk at a time: STEP_CHUNK divides the chunk, so every
-    step is the one a whole-grid unitary_steps would form, and only the
-    state carried from one chunk to the next is rounded differently.
+    One scan chunk (:func:`_scan_chunk`) at a time: STEP_CHUNK divides
+    the chunk, so every step is the one a whole-grid unitary_steps would
+    form, and only the state carried from one chunk to the next is
+    rounded differently.
     """
-    chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
+    chunk = _scan_chunk(v0.size)
     n, dtau = grid.n_steps, grid.dtau
     out = np.empty((n + 1, v0.size), dtype=complex)
     out[0] = v0

@@ -22,7 +22,8 @@ analytic phases.
 The nonadiabatic coupling gamma_nm = i <phi_n | d phi_m / dtau> is
 computed either by second-order finite differences of the tracked
 frames or from the Hamiltonian derivative (off-diagonal only, with the
-diagonal taken from finite differences).
+diagonal taken from finite differences). The finite-difference route
+forms it STEP_CHUNK samples at a time into its one output stack.
 """
 
 import enum
@@ -294,16 +295,25 @@ def compute_nonadiabatic_coupling(
     """Sample gamma_nm = i <phi_n | phi_m'> on the spectrum's grid.
 
     ``FINITE_DIFFERENCE`` differentiates the tracked eigenvectors with
-    second-order stencils. ``HELLMANN_FEYNMAN`` uses
+    second-order stencils, one STEP_CHUNK of samples at a time, and
+    writes each chunk's overlaps into the result, which is then
+    multiplied by i in place; every entry is the one the whole-stack
+    formula gives. ``HELLMANN_FEYNMAN`` uses
     gamma_nm = i <phi_n| dh/dtau |phi_m> / (e_m - e_n) off the diagonal,
     taking dh/dtau from the model (or a central difference of h with
     step 1e-6 when the model has no analytic derivative); the diagonal
     always comes from the finite-difference route.
     """
-    vecs = spectrum.eigenvectors
-    dvecs = central_difference(vecs, spectrum.grid.dtau)
+    vecs, dtau = spectrum.eigenvectors, spectrum.grid.dtau
     if method is GammaMethod.FINITE_DIFFERENCE:
-        gamma_fd = 1j * np.einsum("kin,kim->knm", vecs.conj(), dvecs)
+        gamma_fd = np.empty(vecs.shape, dtype=complex)
+        for start in range(0, vecs.shape[0], STEP_CHUNK):
+            rows = slice(start, start + STEP_CHUNK)
+            np.einsum(
+                "kin,kim->knm", vecs[rows].conj(), central_difference(vecs, dtau, rows),
+                out=gamma_fd[rows],
+            )
+        np.multiply(1j, gamma_fd, out=gamma_fd)
         return NonadiabaticCoupling(spectrum.grid, gamma_fd, method)
 
     if model is None:
@@ -313,6 +323,7 @@ def compute_nonadiabatic_coupling(
         hdot = _fd_hamiltonian_derivative(model, spectrum.grid)
 
     # only the d diagonal overlaps of the finite-difference route are kept
+    dvecs = central_difference(vecs, dtau)
     berry = 1j * np.einsum("kin,kin->kn", vecs.conj(), dvecs)
     del dvecs
     numer = stacked_matmul(vecs.conj().swapaxes(-1, -2), stacked_matmul(hdot, vecs))

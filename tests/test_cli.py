@@ -329,6 +329,35 @@ class TestCheck:
         payload = json.loads((out / "conditions.json").read_text())
         assert payload["passed"] is False
 
+    def test_peak_is_the_live_set_after_the_conditions(self, tmp_path, monkeypatch):
+        """No stage of check holds a whole-grid temporary over what the run
+        keeps: the traced peak stays within a margin of the memory held
+        when the conditions have been evaluated."""
+        text = CONJ_D5_CONFIG.replace("tau_end = 20.0", "tau_end = 40.0")
+        scenario = load_scenario(write_config(tmp_path, text.replace("2000", "40000")))
+        held = []
+        original = cli.evaluate_conditions
+
+        def recording(*args, **kwargs):
+            report = original(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            return report
+
+        monkeypatch.setattr(cli, "evaluate_conditions", recording)
+        tracemalloc.start()
+        try:
+            cli.run_check(scenario, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The d = 5 grid of the benchmark's check: one (n + 1, 5, 5)
+        # complex stack is 16 MB, and the margin is half of one. Measured
+        # 5.6 MB over the live set, the coefficient route's (n + 1, 5)
+        # result and buffers and one chunk of its stacks (numpy 2.4); with
+        # 16384-step scan chunks the route peaks 15.0 MB over it.
+        assert len(held) == 1
+        assert peak <= held[0] + 8 * 2**20
+
     def test_threshold_override_builds_the_model_once(self, tmp_path, monkeypatch):
         builds = []
         original = cli.build_spin_half

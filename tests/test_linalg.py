@@ -9,6 +9,7 @@ from adiorbit._linalg import (
     STEP_CHUNK,
     _su2_steps,
     _taylor_steps,
+    central_difference,
     max_hermiticity_defect,
     phase_convention,
     scan_states,
@@ -403,3 +404,18 @@ def test_scan_states_memory_bound_d5():
     output plus a 16 MB chunk of operators)."""
     steps = unitary_steps(random_hermitian(np.random.default_rng(27), 40_000, 5), 1e-3, -1)
     assert scan_states_peak(steps, np.eye(5, dtype=complex)[0]) <= 19_381_840
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_central_difference_rows_are_the_whole_stencil(n):
+    # every contiguous range of rows, empty and one-row ranges at either
+    # end included, is that range of the whole-stack derivative bit for bit
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+    whole = central_difference(stack, 0.01)
+    for start in range(n + 1):
+        for stop in range(start, n + 2):
+            rows = slice(start, stop)
+            part = central_difference(stack, 0.01, rows)
+            assert part.shape == whole[rows].shape
+            assert part.tobytes() == whole[rows].tobytes()

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from adiorbit import (
+    CoefficientTrajectory,
     SpinHalfParams,
     TimeGrid,
     build_spin_half,
@@ -17,7 +20,9 @@ from adiorbit import (
     second_order_probability,
     survival_probability_exact,
 )
+from adiorbit._linalg import STEP_CHUNK
 from adiorbit.errors import RatioBreakdown
+from adiorbit.grid import cumulative_trapezoid
 
 from conftest import smooth_random_model
 
@@ -278,3 +283,83 @@ class TestConditionReport:
         assert report["CompactFunctional"].value == compact_condition_functional(
             coupling, traj, grid, initial_level, tau_end
         )
+
+
+def whole_grid_kernels(coupling, grid, level):
+    """A and D_mm formed over the whole grid at once."""
+    a = cumulative_trapezoid(coupling[:, :, level], grid.dtau)
+    d_mm = cumulative_trapezoid(np.einsum("jk,jk->j", coupling[:, level, :], a), grid.dtau)
+    return a, d_mm
+
+
+def whole_grid_compact(coupling, coefficients, grid, level, idx):
+    """The compact functional with every ratio formed at once."""
+    c = coefficients[: idx + 1]
+    ratios = c / c[:, level][:, None]
+    integrand = np.einsum("jk,jk->j", coupling[: idx + 1, level, :], ratios)
+    return float(np.trapezoid(integrand.imag, dx=grid.dtau))
+
+
+class TestChunkEdges:
+    """The kernels are walked one STEP_CHUNK of samples at a time; every
+    curve and criterion must equal the whole-grid formula bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "n_samples",
+        [STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 1, 200_001],
+    )
+    def test_curves_and_conditions_match_the_whole_grid_formulas(self, d, n_samples):
+        rng = np.random.default_rng(n_samples + d)
+        shape = (n_samples, d, d)
+        coupling = 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        grid = TimeGrid(tau_end=1e-3 * (n_samples - 1), n_steps=n_samples - 1)
+        level = 1
+        c = 0.1 * (rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d)))
+        c[:, level] += 1.0  # |c_m| stays far above RATIO_FLOOR
+        traj = CoefficientTrajectory(grid, c, level)
+        a, d_mm = whole_grid_kernels(coupling, grid, level)
+        curves = [
+            (first_order_probability(coupling, grid, level), 1.0 - np.sum(np.abs(a) ** 2, axis=1)),
+            (second_order_probability(coupling, grid, level), np.abs(1.0 - d_mm) ** 2),
+            (
+                ratio_probability_first_iteration(coupling, grid, level, traj),
+                np.exp(-2.0 * np.real(d_mm)),
+            ),
+        ]
+        for ours, expected in curves:
+            assert ours.dtype == expected.dtype and ours.shape == expected.shape
+            assert ours.tobytes() == expected.tobytes()
+
+        # the last sample, and one in the middle of a chunk
+        for idx in (n_samples - 1, n_samples - 1 - STEP_CHUNK // 2):
+            tau_end = grid.samples[idx]
+            report = evaluate_conditions(coupling, traj, grid, level, tau_end=tau_end)
+            per_level = {k: float(np.abs(a[idx, k]) ** 2) for k in range(d) if k != level}
+            assert report["FirstOrder"].tau_end == tau_end
+            assert report["FirstOrder"].per_level == per_level
+            assert report["FirstOrder"].value == max(per_level.values())
+            assert report["SecondOrder"].value == float(np.abs(d_mm[idx]) ** 2)
+            assert report["RatioFirstIter"].value == float(np.real(d_mm[idx]))
+            assert report["CompactFunctional"].value == whole_grid_compact(
+                coupling, c, grid, level, idx
+            )
+
+    def test_second_order_probability_holds_one_chunk(self):
+        n_samples, d = 200_001, 2
+        rng = np.random.default_rng(4)
+        shape = (n_samples, d, d)
+        coupling = 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        grid = TimeGrid(tau_end=200.0, n_steps=n_samples - 1)
+        tracemalloc.start()
+        try:
+            p2 = second_order_probability(coupling, grid, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk of A, D_mm and its integrand, and the curve's
+        # temporaries (2.8 chunks of A, numpy 2.4); the whole-grid
+        # formulas hold A, the integrand, D_mm and 1 - D_mm at once
+        # (12.2 MB over this 1.5 MB curve, 98 chunks)
+        chunk_bytes = STEP_CHUNK * d * np.dtype(complex).itemsize
+        assert peak < p2.nbytes + 4 * chunk_bytes

@@ -28,10 +28,11 @@ from adiorbit import (
 from adiorbit._linalg import SCAN_BLOCK, SCAN_CHUNK_BLOCKS, STEP_CHUNK, unitary_steps
 from adiorbit.errors import GridMismatch
 from adiorbit.model import sample_hamiltonian
+from adiorbit.propagate import _scan_chunk
 
 from conftest import SX, constant_model
 
-# steps per pass of the propagators
+# steps per pass of the propagators for d = 2; _scan_chunk(d) for any d
 CHUNK = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
 
 
@@ -345,6 +346,17 @@ def random_frame_and_states(n_samples, d, seed):
     return frame, StateTrajectory(grid, states)
 
 
+def check_coefficients_against_a_step_loop(d, n):
+    grid = TimeGrid(tau_end=1e-3 * n, n_steps=n)
+    coupling = random_coupling(n + 1, d, seed=n + d)
+    traj = evolve_coefficients(coupling, grid, initial_level=1)
+    steps = unitary_steps(0.5 * (coupling[:-1] + coupling[1:]), grid.dtau, sign=+1)
+    expected = step_by_step(steps, np.eye(d, dtype=complex)[1])
+    assert traj.coefficients.shape == (n + 1, d)
+    assert np.abs(traj.coefficients - expected).max() < 1e-13
+    assert np.abs(np.linalg.norm(traj.coefficients, axis=1) - 1.0).max() < 1e-13
+
+
 class TestChunkEdges:
     """The propagators run one scan chunk at a time; the state carried
     across chunk edges must be the state the steps reach."""
@@ -354,17 +366,24 @@ class TestChunkEdges:
         # whole-grid unitary_steps would pick
         assert CHUNK % STEP_CHUNK == 0
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_step_chunk_divides_the_scan_chunk_of_every_d(self, d):
+        chunk = _scan_chunk(d)
+        assert chunk % STEP_CHUNK == 0
+        # as many matrix entries as a d = 2 chunk at most, unless a single
+        # STEP_CHUNK of steps holds more
+        assert chunk * d * d <= max(CHUNK * 2 * 2, STEP_CHUNK * d * d)
+        assert d > 2 or chunk == CHUNK
+
     @pytest.mark.parametrize("d", [3, 5])
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_coefficients_match_a_step_loop(self, d, n):
-        grid = TimeGrid(tau_end=1e-3 * n, n_steps=n)
-        coupling = random_coupling(n + 1, d, seed=n + d)
-        traj = evolve_coefficients(coupling, grid, initial_level=1)
-        steps = unitary_steps(0.5 * (coupling[:-1] + coupling[1:]), grid.dtau, sign=+1)
-        expected = step_by_step(steps, np.eye(d, dtype=complex)[1])
-        assert traj.coefficients.shape == (n + 1, d)
-        assert np.abs(traj.coefficients - expected).max() < 1e-13
-        assert np.abs(np.linalg.norm(traj.coefficients, axis=1) - 1.0).max() < 1e-13
+        check_coefficients_against_a_step_loop(d, n)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_coefficients_match_a_step_loop_at_the_d_chunk(self, d, chunks, extra):
+        check_coefficients_against_a_step_loop(d, chunks * _scan_chunk(d) + extra)
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_schrodinger_matches_a_step_loop(self, n):

@@ -6,6 +6,7 @@ import pytest
 
 import adiorbit.spectrum
 from adiorbit import (
+    AdiabaticSpectrum,
     Gauge,
     GammaMethod,
     HamiltonianModel,
@@ -26,7 +27,7 @@ from adiorbit.errors import (
     InputError,
     InvalidSamples,
 )
-from adiorbit._linalg import phase_convention, su2_eigh
+from adiorbit._linalg import STEP_CHUNK, phase_convention, su2_eigh
 from adiorbit.grid import cumulative_trapezoid
 from adiorbit.spectrum import _CHUNK, _DIAGONAL_MARGIN, _OVERLAP_FLOOR
 
@@ -604,7 +605,55 @@ class TestPhaseRedressing:
             apply_phase_redressing(spec, lambda taus: np.ones((taus.size, 2)))
 
 
+def random_spectrum(n_samples, d, seed):
+    """Random (not unitary) eigenvector stacks on a grid of ``n_samples``
+    samples; the finite-difference gamma reads nothing else."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(tau_end=1e-3 * (n_samples - 1), n_steps=n_samples - 1)
+    vectors = rng.normal(size=(n_samples, d, d)) + 1j * rng.normal(size=(n_samples, d, d))
+    return AdiabaticSpectrum(
+        grid, np.zeros((n_samples, d)), vectors, Gauge.CONTINUITY_FIXED, min_gap=1.0
+    )
+
+
+def whole_grid_fd_gamma(vecs, dtau):
+    """The finite-difference gamma formed over the whole stack at once."""
+    dvecs = np.empty_like(vecs)
+    dvecs[1:-1] = (vecs[2:] - vecs[:-2]) / (2.0 * dtau)
+    dvecs[0] = (-3.0 * vecs[0] + 4.0 * vecs[1] - vecs[2]) / (2.0 * dtau)
+    dvecs[-1] = (3.0 * vecs[-1] - 4.0 * vecs[-2] + vecs[-3]) / (2.0 * dtau)
+    return 1j * np.einsum("kin,kim->knm", vecs.conj(), dvecs)
+
+
 class TestNonadiabaticCoupling:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "n_samples",
+        [STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 1, 200_001],
+    )
+    def test_fd_gamma_matches_the_whole_grid_formula(self, d, n_samples):
+        spec = random_spectrum(n_samples, d, seed=n_samples + d)
+        ours = compute_nonadiabatic_coupling(spec).values
+        expected = whole_grid_fd_gamma(spec.eigenvectors, spec.grid.dtau)
+        assert ours.dtype == expected.dtype and ours.shape == expected.shape
+        assert ours.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_fd_gamma_holds_one_chunk_over_its_output(self, d):
+        spec = random_spectrum(200_001, d, seed=d)
+        tracemalloc.start()
+        try:
+            gamma = compute_nonadiabatic_coupling(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per chunk the conjugated vectors, the derivative and the
+        # stencil's temporaries (4.0 chunks at d = 2, 3.0 at d = 5, numpy
+        # 2.4); the whole-grid formula holds two more stacks of the
+        # output's size (98 chunks at d = 2)
+        chunk_bytes = STEP_CHUNK * d * d * np.dtype(complex).itemsize
+        assert peak < gamma.values.nbytes + 5 * chunk_bytes
+
     def test_constant_model_gives_zero(self):
         grid = TimeGrid(tau_end=1.0, n_steps=50)
         spec = solve_quasistationary(constant_model(np.diag([1.0, 2.0])), grid)
