@@ -33,8 +33,7 @@ _SOURCES = {
     "perturb": (
         "ConditionReport", "CriterionRecord", "compact_condition_functional",
         "evaluate_conditions", "first_order_condition", "first_order_probability",
-        "ratio_condition_first_order", "ratio_probability_first_iteration",
-        "second_order_condition", "second_order_probability",
+        "ratio_probability_first_iteration", "second_order_probability",
     ),
     "pipeline": ("PipelineResult", "run_pipeline"),
     "propagate": (
@@ -51,58 +50,7 @@ _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdiabaticSpectrum",
-    "CoefficientTrajectory",
-    "ConditionReport",
-    "ConjugatedParams",
-    "CouplingHarmonics",
-    "CriterionRecord",
-    "FourierConditionReport",
-    "Gauge",
-    "GammaMethod",
-    "HamiltonianModel",
-    "Harmonic",
-    "InvariantFrame",
-    "NonadiabaticCoupling",
-    "PhaseLinearity",
-    "PipelineResult",
-    "SpinHalfParams",
-    "SpinVariant",
-    "StateTrajectory",
-    "TimeGrid",
-    "apply_phase_redressing",
-    "build_conjugated_model",
-    "build_frame",
-    "build_spin_half",
-    "check_linear_phase",
-    "compact_condition_functional",
-    "compute_nonadiabatic_coupling",
-    "conjugated_coupling_closed_form",
-    "conservation_residual",
-    "coupling_from_overlaps",
-    "coupling_route_discrepancy",
-    "errors",
-    "evaluate_conditions",
-    "evolve_coefficients",
-    "evolve_schrodinger",
-    "first_order_condition",
-    "first_order_probability",
-    "fourier_condition_report",
-    "fourier_decompose_coupling",
-    "load_tabulated_model",
-    "normalize",
-    "ratio_condition_first_order",
-    "ratio_probability_first_iteration",
-    "run_pipeline",
-    "sample_hamiltonian",
-    "second_order_condition",
-    "second_order_probability",
-    "solve_quasistationary",
-    "survival_probability_direct",
-    "survival_probability_exact",
-    "verify_conjugated_coupling",
-]
+__all__ = sorted(["errors", *_MODULE_OF])
 
 
 def __getattr__(name: str):

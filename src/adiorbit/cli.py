@@ -478,6 +478,13 @@ def run_sweep(scenario: ScenarioConfig, out_dir: Path, threads: int = 1):
     return rows
 
 
+def _threads(text: str) -> int:
+    """``--threads``: an integer >= 1; argparse exits 2 on anything else."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adiorbit",
@@ -493,7 +500,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep points")
+        p.add_argument("--threads", type=_threads, default=1, help="parallel sweep points")
         p.add_argument(
             "--threshold", type=float, default=None, help="override the pass threshold"
         )
@@ -527,7 +534,7 @@ def main(argv=None) -> int:
                 status = "pass" if p["pass"] else "FAIL"
                 print(f"pair {tuple(p['pair'])}: max ratio {p['max_ratio']:.6e} {status}")
         elif args.command == "sweep":
-            run_sweep(scenario, out_dir, threads=max(1, args.threads))
+            run_sweep(scenario, out_dir, threads=args.threads)
     except NumericalError as exc:
         print(
             f"numerical failure in {exc.module}: {type(exc).__name__}: {exc}",

@@ -161,34 +161,6 @@ def second_order_probability(coupling: np.ndarray, grid: TimeGrid, initial_level
     return _curve(coupling, grid, initial_level, lambda _, d_mm: np.abs(1.0 - d_mm) ** 2)
 
 
-def second_order_condition(
-    coupling: np.ndarray,
-    grid: TimeGrid,
-    initial_level: int,
-    tau_end: Optional[float] = None,
-) -> float:
-    """|D_mm(tau_end)|^2, the squared second-order kernel."""
-    idx = _end_index(grid, tau_end)
-    _, d_end = _kernels_at(coupling, grid, initial_level, idx)
-    return float(np.abs(d_end) ** 2)
-
-
-def ratio_condition_first_order(
-    coupling: np.ndarray,
-    grid: TimeGrid,
-    initial_level: int,
-    tau_end: Optional[float] = None,
-) -> float:
-    """Re D_mm(tau_end): the first-iteration ratio criterion.
-
-    Equals the real part of the second-order kernel, and identically
-    half the total first-order deficit, so it is non-negative.
-    """
-    idx = _end_index(grid, tau_end)
-    _, d_end = _kernels_at(coupling, grid, initial_level, idx)
-    return float(np.real(d_end))
-
-
 def _guard_ratio(coefficients: np.ndarray, level: int, idx: int, what: str):
     floor = float(np.abs(coefficients[: idx + 1, level]).min())
     if floor < RATIO_FLOOR:

@@ -22,8 +22,8 @@ analytic phases.
 The nonadiabatic coupling gamma_nm = i <phi_n | d phi_m / dtau> is
 computed either by second-order finite differences of the tracked
 frames or from the Hamiltonian derivative (off-diagonal only, with the
-diagonal taken from finite differences). The finite-difference route
-forms it STEP_CHUNK samples at a time into its one output stack.
+diagonal taken from finite differences). Both routes form it
+STEP_CHUNK samples at a time into its one output stack.
 """
 
 import enum
@@ -268,22 +268,31 @@ def apply_phase_redressing(
     return replace(spectrum, eigenvectors=dressed)
 
 
-def _fd_hamiltonian_derivative(model, grid: TimeGrid) -> np.ndarray:
-    """dh/dtau by central differences, one-sided at the range ends.
-
-    Never probes outside [0, tau_end], so models defined only on that
-    range (tabulated, normalized raw evaluators) stay valid.
+def _hamiltonian_derivative(model, grid: TimeGrid, rows: slice) -> np.ndarray:
+    """dh/dtau at the samples ``rows``: the model's analytic derivative,
+    else central differences of h with step _FD_STEP, one-sided at the
+    range ends. Never probes outside [0, tau_end], so models defined
+    only on that range (tabulated, normalized raw evaluators) stay valid.
     """
     taus = grid.samples
-    delta = min(_FD_STEP, 0.5 * grid.dtau)
-    plus = sample_hamiltonian(model, taus[1:-1] + delta)
-    minus = sample_hamiltonian(model, taus[1:-1] - delta)
-    out = np.empty((taus.size,) + plus.shape[1:], dtype=complex)
-    out[1:-1] = (plus - minus) / (2.0 * delta)
-    lo = sample_hamiltonian(model, taus[0] + delta * np.array([0.0, 1.0, 2.0]))
-    out[0] = (-3.0 * lo[0] + 4.0 * lo[1] - lo[2]) / (2.0 * delta)
-    hi = sample_hamiltonian(model, taus[-1] - delta * np.array([2.0, 1.0, 0.0]))
-    out[-1] = (3.0 * hi[2] - 4.0 * hi[1] + hi[0]) / (2.0 * delta)
+    hdot = sample_derivative(model, taus[rows])
+    if hdot is not None:
+        return hdot
+    n = taus.size
+    start, stop, _ = rows.indices(n)
+    delta, d = min(_FD_STEP, 0.5 * grid.dtau), model.dimension
+    out = np.empty((stop - start, d, d), dtype=complex)
+    lo, hi = max(start, 1), min(stop, n - 1)
+    if hi > lo:
+        plus = sample_hamiltonian(model, taus[lo:hi] + delta)
+        minus = sample_hamiltonian(model, taus[lo:hi] - delta)
+        out[lo - start : hi - start] = (plus - minus) / (2.0 * delta)
+    if start == 0:
+        h = sample_hamiltonian(model, taus[0] + delta * np.array([0.0, 1.0, 2.0]))
+        out[0] = (-3.0 * h[0] + 4.0 * h[1] - h[2]) / (2.0 * delta)
+    if stop == n:
+        h = sample_hamiltonian(model, taus[-1] - delta * np.array([2.0, 1.0, 0.0]))
+        out[-1] = (3.0 * h[2] - 4.0 * h[1] + h[0]) / (2.0 * delta)
     return out
 
 
@@ -294,44 +303,35 @@ def compute_nonadiabatic_coupling(
 ) -> NonadiabaticCoupling:
     """Sample gamma_nm = i <phi_n | phi_m'> on the spectrum's grid.
 
+    Both methods fill the result one STEP_CHUNK of samples at a time,
+    each entry the one the whole-stack formula gives.
     ``FINITE_DIFFERENCE`` differentiates the tracked eigenvectors with
-    second-order stencils, one STEP_CHUNK of samples at a time, and
-    writes each chunk's overlaps into the result, which is then
-    multiplied by i in place; every entry is the one the whole-stack
-    formula gives. ``HELLMANN_FEYNMAN`` uses
+    second-order stencils. ``HELLMANN_FEYNMAN`` uses
     gamma_nm = i <phi_n| dh/dtau |phi_m> / (e_m - e_n) off the diagonal,
     taking dh/dtau from the model (or a central difference of h with
     step 1e-6 when the model has no analytic derivative); the diagonal
-    always comes from the finite-difference route.
+    is the finite-difference route's.
     """
-    vecs, dtau = spectrum.eigenvectors, spectrum.grid.dtau
-    if method is GammaMethod.FINITE_DIFFERENCE:
-        gamma_fd = np.empty(vecs.shape, dtype=complex)
-        for start in range(0, vecs.shape[0], STEP_CHUNK):
-            rows = slice(start, start + STEP_CHUNK)
-            np.einsum(
-                "kin,kim->knm", vecs[rows].conj(), central_difference(vecs, dtau, rows),
-                out=gamma_fd[rows],
-            )
-        np.multiply(1j, gamma_fd, out=gamma_fd)
-        return NonadiabaticCoupling(spectrum.grid, gamma_fd, method)
-
-    if model is None:
+    if method is GammaMethod.HELLMANN_FEYNMAN and model is None:
         raise DerivativeUnavailable("Hellmann-Feynman coupling needs the model")
-    hdot = sample_derivative(model, spectrum.grid.samples)
-    if hdot is None:
-        hdot = _fd_hamiltonian_derivative(model, spectrum.grid)
-
-    # only the d diagonal overlaps of the finite-difference route are kept
-    dvecs = central_difference(vecs, dtau)
-    berry = 1j * np.einsum("kin,kin->kn", vecs.conj(), dvecs)
-    del dvecs
-    numer = stacked_matmul(vecs.conj().swapaxes(-1, -2), stacked_matmul(hdot, vecs))
-    numer *= 1j
-    del hdot
-    denom = spectrum.eigenvalues[:, None, :] - spectrum.eigenvalues[:, :, None]
-    d = spectrum.dimension
-    gamma = np.divide(numer, denom, out=np.zeros_like(numer), where=~np.eye(d, dtype=bool))
-    idx = np.arange(d)
-    gamma[:, idx, idx] = berry
+    vecs, evals, dtau = spectrum.eigenvectors, spectrum.eigenvalues, spectrum.grid.dtau
+    idx = np.arange(spectrum.dimension)
+    off_diagonal = idx[:, None] != idx
+    gamma = np.empty(vecs.shape, dtype=complex)
+    for start in range(0, vecs.shape[0], STEP_CHUNK):
+        rows = slice(start, start + STEP_CHUNK)
+        g, bra = gamma[rows], vecs[rows].conj()
+        if method is GammaMethod.FINITE_DIFFERENCE:
+            np.einsum("kin,kim->knm", bra, central_difference(vecs, dtau, rows), out=g)
+            np.multiply(1j, g, out=g)
+        else:
+            numer = stacked_matmul(_hamiltonian_derivative(model, spectrum.grid, rows), vecs[rows])
+            numer = stacked_matmul(bra.swapaxes(-1, -2), numer)
+            numer *= 1j
+            np.divide(numer, evals[rows, None, :] - evals[rows, :, None], out=g, where=off_diagonal)
+            del numer
+            # only the d diagonal overlaps of the finite-difference route
+            berry = np.einsum("kin,kin->kn", bra, central_difference(vecs, dtau, rows))
+            g[:, idx, idx] = 1j * berry
+        del bra
     return NonadiabaticCoupling(spectrum.grid, gamma, method)

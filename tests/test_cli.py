@@ -507,6 +507,20 @@ class TestSweep:
         ) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, value",
+        [("sweep", "0"), ("sweep", "-4"), ("check", "-4"), ("evolve", "0"), ("sweep", "2.5"),
+         ("fourier", "many")],
+    )
+    def test_threads_below_one_or_not_an_integer_exits_2(self, tmp_path, capsys, command, value):
+        cfg = write_config(tmp_path, self.sweep_config(values="0.4"))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--threads: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_csv_bytes_match_per_field_format(self, tmp_path):
         cfg = write_config(tmp_path, self.sweep_config(values="0.4, 0.2"))
         out = tmp_path / "out"

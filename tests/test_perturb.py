@@ -13,16 +13,15 @@ from adiorbit import (
     evolve_coefficients,
     first_order_condition,
     first_order_probability,
-    ratio_condition_first_order,
     ratio_probability_first_iteration,
     run_pipeline,
-    second_order_condition,
     second_order_probability,
     survival_probability_exact,
 )
 from adiorbit._linalg import STEP_CHUNK
 from adiorbit.errors import RatioBreakdown
 from adiorbit.grid import cumulative_trapezoid
+from adiorbit.perturb import RATIO_FIRST_ITER, SECOND_ORDER
 
 from conftest import smooth_random_model
 
@@ -95,7 +94,8 @@ class TestSecondOrder:
         grid = TimeGrid(tau_end=1.0, n_steps=100)
         coupling = np.zeros((101, 2, 2), dtype=complex)
         assert np.all(second_order_probability(coupling, grid, 0) == 1.0)
-        assert second_order_condition(coupling, grid, 0) == 0.0
+        report = evaluate_conditions(coupling, evolve_coefficients(coupling, grid, 0), grid, 0)
+        assert report[SECOND_ORDER].value == 0.0
 
     def test_constant_real_coupling_series(self):
         # (M M)_mm = g^2, so P2 = (1 - g^2 tau^2 / 2)^2
@@ -114,13 +114,13 @@ class TestSecondOrder:
         # 1 - P2 = 2 Re D - |D|^2 holds identically, not just to leading order
         grid = spin_a_run.grid
         coupling = spin_a_run.frame.coupling
+        coefficients = evolve_coefficients(coupling, grid, 0)
         p2 = second_order_probability(coupling, grid, 0)
         for tau_end in (5.0, 12.0, 20.0):
             idx = grid.index_of(tau_end)
             lhs = 1.0 - p2[idx]
-            rhs = 2.0 * ratio_condition_first_order(
-                coupling, grid, 0, tau_end
-            ) - second_order_condition(coupling, grid, 0, tau_end)
+            report = evaluate_conditions(coupling, coefficients, grid, 0, tau_end)
+            rhs = 2.0 * report[RATIO_FIRST_ITER].value - report[SECOND_ORDER].value
             assert abs(lhs - rhs) < 1e-12
 
     def test_order_ladder(self):
@@ -143,7 +143,8 @@ class TestRatioMethods:
         grid = TimeGrid(tau_end=1.0, n_steps=100)
         coupling = np.zeros((101, 2, 2), dtype=complex)
         assert np.all(ratio_probability_first_iteration(coupling, grid, 0) == 1.0)
-        assert ratio_condition_first_order(coupling, grid, 0) == 0.0
+        report = evaluate_conditions(coupling, evolve_coefficients(coupling, grid, 0), grid, 0)
+        assert report[RATIO_FIRST_ITER].value == 0.0
 
     def test_ratio_probability_exponentiates_first_order_deficit(self, spin_a_run):
         coupling = spin_a_run.frame.coupling
@@ -161,7 +162,8 @@ class TestRatioMethods:
     def test_condition_is_half_first_order_deficit(self, spin_a_run):
         coupling = spin_a_run.frame.coupling
         grid = spin_a_run.grid
-        value = ratio_condition_first_order(coupling, grid, 0, 20.0)
+        coefficients = evolve_coefficients(coupling, grid, 0)
+        value = evaluate_conditions(coupling, coefficients, grid, 0, 20.0)[RATIO_FIRST_ITER].value
         p1 = first_order_probability(coupling, grid, 0)
         assert value == pytest.approx((1.0 - p1[-1]) / 2.0, abs=1e-12)
         assert value >= 0.0
@@ -274,12 +276,6 @@ class TestConditionReport:
         assert first.tau_end == tau_end
         assert first.per_level == per_level
         assert first.value == max(per_level.values())
-        assert report["SecondOrder"].value == second_order_condition(
-            coupling, grid, initial_level, tau_end
-        )
-        assert report["RatioFirstIter"].value == ratio_condition_first_order(
-            coupling, grid, initial_level, tau_end
-        )
         assert report["CompactFunctional"].value == compact_condition_functional(
             coupling, traj, grid, initial_level, tau_end
         )
