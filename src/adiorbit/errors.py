@@ -113,6 +113,12 @@ class GridMismatch(InputError):
     """Two sampled quantities do not live on the same time grid."""
 
 
+class PhaseUnresolved(NumericalError):
+    """The coupling phase moves pi/2 or more per step: too fast to unwrap."""
+
+    module = "frame"
+
+
 class RatioBreakdown(NumericalError):
     """Coefficient-ratio methods are invalid: |c_m| dips below 0.1."""
 

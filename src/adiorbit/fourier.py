@@ -96,12 +96,16 @@ def check_linear_phase(
 
     ``is_linear`` holds when the residual is below
     ``linearity_tol * (1 + |Omega_0| tau_end)``, a relative criterion so
-    fast phases are not penalized for accumulating more total angle.
+    fast phases are not penalized for accumulating more total angle. A
+    fit that does not converge raises :class:`PhaseNotLinear`.
     """
     k, m = pair
     taus = frame.grid.samples
-    alpha = frame.coupling_phase[:, k, m]
-    slope, intercept = np.polyfit(taus, alpha, 1)
+    alpha = frame.coupling_phase(k, m)
+    try:
+        slope, intercept = np.polyfit(taus, alpha, 1)
+    except np.linalg.LinAlgError as exc:
+        raise PhaseNotLinear(f"the line fit of the phase of pair {pair} failed: {exc}") from exc
     residual = float(np.abs(alpha - (intercept + slope * taus)).max())
     bound = linearity_tol * (1.0 + abs(slope) * frame.grid.tau_end)
     return PhaseLinearity(

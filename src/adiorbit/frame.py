@@ -8,32 +8,26 @@ by the Hermitian, zero-diagonal coupling
 
     M_mn = gamma~_mn e^{i (Theta_m - Theta_n)},
 
-where gamma~ is the hermitized nonadiabatic coupling: M is gamma~
-conjugated by the dressing phases. :func:`build_frame` forms it with one
-trapezoid sweep and one complex exponential per level and sample. It
-takes no argument of gamma, so the coupling does not depend on how that
-argument is continued where |gamma_mn| vanishes.
-
-The phase decomposition of the coupling, xi (accumulated Berry-connection
-difference plus the unwrapped arg gamma_mn) and alpha = xi plus the
-accumulated energy difference, is only read by the Fourier analysis; the
-frame derives it on first read. The coupling matrix is also assembled a
-second way, directly as i times the overlap of dressed frames with their
-time derivative (:func:`coupling_from_overlaps`). The two routes must
-agree; :func:`coupling_route_discrepancy` measures it.
+the hermitized nonadiabatic coupling gamma~ conjugated by the dressing
+phases, which :func:`build_frame` forms in gamma's own storage. Its
+phase alpha_mn = arg M_mn = int(e_m - e_n) + int(gamma~_nn - gamma~_mm)
++ arg gamma~_mn is the U(1)-invariant phase whose linearity the Fourier
+condition needs. The coupling is also assembled directly as i times the
+overlap of dressed frames with their time derivative
+(:func:`coupling_from_overlaps`); :func:`coupling_route_discrepancy`
+measures how far the two routes part.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from ._linalg import central_difference, hermitize
-from .errors import GridMismatch
+from ._linalg import STEP_CHUNK, central_difference, hermitize
+from .errors import GridMismatch, PhaseUnresolved
 from .grid import cumulative_trapezoid
 from .spectrum import AdiabaticSpectrum, NonadiabaticCoupling
 
-#: |gamma_mn| below which its argument is treated as undefined
+#: |M_mn| below which its argument is treated as undefined
 ARG_UNDEFINED_TOL = 1e-14
 
 
@@ -43,20 +37,12 @@ class InvariantFrame:
 
     ``dynamical_phase[k, m]`` (Theta) is the integral of e_m minus the
     Berry connection up to tau_k, and ``coupling`` is the Hermitian
-    zero-diagonal generator gamma~_mn e^{i (Theta_m - Theta_n)}.
-
-    ``geometric_phase[k, m, n]`` (xi), ``coupling_phase`` (alpha) and
-    ``arg_undefined`` are computed from ``gamma`` and ``spectrum`` on
-    first read and then kept; only the Fourier analysis reads them. xi
-    is the accumulated Berry-connection difference plus the unwrapped
-    arg gamma_mn, alpha adds the accumulated energy difference to it,
-    and ``arg_undefined`` flags the samples where |gamma_mn| is below
-    :data:`ARG_UNDEFINED_TOL` (there the argument is bridged by linear
-    interpolation).
+    zero-diagonal generator M_mn = gamma~_mn e^{i (Theta_m - Theta_n)}.
+    Its phase alpha_mn = arg M_mn is read from ``coupling`` one pair at
+    a time by :meth:`coupling_phase`; only the Fourier analysis reads it.
     """
 
     spectrum: AdiabaticSpectrum
-    gamma: NonadiabaticCoupling
     dynamical_phase: np.ndarray
     coupling: np.ndarray
 
@@ -74,63 +60,44 @@ class InvariantFrame:
         phase = np.exp(-1j * self.dynamical_phase[rows, level])
         return self.spectrum.eigenvectors[rows, :, level] * phase[:, None]
 
-    @cached_property
-    def _arguments(self) -> tuple[np.ndarray, np.ndarray]:
-        return _unwrapped_arguments(hermitize(self.gamma.values))
+    def coupling_phase(self, m: int, n: int) -> np.ndarray:
+        """alpha_mn = arg M_mn on the grid, continuously unwrapped, (n+1,).
 
-    @cached_property
-    def arg_undefined(self) -> np.ndarray:
-        return self._arguments[1]
-
-    @cached_property
-    def geometric_phase(self) -> np.ndarray:
-        diag = np.arange(self.spectrum.dimension)
-        # the real part of gamma's diagonal is that of the hermitized gamma
-        berry_int = cumulative_trapezoid(self.gamma.values[:, diag, diag].real, self.grid.dtau)
-        xi = berry_int[:, None, :] - berry_int[:, :, None]  # [k, m, n] = int(g_nn - g_mm)
-        xi += self._arguments[0]
-        xi[:, diag, diag] = 0.0
-        return xi
-
-    @cached_property
-    def coupling_phase(self) -> np.ndarray:
-        energy_int = cumulative_trapezoid(self.spectrum.eigenvalues, self.grid.dtau)
-        alpha = energy_int[:, :, None] - energy_int[:, None, :]
-        alpha += self.geometric_phase
-        return alpha
-
-
-def _unwrapped_arguments(gsym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Continuously unwrapped arg gamma_mn per pair, with undefined samples
-    linearly interpolated from their defined neighbours."""
-    n1, d, _ = gsym.shape
-    magnitude = np.abs(gsym)
-    args = np.zeros((n1, d, d))
-    undefined = np.zeros((n1, d, d), dtype=bool)
-    sample_idx = np.arange(n1)
-    for m in range(d):
-        for n in range(d):
-            if m == n:
-                continue
-            undef = magnitude[:, m, n] < ARG_UNDEFINED_TOL
-            undefined[:, m, n] = undef
-            if undef.all():
-                continue
-            defined = np.nonzero(~undef)[0]
-            unwrapped = np.unwrap(np.angle(gsym[defined, m, n]))
-            if undef.any():
-                args[:, m, n] = np.interp(sample_idx, defined, unwrapped)
-            else:
-                args[:, m, n] = unwrapped
-    return args, undefined
+        Where |M_mn| < :data:`ARG_UNDEFINED_TOL` the argument is undefined
+        and is bridged by linear interpolation from its defined
+        neighbours (zero when no sample is defined). The unwrap is right
+        only while alpha moves by less than pi per step. Its energy part
+        moves by up to max|e_m - e_n| dtau, so :class:`PhaseUnresolved`
+        is raised once that reaches pi/2, which leaves the other half of
+        the margin to the phase of gamma~_mn.
+        """
+        energies = self.spectrum.eigenvalues
+        advance = float(np.abs(energies[:, m] - energies[:, n]).max()) * self.grid.dtau
+        if advance >= np.pi / 2:
+            raise PhaseUnresolved(
+                f"alpha_{m}{n} advances by up to {advance:.4g} rad per step "
+                f"(max|e_{m} - e_{n}| dtau >= pi/2), so arg M_{m}{n} cannot be "
+                f"unwrapped; use more grid steps"
+            )
+        entry = self.coupling[:, m, n]
+        undefined = np.abs(entry) < ARG_UNDEFINED_TOL
+        if undefined.all():
+            return np.zeros(entry.shape)
+        defined = np.nonzero(~undefined)[0]
+        unwrapped = np.unwrap(np.angle(entry[defined]))
+        if undefined.any():
+            return np.interp(np.arange(entry.size), defined, unwrapped)
+        return unwrapped
 
 
 def build_frame(spectrum: AdiabaticSpectrum, gamma: NonadiabaticCoupling) -> InvariantFrame:
     """The dressed frame of a tracked spectrum and its coupling matrix.
 
-    The phase Theta_m of level m accumulates e_m(tau) - gamma_mm(tau) by
-    composite trapezoid from tau = 0. The coupling is the hermitized
-    gamma conjugated by the dressing phases,
+    ``gamma`` is consumed: the coupling is formed in ``gamma.values``,
+    which holds M afterwards. That stack is hermitized one STEP_CHUNK at
+    a time in place. The phase Theta_m of level m accumulates
+    e_m(tau) - gamma~_mm(tau) by composite trapezoid from tau = 0, and
+    the dressing phases multiply the stack in place,
     M_mn = gamma~_mn e^{i Theta_m} e^{-i Theta_n}, which reproduces
     i <dressed_m | d/dtau dressed_n> off the diagonal. The diagonal is
     exactly zero: its would-be entries are absorbed by the dressing
@@ -140,9 +107,12 @@ def build_frame(spectrum: AdiabaticSpectrum, gamma: NonadiabaticCoupling) -> Inv
     if not spectrum.grid.matches(gamma.grid):
         raise GridMismatch("spectrum and coupling live on different grids")
     diag = np.arange(spectrum.dimension)
+    coupling = gamma.values
     # the continuum gamma is exactly Hermitian; averaging projects out
     # the discretization noise so phases stay real and M exactly Hermitian
-    coupling = hermitize(gamma.values)
+    for start in range(0, coupling.shape[0], STEP_CHUNK):
+        rows = slice(start, start + STEP_CHUNK)
+        coupling[rows] = hermitize(coupling[rows])
     theta = cumulative_trapezoid(
         spectrum.eigenvalues - coupling[:, diag, diag].real, spectrum.grid.dtau
     )
@@ -150,9 +120,7 @@ def build_frame(spectrum: AdiabaticSpectrum, gamma: NonadiabaticCoupling) -> Inv
     coupling *= rot[:, :, None]
     coupling *= rot.conj()[:, None, :]
     coupling[:, diag, diag] = 0.0
-    return InvariantFrame(
-        spectrum=spectrum, gamma=gamma, dynamical_phase=theta, coupling=coupling
-    )
+    return InvariantFrame(spectrum=spectrum, dynamical_phase=theta, coupling=coupling)
 
 
 def coupling_from_overlaps(frame: InvariantFrame) -> np.ndarray:

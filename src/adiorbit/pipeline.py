@@ -35,7 +35,6 @@ from .spectrum import (
     AdiabaticSpectrum,
     Gauge,
     GammaMethod,
-    NonadiabaticCoupling,
     compute_nonadiabatic_coupling,
     solve_quasistationary,
 )
@@ -54,7 +53,6 @@ class PipelineResult:
     grid: TimeGrid
     initial_level: int
     spectrum: AdiabaticSpectrum
-    gamma: NonadiabaticCoupling
     frame: InvariantFrame
     coefficients: CoefficientTrajectory
     p_exact: np.ndarray
@@ -105,8 +103,10 @@ def run_pipeline(
     above the breakdown floor so downstream reporting can distrust it.
     """
     spectrum = solve_quasistationary(model, grid, gap_tol=gap_tol, gauge=gauge)
-    gamma = compute_nonadiabatic_coupling(spectrum, model=model, method=gamma_method)
-    frame = build_frame(spectrum, gamma)
+    # the frame forms its coupling in gamma's storage, so no name keeps gamma
+    frame = build_frame(
+        spectrum, compute_nonadiabatic_coupling(spectrum, model=model, method=gamma_method)
+    )
 
     coefficients = evolve_coefficients(frame.coupling, grid, initial_level)
     p_exact = survival_probability_exact(coefficients)
@@ -119,7 +119,6 @@ def run_pipeline(
         grid=grid,
         initial_level=initial_level,
         spectrum=spectrum,
-        gamma=gamma,
         frame=frame,
         coefficients=coefficients,
         p_exact=p_exact,

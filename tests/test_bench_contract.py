@@ -49,11 +49,11 @@ def test_traced_cli_records_layer_spans(tmp_path):
 @pytest.mark.parametrize(
     "workload, expected",
     [
-        ("evolve_spin_a", {"model.sample", "spectrum.solve", "frame.build",
+        ("evolve_spin_a", {"model.sample", "spectrum.solve", "spectrum.gamma", "frame.build",
                            "linalg.unitary_steps", "propagate.schrodinger",
                            "perturb.probabilities", "perturb.conditions"}),
         ("check_conj_d5", {"model.build", "model.sample", "spectrum.solve",
-                           "frame.build", "perturb.conditions"}),
+                           "spectrum.gamma", "frame.build", "perturb.conditions"}),
     ],
 )
 def test_traced_cli_records_layer_spans_on_every_workload(tmp_path, workload, expected):

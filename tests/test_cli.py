@@ -475,6 +475,35 @@ class TestFourier:
         pair = payload["pairs"][0]
         assert pair["max_ratio"] == pytest.approx(0.1 / 1.0, abs=1e-4)
 
+    def test_unresolved_coupling_phase_exits_3(self, tmp_path, capsys):
+        # omega0 = 1e4 at dtau = 0.1: alpha advances by 1000 rad per step,
+        # so arg M aliases and its line fit would read a wrong rate
+        cfg = write_config(
+            tmp_path,
+            "model.kind = spin_half\nmodel.variant = a\n"
+            "model.omega0 = 1e4\nmodel.omega = 0.1\nmodel.theta = 0.7\n"
+            "grid.tau_end = 20.0\ngrid.n_steps = 200\nfourier.period = 20.0\n",
+        )
+        assert main(["fourier", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "PhaseUnresolved: alpha_10 advances by up to 1000 rad per step" in err
+        assert "Traceback" not in err
+
+    def test_failed_phase_fit_exits_3(self, tmp_path, capsys):
+        # at tau_end = 1e-300 the least-squares line fit does not converge
+        cfg = write_config(
+            tmp_path,
+            "model.kind = spin_half\nmodel.variant = a\n"
+            "model.omega0 = 1.0\nmodel.omega = 0.1\nmodel.theta = 0.7\n"
+            "grid.tau_end = 1e-300\ngrid.n_steps = 100\n",
+        )
+        with np.errstate(all="ignore"):
+            code = main(["fourier", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "PhaseNotLinear: the line fit of the phase of pair (1, 0) failed" in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def sweep_config(self, values="0.4, 0.2, 0.1, 0.05"):

@@ -210,7 +210,7 @@ class TestIntegralSeriesEquivalence:
         mags = np.abs(frame.coupling[:, 1, 0])
         harmonics = fourier_decompose_coupling(mags, grid, period=20.0, n_harmonics=4)
         direct = cumulative_trapezoid(
-            np.exp(1j * frame.coupling_phase[:, 1, 0]) * mags, grid.dtau
+            np.exp(1j * frame.coupling_phase(1, 0)) * mags, grid.dtau
         )
         # sum_l Gamma_l (e^{i (Omega_0 + Omega_l) tau} - 1) / (i (Omega_0 + Omega_l)),
         # the series form of the integral without its constant phase alpha_0

@@ -1,13 +1,17 @@
+import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import adiorbit.frame
 from adiorbit import (
+    AdiabaticSpectrum,
     ConjugatedParams,
     Gauge,
+    InvariantFrame,
     NonadiabaticCoupling,
+    PipelineResult,
     SpinHalfParams,
     TimeGrid,
     apply_phase_redressing,
@@ -19,14 +23,12 @@ from adiorbit import (
     run_pipeline,
     solve_quasistationary,
 )
-from adiorbit.errors import GridMismatch
+from adiorbit.errors import GridMismatch, PhaseUnresolved
 from adiorbit.frame import ARG_UNDEFINED_TOL
 from adiorbit.grid import cumulative_trapezoid
 from adiorbit.spectrum import GammaMethod
 
 from conftest import conjugated_d5, constant_model, smooth_random_model
-
-LAZY_PHASES = ("geometric_phase", "coupling_phase", "arg_undefined")
 
 
 def pipeline_frame(model, grid, gauge=Gauge.CONTINUITY_FIXED):
@@ -41,32 +43,33 @@ def synthetic_frame(grid, values):
     return build_frame(spec, NonadiabaticCoupling(grid, values, GammaMethod.FINITE_DIFFERENCE))
 
 
+def unwrapped_argument(entry):
+    """Continuously unwrapped arg of one sampled entry, linearly
+    interpolated over the samples where |entry| < ARG_UNDEFINED_TOL
+    (zero where no sample is defined)."""
+    undef = np.abs(entry) < ARG_UNDEFINED_TOL
+    if undef.all():
+        return np.zeros(entry.shape)
+    defined = np.nonzero(~undef)[0]
+    return np.interp(np.arange(entry.size), defined, np.unwrap(np.angle(entry[defined])))
+
+
 def per_pair_frame(spectrum, gamma):
     """Reference: the coupling assembled from its modulus and phase,
     alpha_mn = int(e_m - e_n) + int(g_nn - g_mm) + arg g_mn, with each
     pair's argument unwrapped on its own and linearly interpolated over
-    the samples where |g_mn| < ARG_UNDEFINED_TOL."""
+    the samples where |g_mn| < ARG_UNDEFINED_TOL. Reads ``gamma``
+    without changing it, so it must run before ``build_frame``."""
     d = spectrum.dimension
     diag = np.arange(d)
     gsym = 0.5 * (gamma.values + np.conj(np.swapaxes(gamma.values, -1, -2)))
     magnitude = np.abs(gsym)
     n1 = gsym.shape[0]
     args = np.zeros((n1, d, d))
-    undefined = np.zeros((n1, d, d), dtype=bool)
     for m in range(d):
         for n in range(d):
-            if m == n:
-                continue
-            undef = magnitude[:, m, n] < ARG_UNDEFINED_TOL
-            undefined[:, m, n] = undef
-            if undef.all():
-                continue
-            defined = np.nonzero(~undef)[0]
-            unwrapped = np.unwrap(np.angle(gsym[defined, m, n]))
-            if undef.any():
-                args[:, m, n] = np.interp(np.arange(n1), defined, unwrapped)
-            else:
-                args[:, m, n] = unwrapped
+            if m != n:
+                args[:, m, n] = unwrapped_argument(gsym[:, m, n])
     energies = spectrum.eigenvalues
     berry = np.real(np.einsum("knn->kn", gsym))
     integrals = cumulative_trapezoid(
@@ -82,11 +85,14 @@ def per_pair_frame(spectrum, gamma):
     coupling[:, diag, diag] = 0.0
     return SimpleNamespace(
         dynamical_phase=theta,
-        geometric_phase=xi,
         coupling_phase=alpha,
         coupling=coupling,
-        arg_undefined=undefined,
+        arg_undefined=magnitude < ARG_UNDEFINED_TOL,
     )
+
+
+def off_diagonal_pairs(d):
+    return [(m, n) for m in range(d) for n in range(d) if m != n]
 
 
 def isolated_zero_gamma(grid):
@@ -124,8 +130,16 @@ REFERENCE_CASES = [
 ]
 
 
-def phase_rate(frame):
-    xi = frame.geometric_phase
+def geometric_phase(frame, m, n):
+    """xi_mn = alpha_mn - int(e_m - e_n): the coupling phase without its
+    accumulated energy difference."""
+    energies = frame.spectrum.eigenvalues
+    energy_int = cumulative_trapezoid(energies[:, m] - energies[:, n], frame.grid.dtau)
+    return frame.coupling_phase(m, n) - energy_int
+
+
+def phase_rate(frame, m, n):
+    xi = geometric_phase(frame, m, n)
     return (xi[2:] - xi[:-2]) / (2 * frame.grid.dtau)
 
 
@@ -197,44 +211,50 @@ class TestDressingPhases:
 
 
 class TestGeometricPotential:
+    """xi_mn, the coupling phase alpha_mn = arg M_mn less its accumulated
+    energy difference, computed here from ``coupling_phase``."""
+
     def test_constant_phase_coupling(self, conjugated_example, medium_grid):
         # parallel transport plus a real constant generator: xi flat, rate zero
         _, model = conjugated_example
-        frame = pipeline_frame(model, medium_grid)
-        xi = frame.geometric_phase
-        assert np.abs(xi[:, 0, 1] - xi[0, 0, 1]).max() < 1e-7
-        assert np.abs(phase_rate(frame)[:, 0, 1]).max() < 1e-5
-        assert xi[0, 0, 1] == pytest.approx(
-            np.angle(frame.gamma.values[0, 0, 1]), abs=1e-9
-        )
+        spec = solve_quasistationary(model, medium_grid)
+        gamma = compute_nonadiabatic_coupling(spec)
+        start = np.angle(gamma.values[0, 0, 1])
+        frame = build_frame(spec, gamma)
+        xi = geometric_phase(frame, 0, 1)
+        assert np.abs(xi - xi[0]).max() < 1e-7
+        assert np.abs(phase_rate(frame, 0, 1)).max() < 1e-5
+        assert xi[0] == pytest.approx(start, abs=1e-9)
 
     def test_spin_a_analytic_gauge_rate(self, spin_a_model):
         grid = TimeGrid(tau_end=20.0, n_steps=20000)
         frame = pipeline_frame(spin_a_model, grid, gauge=Gauge.ANALYTIC)
         # rotating-frame analysis: d xi_01 / dtau = -omega cos(theta)
         expected = -0.1 * np.cos(np.pi / 4)
-        rate = phase_rate(frame)[4:-4]  # samples 5 .. n-5
-        assert np.abs(rate[:, 0, 1] - expected).max() < 1e-6
-        assert np.abs(rate[:, 1, 0] + expected).max() < 1e-6
+        # samples 5 .. n-5
+        assert np.abs(phase_rate(frame, 0, 1)[4:-4] - expected).max() < 1e-6
+        assert np.abs(phase_rate(frame, 1, 0)[4:-4] + expected).max() < 1e-6
 
     def test_isolated_zero_is_flagged_and_bridged(self):
         # synthetic coupling whose off-diagonal modulus crosses zero mid-grid
         grid = TimeGrid(tau_end=1.0, n_steps=100)
         frame = synthetic_frame(grid, isolated_zero_gamma(grid))
-        xi = frame.geometric_phase
-        assert frame.arg_undefined[50, 0, 1]
-        assert not frame.arg_undefined[49, 0, 1]
-        assert np.all(np.isfinite(xi))
+        magnitude = np.abs(frame.coupling[:, 0, 1])
+        assert magnitude[50] < ARG_UNDEFINED_TOL
+        assert not magnitude[49] < ARG_UNDEFINED_TOL
+        alpha = frame.coupling_phase(0, 1)
+        assert np.all(np.isfinite(geometric_phase(frame, 0, 1)))
         # interpolated value sits between its neighbours
-        lo, hi = sorted((xi[49, 0, 1], xi[51, 0, 1]))
-        assert lo - 1e-12 <= xi[50, 0, 1] <= hi + 1e-12
+        lo, hi = sorted((alpha[49], alpha[51]))
+        assert lo - 1e-12 <= alpha[50] <= hi + 1e-12
 
     def test_all_zero_coupling(self):
         grid = TimeGrid(tau_end=1.0, n_steps=50)
         values = np.zeros((grid.n_steps + 1, 2, 2), dtype=complex)
         frame = synthetic_frame(grid, values)
-        assert frame.arg_undefined[:, 0, 1].all()
-        assert np.abs(frame.geometric_phase).max() == 0.0
+        assert (np.abs(frame.coupling[:, 0, 1]) < ARG_UNDEFINED_TOL).all()
+        # no sample defines the argument, so alpha is zero throughout
+        assert np.abs(frame.coupling_phase(0, 1)).max() == 0.0
 
 
 class TestDressedColumn:
@@ -306,21 +326,35 @@ class TestCouplingMatrix:
 class TestPerPairReference:
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_matches_per_pair_route(self, case):
-        # the coupling agrees at roundoff; the phases, derived on demand,
-        # are the reference's numbers bit for bit
+        # the coupling and alpha agree with the gamma-built reference at
+        # roundoff; alpha is arg M unwrapped pair by pair, bit for bit
         spec, gamma = reference_case(case)
-        frame = build_frame(spec, gamma)
         ref = per_pair_frame(spec, gamma)
         scale = max(1.0, float(np.abs(gamma.values).max()))
+        frame = build_frame(spec, gamma)
         assert np.abs(frame.coupling - ref.coupling).max() <= 1e-13 * scale
-        for name in ("dynamical_phase",) + LAZY_PHASES:
-            assert np.array_equal(getattr(frame, name), getattr(ref, name)), name
+        assert np.array_equal(frame.dynamical_phase, ref.dynamical_phase)
+        for m, n in off_diagonal_pairs(spec.dimension):
+            alpha = frame.coupling_phase(m, n)
+            assert np.array_equal(alpha, unwrapped_argument(frame.coupling[:, m, n])), (m, n)
+            gap = alpha - ref.coupling_phase[:, m, n]
+            if case == "isolated_zero":
+                # the envelope changes sign at the undefined sample 50, so
+                # the phase jumps by pi plus the advance over two steps,
+                # +0.014 in arg gamma but -0.006 in arg M: the unwraps take
+                # branches 2 pi apart there, and the bridges differ by pi.
+                # The defined samples agree modulo 2 pi
+                defined = ~ref.arg_undefined[:, m, n]
+                gap = np.angle(np.exp(1j * gap[defined]))
+            assert np.abs(gap).max() <= 1e-12, (m, n)
+            undefined = np.abs(frame.coupling[:, m, n]) < ARG_UNDEFINED_TOL
+            assert np.array_equal(undefined, ref.arg_undefined[:, m, n]), (m, n)
 
     def test_vanishing_entries_stay_vanishing(self):
         spec, gamma = reference_case("isolated_zero")
-        frame = build_frame(spec, gamma)
         ref = per_pair_frame(spec, gamma)
         tiny = np.abs(gamma.values) < ARG_UNDEFINED_TOL
+        frame = build_frame(spec, gamma)
         assert tiny[50, 0, 1] and tiny[50, 1, 0]
         assert np.abs(frame.coupling[tiny]).max() < 1e-14
         assert np.abs(ref.coupling[tiny]).max() < 1e-14
@@ -337,13 +371,15 @@ class TestPerPairReference:
             build_conjugated_model(params), TimeGrid(tau_end=40.0, n_steps=4000)
         )
         gamma = compute_nonadiabatic_coupling(spec)
+        # the references read gamma before build_frame forms M in its storage
+        ref = per_pair_frame(spec, gamma)
+        diag = np.arange(3)
+        gsym = 0.5 * (gamma.values + np.conj(np.swapaxes(gamma.values, -1, -2)))
+        gsym[:, diag, diag] = 0.0
         frame = build_frame(spec, gamma)
         theta = frame.dynamical_phase
         assert np.abs(theta).max() > 900.0
 
-        diag = np.arange(3)
-        gsym = 0.5 * (gamma.values + np.conj(np.swapaxes(gamma.values, -1, -2)))
-        gsym[:, diag, diag] = 0.0
         wide = theta.astype(np.longdouble)
         exact = gsym * np.exp(1j * (wide[:, :, None] - wide[:, None, :]))
         difference = gsym * np.exp(1j * (theta[:, :, None] - theta[:, None, :]))
@@ -351,23 +387,100 @@ class TestPerPairReference:
         err_difference = float(np.abs(difference - exact).max())
         scale = float(np.abs(gsym).max())
         assert err_product <= max(err_difference, 4 * np.finfo(float).eps * scale)
-
-        ref = per_pair_frame(spec, gamma)
         assert np.abs(frame.coupling - ref.coupling).max() <= 1e-13 * max(1.0, scale)
 
 
-class TestPhasesOnDemand:
-    def test_pipeline_leaves_phases_uncomputed(self, spin_a_model, monkeypatch):
-        calls = []
-        unwrap = adiorbit.frame._unwrapped_arguments
-        monkeypatch.setattr(
-            adiorbit.frame, "_unwrapped_arguments", lambda *a: calls.append(1) or unwrap(*a)
-        )
+def whole_grid_coupling(spectrum, values):
+    """M as one whole-grid hermitize, trapezoid and dressing, on a copy."""
+    diag = np.arange(spectrum.dimension)
+    coupling = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
+    theta = cumulative_trapezoid(
+        spectrum.eigenvalues - coupling[:, diag, diag].real, spectrum.grid.dtau
+    )
+    rot = np.exp(1j * theta)
+    coupling *= rot[:, :, None]
+    coupling *= rot.conj()[:, None, :]
+    coupling[:, diag, diag] = 0.0
+    return theta, coupling
+
+
+class TestCouplingInGammaStorage:
+    """build_frame forms M in gamma's storage, one STEP_CHUNK of the
+    hermitization at a time, and the frame keeps only Theta and M."""
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("n_steps", [4095, 4096, 4097])
+    def test_equals_the_whole_grid_formula(self, d, n_steps):
+        model = smooth_random_model(2, seed=7) if d == 2 else conjugated_d5()
+        spec = solve_quasistationary(model, TimeGrid(tau_end=4.0, n_steps=n_steps))
+        gamma = compute_nonadiabatic_coupling(spec)
+        theta, expected = whole_grid_coupling(spec, gamma.values)
+        frame = build_frame(spec, gamma)
+        assert np.shares_memory(frame.coupling, gamma.values)
+        assert frame.dynamical_phase.tobytes() == theta.tobytes()
+        assert frame.coupling.dtype == expected.dtype
+        assert frame.coupling.tobytes() == expected.tobytes()
+
+    def test_frame_and_result_keep_no_gamma(self, spin_a_model):
+        assert [f.name for f in fields(InvariantFrame)] == [
+            "spectrum", "dynamical_phase", "coupling"
+        ]
+        assert "gamma" not in {f.name for f in fields(PipelineResult)}
         result = run_pipeline(spin_a_model, TimeGrid(tau_end=10.0, n_steps=2000))
-        assert not set(LAZY_PHASES) & vars(result.frame).keys()
-        assert not calls
-        ref = per_pair_frame(result.spectrum, result.gamma)
-        for name in LAZY_PHASES:
-            assert np.array_equal(getattr(result.frame, name), getattr(ref, name)), name
-        assert set(LAZY_PHASES) <= vars(result.frame).keys()
-        assert len(calls) == 1
+        frame = result.frame
+        gamma = compute_nonadiabatic_coupling(result.spectrum)
+        ref = per_pair_frame(result.spectrum, gamma)
+        # alpha is read from M on every call; nothing is cached on the frame
+        for m, n in off_diagonal_pairs(2):
+            alpha = frame.coupling_phase(m, n)
+            assert np.array_equal(alpha, unwrapped_argument(frame.coupling[:, m, n]))
+            assert np.abs(alpha - ref.coupling_phase[:, m, n]).max() <= 1e-12
+        assert vars(frame).keys() == {"spectrum", "dynamical_phase", "coupling"}
+
+    def test_pipeline_holds_the_spectrum_frame_and_coefficients(self):
+        # the d = 5 grid of the benchmark's check: with gamma kept beside M
+        # the run held one more (n + 1, 5, 5) stack, 15.3 MB
+        model, grid = conjugated_d5(), TimeGrid(tau_end=40.0, n_steps=40000)
+        grid.samples
+        tracemalloc.start()
+        try:
+            result = run_pipeline(model, grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        kept = (
+            result.spectrum.eigenvectors.nbytes + result.spectrum.eigenvalues.nbytes
+            + result.frame.coupling.nbytes + result.frame.dynamical_phase.nbytes
+            + result.coefficients.coefficients.nbytes
+        )
+        # the margin holds p_exact and the norm residuals, 0.6 MB
+        assert held <= kept + 2 * 2**20
+
+
+class TestPhaseGuard:
+    """arg M unwraps only while alpha moves by less than pi per step; the
+    energy part may take at most half of that."""
+
+    @staticmethod
+    def frame_with_gap(gap, dtau):
+        grid = TimeGrid(tau_end=8 * dtau, n_steps=8)
+        taus = grid.samples
+        energies = np.stack([np.zeros_like(taus), np.full_like(taus, gap)], axis=1)
+        vectors = np.broadcast_to(np.eye(2, dtype=complex), (taus.size, 2, 2))
+        spec = AdiabaticSpectrum(grid, energies, vectors, Gauge.CONTINUITY_FIXED, min_gap=gap)
+        coupling = np.zeros((taus.size, 2, 2), dtype=complex)
+        coupling[:, 1, 0] = 0.1 * np.exp(1j * gap * taus)
+        coupling[:, 0, 1] = coupling[:, 1, 0].conj()
+        return InvariantFrame(spec, np.outer(taus, [0.0, gap]), coupling)
+
+    def test_half_pi_per_step_raises(self):
+        # dtau = 1/8 makes gap * dtau exactly pi/2
+        frame = self.frame_with_gap(4 * np.pi, 0.125)
+        for m, n in ((1, 0), (0, 1)):
+            with pytest.raises(PhaseUnresolved, match=f"alpha_{m}{n} advances by up to 1.571 rad"):
+                frame.coupling_phase(m, n)
+
+    def test_below_half_pi_unwraps(self):
+        gap = np.nextafter(4 * np.pi, 0.0)
+        frame = self.frame_with_gap(gap, 0.125)
+        assert np.abs(frame.coupling_phase(1, 0) - gap * frame.grid.samples).max() < 1e-12

@@ -341,7 +341,7 @@ def random_frame_and_states(n_samples, d, seed):
     spectrum = AdiabaticSpectrum(
         grid, np.zeros((n_samples, d)), vectors, Gauge.CONTINUITY_FIXED, min_gap=1.0
     )
-    frame = InvariantFrame(spectrum, None, rng.normal(size=(n_samples, d)), None)
+    frame = InvariantFrame(spectrum, rng.normal(size=(n_samples, d)), None)
     states = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
     return frame, StateTrajectory(grid, states)
 
