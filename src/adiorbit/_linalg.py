@@ -11,14 +11,14 @@ temporaries stay bounded. The d = 2 eigensystem is closed-form too
 of each eigenvector column.
 
 Sequences of steps are multiplied with a blocked two-level scan
-(Blelloch, "Prefix sums and their applications", 1990) that runs over
-chunks of whole blocks and carries the state across chunks, so no
-Python loop runs once per step and no n + 1 operators are ever held,
-only the n + 1 states. A chunk is held as d^2 contiguous complex
-arrays, one per matrix entry, laid out (block, n_blocks): the in-block
-prefix is then d ufunc calls per position (one product, d - 1 sums)
+(Blelloch, "Prefix sums and their applications", 1990) in one pass
+over the steps it is handed, so no Python loop runs once per step.
+The steps are copied into d^2 contiguous complex arrays, one per matrix
+entry, laid out (block, n_blocks), and overwritten by the in-block
+prefix products: d ufunc calls per position (one product, d - 1 sums)
 for all blocks at once, where a stacked matmul of small matrices pays
-a per-matrix overhead.
+a per-matrix overhead. The propagators bound what the scan holds by
+handing it one chunk of steps at a time.
 """
 
 import math
@@ -32,12 +32,11 @@ from .errors import NonFiniteStep
 # Steps per block of the two-level scan: the in-block prefix loops over
 # this many positions, the chaining loop over n / SCAN_BLOCK blocks.
 SCAN_BLOCK = 128
-# Blocks per scan chunk of d = 2 steps; only one chunk of steps is held
-# at a time. The scan's ufunc calls run over rows of SCAN_CHUNK_BLOCKS
-# entries, so a chunk of 128 x 128 steps (1 MB for d = 2) is as fast as
-# 256 x 256 at a quarter of the buffer. The propagators give a chunk of
-# larger steps at most as many matrix entries, in whole STEP_CHUNKs and
-# at least one: 4096 steps for every d >= 3.
+# Blocks per scan chunk of d = 2 steps, the most the propagators hand
+# scan_states at once (larger steps: see propagate._scan_chunk). The
+# scan's ufunc calls run over rows of SCAN_CHUNK_BLOCKS entries, so a
+# chunk of 128 x 128 steps (1 MB for d = 2) is as fast as 256 x 256 at
+# a quarter of the buffer.
 SCAN_CHUNK_BLOCKS = 128
 # Generators exponentiated per pass of unitary_steps.
 STEP_CHUNK = 4096
@@ -138,34 +137,25 @@ def su2_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Shape (n, 2, 2) in; eigenvalues (n, 2) in ascending order and unit
     eigenvectors as columns (n, 2, 2) out, like ``np.linalg.eigh``. Like
-    eigh, only the real diagonal and the lower triangle are read.
-    Computed STEP_CHUNK matrices at a time into the outputs.
-    """
-    evals = np.empty(h.shape[:-1])
-    evecs = np.empty(h.shape, dtype=complex)
-    for start in range(0, h.shape[0], STEP_CHUNK):
-        chunk = slice(start, start + STEP_CHUNK)
-        _su2_eigh(h[chunk], evals[chunk], evecs[chunk])
-    return evals, evecs
+    eigh, only the real diagonal and the lower triangle are read. One
+    pass over the stack, so its temporaries are as long as ``h``.
 
-
-def _su2_eigh(h: np.ndarray, evals: np.ndarray, evecs: np.ndarray):
-    """h = m + z sigma_z + b_x sigma_x + b_y sigma_y has e = m -/+ r,
+    h = m + z sigma_z + b_x sigma_x + b_y sigma_y has e = m -/+ r,
     r = |(b, z)|. The upper vector is the half-angle form
     (cos(theta/2), e^{i phi} sin(theta/2)), the lower its orthogonal
     complement. Each is written from the larger of cos and sin,
     (r + z, b) for z >= 0 and (b*, r - z) otherwise, over its norm, so no
     entry loses digits to cancellation. r = 0 (h a multiple of the
     identity) gives the standard basis instead of 0/0: the gap check,
-    not a NaN, then reports the degeneracy."""
+    not a NaN, then reports the degeneracy.
+    """
     h00, h11 = h[..., 0, 0].real, h[..., 1, 1].real
     b = h[..., 1, 0]  # b_x + i b_y
     m = 0.5 * (h00 + h11)
     z = 0.5 * (h00 - h11)
     bb = b.real**2 + b.imag**2
     r = np.sqrt(z * z + bb)
-    np.subtract(m, r, out=evals[..., 0])
-    np.add(m, r, out=evals[..., 1])
+    evals = np.stack([m - r, m + r], axis=-1)
     t = r + np.abs(z)
     t[t == 0.0] = 1.0
     norm = np.sqrt(t * t + bb)
@@ -173,10 +163,12 @@ def _su2_eigh(h: np.ndarray, evals: np.ndarray, evecs: np.ndarray):
     lower_z = z < 0.0
     top = np.where(lower_z, small.conj(), big)
     bottom = np.where(lower_z, big, small)
+    evecs = np.empty(h.shape, dtype=complex)
     evecs[..., 0, 1] = top
     evecs[..., 1, 1] = bottom
     evecs[..., 0, 0] = -bottom.conj()
     evecs[..., 1, 0] = top.conj()
+    return evals, evecs
 
 
 def _taylor_steps(generators: np.ndarray, s: float, out: np.ndarray):
@@ -231,9 +223,10 @@ def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     left (time ordering). Grouped differently from a step-by-step loop,
     so the two agree to roundoff, not bit for bit.
 
-    Each chunk of whole SCAN_BLOCK-step blocks is copied into one reused
-    buffer p[i, k, j, b] = entry (i, k) of step j of block b (the last
-    block padded with identities). The in-block prefix runs over j,
+    One pass over the steps it is handed: they are copied into one
+    buffer p[i, k, j, b] = entry (i, k) of step j of block b, blocks of
+    SCAN_BLOCK steps with the last padded with identities, so the buffer
+    is as large as the steps. The in-block prefix runs over j,
     vectorized across blocks; the state carried into each block is
     chained through the block products in a Python loop once per block,
     and each block's prefix times its carry is formed in p and copied
@@ -242,41 +235,33 @@ def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """
     n, d = steps.shape[0], steps.shape[-1]
     block = min(SCAN_BLOCK, max(n, 1))
-    max_blocks = min(-(-n // block), SCAN_CHUNK_BLOCKS)
-    out = np.empty((1 + -(-n // block) * block, d), dtype=complex)
+    full, rem = divmod(n, block)
+    n_blocks = full + (rem > 0)
+    out = np.empty((1 + n_blocks * block, d), dtype=complex)
     out[0] = v0
-    flat = np.empty(d * d * block * max_blocks, dtype=complex)
-    products = np.empty((d, d, d, max_blocks), dtype=complex)
-    carry = out[0].tolist()
-    for start in range(0, n, block * SCAN_CHUNK_BLOCKS):
-        size = min(block * SCAN_CHUNK_BLOCKS, n - start)
-        full, rem = divmod(size, block)
-        n_blocks = full + (rem > 0)
-        p = flat[: d * d * block * n_blocks].reshape(d, d, block, n_blocks)
-        whole = steps[start : start + full * block].reshape(full, block, d, d)
-        p[..., :full] = whole.transpose(2, 3, 1, 0)
-        if rem:
-            p[:, :, :rem, full] = steps[start + full * block : start + size].transpose(1, 2, 0)
-            p[:, :, rem:, full] = np.eye(d)[:, :, None]
-        tmp = products[..., :n_blocks]
-        for j in range(1, block):
-            # tmp[i, k, l] = step_j[i, k] * prefix_{j-1}[k, l], summed over k
-            np.multiply(p[:, :, None, j], p[None, :, :, j - 1], out=tmp)
-            np.add(tmp[:, 0], tmp[:, 1], out=p[:, :, j])
-            for k in range(2, d):
-                p[:, :, j] += tmp[:, k]
+    p = np.empty((d, d, block, n_blocks), dtype=complex)
+    p[..., :full] = steps[: full * block].reshape(full, block, d, d).transpose(2, 3, 1, 0)
+    if rem:
+        p[:, :, :rem, full] = steps[full * block :].transpose(1, 2, 0)
+        p[:, :, rem:, full] = np.eye(d)[:, :, None]
+    tmp = np.empty((d, d, d, n_blocks), dtype=complex)
+    for j in range(1, block):
+        # tmp[i, k, l] = step_j[i, k] * prefix_{j-1}[k, l], summed over k
+        np.multiply(p[:, :, None, j], p[None, :, :, j - 1], out=tmp)
+        np.add(tmp[:, 0], tmp[:, 1], out=p[:, :, j])
+        for k in range(2, d):
+            p[:, :, j] += tmp[:, k]
 
-        carries = []
-        for rows in p[:, :, -1].transpose(2, 0, 1).tolist():
-            carries.append(carry)
-            carry = [reduce(add, map(mul, row, carry)) for row in rows]
-        # p[:, 0] <- sum_k p[:, k] * carry[k], carry[k] indexed by block
-        for k, c in enumerate(np.array(carries).T):
-            p[:, k] *= c
-        for k in range(1, d):
-            p[:, 0] += p[:, k]
-        dest = out[1 + start : 1 + start + n_blocks * block]
-        dest.reshape(n_blocks, block, d).transpose(2, 1, 0)[...] = p[:, 0]
+    carries, carry = [], out[0].tolist()
+    for rows in p[:, :, -1].transpose(2, 0, 1).tolist():
+        carries.append(carry)
+        carry = [reduce(add, map(mul, row, carry)) for row in rows]
+    # p[:, 0] <- sum_k p[:, k] * carry[k], carry[k] indexed by block
+    for k, c in enumerate(np.array(carries).T):
+        p[:, k] *= c
+    for k in range(1, d):
+        p[:, 0] += p[:, k]
+    out[1:].reshape(n_blocks, block, d).transpose(2, 1, 0)[...] = p[:, 0]
     return out[: n + 1]
 
 

@@ -18,7 +18,8 @@ model kind does not read, is a configuration error.
 All output is deterministic: fixed column order, floats printed with 17
 significant digits, JSON keys sorted, and every report embeds the fully
 resolved configuration. Exit codes: 0 success, 2 configuration or usage
-error, 3 numerical failure.
+error, 3 numerical failure; a NaN or infinity in the report of
+``evolve``, ``check`` or ``sweep`` is one, and no output is written.
 """
 
 import argparse
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csv import write_rows
-from .errors import AdiorbitError, ConfigError, InputError, NumericalError
+from .errors import AdiorbitError, ConfigError, InputError, NonFiniteReport, NumericalError
 from .grid import TimeGrid
 from .model import (
     ConjugatedParams,
@@ -263,6 +264,17 @@ def _execute(scenario: ScenarioConfig) -> PipelineResult:
     )
 
 
+def _finite(value, key: str = ""):
+    """``value``, unless a number in it or in its nested dicts and lists
+    is NaN or infinite, which JSON cannot encode."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NonFiniteReport(f"report entry {key} is {value}; no output was written")
+    if isinstance(value, (dict, list)):
+        for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+            _finite(v, f"{key}.{k}" if key else str(k))
+    return value
+
+
 def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -302,10 +314,7 @@ def _write_evolution_csv(path: Path, result: PipelineResult):
 def run_evolve(scenario: ScenarioConfig, out_dir: Path) -> PipelineResult:
     """Run the pipeline and write evolution.csv plus a JSON summary."""
     result = _execute(scenario)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_evolution_csv(out_dir / "evolution.csv", result)
-    _write_json(
-        out_dir / "evolve_report.json",
+    summary = _finite(
         {
             "command": "evolve",
             "csv": "evolution.csv",
@@ -314,8 +323,11 @@ def run_evolve(scenario: ScenarioConfig, out_dir: Path) -> PipelineResult:
             "min_gap": result.spectrum.min_gap,
             "ratio_valid": result.ratio_valid,
             "resolved_config": scenario.raw,
-        },
+        }
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_evolution_csv(out_dir / "evolution.csv", result)
+    _write_json(out_dir / "evolve_report.json", summary)
     return result
 
 
@@ -347,17 +359,17 @@ def run_check(scenario: ScenarioConfig, out_dir: Path):
     """Evaluate all criteria and write conditions.json."""
     result = _execute(scenario)
     report, criteria = _condition_payload(result, scenario)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out_dir / "conditions.json",
+    summary = _finite(
         {
             "command": "check",
             "passed": report.passed,
             "criteria": criteria,
             "min_p_exact": result.min_p_exact,
             "resolved_config": scenario.raw,
-        },
+        }
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "conditions.json", summary)
     return report
 
 
@@ -463,18 +475,18 @@ def run_sweep(scenario: ScenarioConfig, out_dir: Path, threads: int = 1):
     keys = ["value", "min_p_exact", *criteria]
     header = [parameter, "min_P_exact", *criteria]
     table = np.array([[row[key] for key in keys] for row in rows])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "sweep.csv", header, table.T)
-    _write_json(
-        out_dir / "sweep_report.json",
+    summary = _finite(
         {
             "command": "sweep",
             "parameter": parameter,
             "rows": rows,
             "csv": "sweep.csv",
             "resolved_config": cfg,
-        },
+        }
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "sweep.csv", header, table.T)
+    _write_json(out_dir / "sweep_report.json", summary)
     return rows
 
 

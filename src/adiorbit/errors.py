@@ -109,6 +109,12 @@ class NonFiniteStep(NumericalError):
     module = "propagate"
 
 
+class NonFiniteReport(NumericalError):
+    """A report would hold a NaN or an infinity, which JSON cannot encode."""
+
+    module = "cli"
+
+
 class GridMismatch(InputError):
     """Two sampled quantities do not live on the same time grid."""
 

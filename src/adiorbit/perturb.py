@@ -35,7 +35,7 @@ import numpy as np
 from ._linalg import STEP_CHUNK
 from .errors import RatioBreakdown
 from .grid import TimeGrid, running_trapezoid
-from .propagate import CoefficientTrajectory, evolve_coefficients
+from .propagate import CoefficientTrajectory
 
 #: |c_m| below which ratio-based quantities are meaningless
 RATIO_FLOOR = 0.1
@@ -175,19 +175,15 @@ def ratio_probability_first_iteration(
     grid: TimeGrid,
     initial_level: int,
     coefficients: Optional[CoefficientTrajectory] = None,
-    check_breakdown: bool = True,
 ) -> np.ndarray:
     """Product-form survival probability with first-order ratios.
 
     Replaces each coefficient ratio by i int_0^tau M_km, which turns the
     exact product form into exp(-2 Re D_mm(tau)). Valid only while the
-    exact |c_m| stays away from zero; when ``check_breakdown`` is set the
-    exact coefficients (computed on demand if not passed in) are used to
-    enforce that and :class:`RatioBreakdown` is raised otherwise.
+    exact |c_m| stays away from zero; when the exact ``coefficients`` are
+    passed in, :class:`RatioBreakdown` is raised unless they do.
     """
-    if check_breakdown:
-        if coefficients is None:
-            coefficients = evolve_coefficients(coupling, grid, initial_level)
+    if coefficients is not None:
         _guard_ratio(
             coefficients.coefficients, initial_level, grid.n_steps,
             "first-iteration ratio probability",

@@ -73,9 +73,7 @@ class PipelineResult:
 
     @cached_property
     def p_ratio(self) -> np.ndarray:
-        return ratio_probability_first_iteration(
-            self.frame.coupling, self.grid, self.initial_level, check_breakdown=False
-        )
+        return ratio_probability_first_iteration(self.frame.coupling, self.grid, self.initial_level)
 
     @cached_property
     def states(self) -> StateTrajectory:

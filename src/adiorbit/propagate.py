@@ -8,9 +8,8 @@ check rather than a tolerance check, and the global error is second
 order in the step. Both run one scan chunk at a time: each pass forms
 that chunk's midpoint generators and steps and multiplies them by the
 blocked scan from the previous chunk's last state, so only one chunk of
-(d, d) stacks is held at a time. A chunk holds at most as many matrix
-entries as SCAN_BLOCK * SCAN_CHUNK_BLOCKS steps of d = 2, in whole
-STEP_CHUNKs and at least one (16384 steps for d = 2, 4096 for d >= 3).
+(d, d) stacks is held at a time. This module alone sizes the chunk
+(:func:`_scan_chunk`); the scan makes one pass over what it is handed.
 The products are grouped differently from a step-by-step loop and
 agree with it to roundoff. Grids are fixed-step; convergence is
 assessed by halving the step. The direct overlap of the states with a

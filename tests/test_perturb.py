@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import adiorbit.propagate
 from adiorbit import (
     CoefficientTrajectory,
     SpinHalfParams,
@@ -168,7 +169,7 @@ class TestRatioMethods:
         assert value == pytest.approx((1.0 - p1[-1]) / 2.0, abs=1e-12)
         assert value >= 0.0
 
-    def test_breakdown_near_resonance(self):
+    def test_breakdown_near_resonance(self, monkeypatch):
         # omega0 + omega cos(theta) = 0 drives full population transfer
         theta = 3 * np.pi / 4
         omega = -1.0 / np.cos(theta)
@@ -180,9 +181,14 @@ class TestRatioMethods:
             ratio_probability_first_iteration(
                 result.frame.coupling, grid, 0, coefficients=result.coefficients
             )
-        # without precomputed coefficients the guard recomputes them
-        with pytest.raises(RatioBreakdown):
-            ratio_probability_first_iteration(result.frame.coupling, grid, 0)
+        # without coefficients there is nothing to guard with, and the
+        # curve does not propagate to find them
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("the ratio curve propagated")
+
+        monkeypatch.setattr(adiorbit.propagate, "_propagate", no_propagation)
+        curve = ratio_probability_first_iteration(result.frame.coupling, grid, 0)
+        assert curve.tobytes() == result.p_ratio.tobytes()
         with pytest.raises(RatioBreakdown):
             compact_condition_functional(
                 result.frame.coupling, result.coefficients, grid, 0
@@ -222,6 +228,14 @@ class TestCompactFunctional:
             p_end = survival_probability_exact(traj)[-1]
             assert abs(value + 0.5 * np.log(p_end)) < 1e-8
             assert abs(np.exp(-2.0 * value) - p_end) < 1e-6
+
+    def test_coefficients_of_another_grid_are_rejected(self, spin_a_run):
+        # same number of samples, so only the grid check can tell
+        grid = spin_a_run.grid
+        other = TimeGrid(tau_end=2.0 * grid.tau_end, n_steps=grid.n_steps)
+        traj = CoefficientTrajectory(other, spin_a_run.coefficients.coefficients, 0)
+        with pytest.raises(ValueError, match="computed on a different grid"):
+            compact_condition_functional(spin_a_run.frame.coupling, traj, grid, 0)
 
 
 class TestConditionReport:

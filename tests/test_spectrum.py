@@ -29,7 +29,7 @@ from adiorbit.errors import (
 )
 from adiorbit._linalg import STEP_CHUNK, phase_convention, stacked_matmul, su2_eigh
 from adiorbit.grid import cumulative_trapezoid
-from adiorbit.spectrum import _CHUNK, _DIAGONAL_MARGIN, _OVERLAP_FLOOR
+from adiorbit.spectrum import _DIAGONAL_MARGIN, _OVERLAP_FLOOR, _track
 
 from conftest import SX, SZ, conjugated_d5, constant_model, smooth_random_model
 
@@ -331,7 +331,7 @@ class TestTracking:
         ref_vals, ref_vecs, perms = reference_track(evals, evecs)
         events = np.flatnonzero((perms[1:] != perms[:-1]).any(axis=1))
         assert events.size >= 3
-        assert events.max() > _CHUNK
+        assert events.max() > STEP_CHUNK
         assert np.array_equal(spec.eigenvalues, ref_vals)
         assert np.abs(spec.eigenvectors - ref_vecs).max() < 1e-12
         # labels follow the flat diabatic levels through every crossing
@@ -364,6 +364,28 @@ class TestTracking:
         grid = TimeGrid(tau_end=1.0, n_steps=100)
         with pytest.raises(AssignmentAmbiguous, match=r"overlap 0\.687 .* tau=0\.3 -> 0\.31;"):
             solve_quasistationary(model, grid)
+
+
+    def test_best_columns_that_repeat_are_not_a_permutation(self):
+        # a turn by exactly pi/4: every overlap has modulus sqrt(1/2), so
+        # both levels pick column 0, which is not below the overlap floor
+        c = np.sqrt(0.5)
+        frames = np.array([np.eye(2), [[c, -c], [c, c]]], dtype=complex)
+
+        def frame(taus):
+            v = frames[(taus > 0.5).astype(int)]
+            return np.tile([0.0, 1.0], (taus.size, 1)), v
+
+        def evaluate_many(taus):
+            v, evals = frame(taus)[1], np.diag([0.0, 1.0])
+            return v @ evals @ v.conj().transpose(0, 2, 1)
+
+        model = HamiltonianModel(
+            dimension=2, evaluate_many=evaluate_many, name="turn", analytic_frame=frame
+        )
+        assert c >= _OVERLAP_FLOOR
+        with pytest.raises(AssignmentAmbiguous, match=r"not a permutation at tau=1$"):
+            solve_quasistationary(model, TimeGrid(tau_end=1.0, n_steps=2))
 
 
 @pytest.fixture
@@ -415,7 +437,7 @@ class TestDiagonalFirstTracking:
         self, einsum_calls, spin_a_model, closed_form
     ):
         model = spin_a_model if closed_form else replace(spin_a_model, analytic_frame=None)
-        solve_quasistationary(model, TimeGrid(tau_end=20.0, n_steps=2 * _CHUNK + 5))
+        solve_quasistationary(model, TimeGrid(tau_end=20.0, n_steps=2 * STEP_CHUNK + 5))
         assert "kij,kij->kj" in einsum_calls
         assert "kij,kil->kjl" not in einsum_calls
 
@@ -584,6 +606,69 @@ class TestClosedFormFrame:
         assert np.abs(closed.spectrum.eigenvectors - solved.spectrum.eigenvectors).max() < 1e-10
         assert np.abs(closed.frame.coupling - solved.frame.coupling).max() < 5e-11
         assert np.abs(closed.p_exact - solved.p_exact).max() < 1e-10
+
+
+def whole_grid_solve(model, grid):
+    """The eigensolver path with every sample of h held at once."""
+    h = sample_hamiltonian(model, grid.samples)
+    evals, evecs = su2_eigh(h) if model.dimension == 2 else np.linalg.eigh(h)
+    evecs[0] = phase_convention(evecs[0])
+    return _track(evals, evecs, grid.samples)
+
+
+class TestChunkedSolve:
+    """h is sampled, and checked or eigensolved, one STEP_CHUNK at a time."""
+
+    @pytest.mark.parametrize(
+        "n_steps", [STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 1]
+    )
+    @pytest.mark.parametrize("case", ["spin_a", "conjugated_d5"])
+    def test_eigensolver_path_matches_the_whole_grid(self, spin_a_model, case, n_steps):
+        model = spin_a_model if case == "spin_a" else conjugated_d5()
+        model = replace(model, analytic_frame=None)
+        grid = TimeGrid(tau_end=1e-3 * n_steps, n_steps=n_steps)
+        spec = solve_quasistationary(model, grid)
+        evals, evecs = whole_grid_solve(model, grid)
+        assert spec.eigenvalues.tobytes() == evals.tobytes()
+        assert spec.eigenvectors.tobytes() == evecs.tobytes()
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_holds_no_whole_grid_h(self, closed_form):
+        model = conjugated_d5()
+        if not closed_form:
+            model = replace(model, analytic_frame=None)
+        grid = TimeGrid(tau_end=40.0, n_steps=40000)
+        tracemalloc.start()
+        try:
+            spec = solve_quasistationary(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 12.8 MB over the kept frame either way (numpy 2.4), mostly the
+        # tracker's (n, d) overlaps and phases; sampling h whole held
+        # 20.9 MB (closed form) and 19.5 MB (eigensolver)
+        kept = spec.eigenvalues.nbytes + spec.eigenvectors.nbytes
+        h_bytes = (grid.n_steps + 1) * 5 * 5 * np.dtype(complex).itemsize
+        assert peak - kept < h_bytes
+
+    def test_frame_tolerance_is_taken_over_the_whole_frame(self):
+        # a residual of 1e-6 in the first chunk, where |e| = 1, is within
+        # 1e-8 relative to the largest |e| of the frame (1e4, at tau = 1)
+        def evaluate_many(taus):
+            return np.multiply.outer(1.0 + 1e4 * taus**8, -SZ)
+
+        def frame(taus):
+            f = 1.0 + 1e4 * taus**8
+            evals = np.stack([-f, f], axis=1)
+            evals[0, 0] += 1e-6
+            return evals, np.tile(np.eye(2, dtype=complex), (taus.size, 1, 1))
+
+        model = HamiltonianModel(
+            dimension=2, evaluate_many=evaluate_many, name="growing", analytic_frame=frame
+        )
+        grid = TimeGrid(tau_end=1.0, n_steps=2 * STEP_CHUNK)
+        spec = solve_quasistationary(model, grid, gauge=Gauge.ANALYTIC)
+        assert spec.eigenvalues[0, 0] == -1.0 + 1e-6
 
 
 class TestPhaseRedressing:
