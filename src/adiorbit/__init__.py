@@ -42,8 +42,8 @@ _SOURCES = {
         "survival_probability_exact",
     ),
     "spectrum": (
-        "AdiabaticSpectrum", "Gauge", "GammaMethod", "NonadiabaticCoupling",
-        "apply_phase_redressing", "compute_nonadiabatic_coupling", "solve_quasistationary",
+        "AdiabaticSpectrum", "Gauge", "GammaMethod", "apply_phase_redressing",
+        "compute_nonadiabatic_coupling", "solve_quasistationary",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

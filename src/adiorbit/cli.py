@@ -444,14 +444,8 @@ def _sweep_point(base_cfg: dict[str, str], parameter: str, value: float):
     scenario = build_scenario(cfg)
     result = _execute(scenario)
     report, _ = _condition_payload(result, scenario)
-    return {
-        "value": value,
-        "min_p_exact": result.min_p_exact,
-        "FirstOrder": report["FirstOrder"].value,
-        "SecondOrder": report["SecondOrder"].value,
-        "RatioFirstIter": report["RatioFirstIter"].value,
-        "CompactFunctional": report["CompactFunctional"].value,
-    }
+    row = {"value": value, "min_p_exact": result.min_p_exact}
+    return row | {rec.criterion: rec.value for rec in report.records}
 
 
 def run_sweep(scenario: ScenarioConfig, out_dir: Path, threads: int = 1):
@@ -471,10 +465,9 @@ def run_sweep(scenario: ScenarioConfig, out_dir: Path, threads: int = 1):
     else:
         rows = [_sweep_point(cfg, parameter, v) for v in values]
 
-    criteria = ["FirstOrder", "SecondOrder", "RatioFirstIter", "CompactFunctional"]
-    keys = ["value", "min_p_exact", *criteria]
-    header = [parameter, "min_P_exact", *criteria]
-    table = np.array([[row[key] for key in keys] for row in rows])
+    # a row's keys are the value, min_p_exact, then the criteria in report order
+    header = [parameter, "min_P_exact", *list(rows[0])[2:]]
+    table = np.array([list(row.values()) for row in rows])
     summary = _finite(
         {
             "command": "sweep",

@@ -109,6 +109,12 @@ class NonFiniteStep(NumericalError):
     module = "propagate"
 
 
+class NormNotConserved(NumericalError):
+    """The coefficients' norm drifts further from 1 than unitary steps allow."""
+
+    module = "pipeline"
+
+
 class NonFiniteReport(NumericalError):
     """A report would hold a NaN or an infinity, which JSON cannot encode."""
 

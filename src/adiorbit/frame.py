@@ -9,7 +9,8 @@ by the Hermitian, zero-diagonal coupling
     M_mn = gamma~_mn e^{i (Theta_m - Theta_n)},
 
 the hermitized nonadiabatic coupling gamma~ conjugated by the dressing
-phases, which :func:`build_frame` forms in gamma's own storage. Its
+phases, which :func:`build_frame` forms in the storage of gamma's plain
+(n+1, d, d) array, in one pass of STEP_CHUNK samples at a time. Its
 phase alpha_mn = arg M_mn = int(e_m - e_n) + int(gamma~_nn - gamma~_mm)
 + arg gamma~_mn is the U(1)-invariant phase whose linearity the Fourier
 condition needs. The coupling is also assembled directly as i times the
@@ -24,8 +25,8 @@ import numpy as np
 
 from ._linalg import STEP_CHUNK, central_difference, hermitize
 from .errors import GridMismatch, PhaseUnresolved
-from .grid import cumulative_trapezoid
-from .spectrum import AdiabaticSpectrum, NonadiabaticCoupling
+from .grid import running_trapezoid
+from .spectrum import AdiabaticSpectrum
 
 #: |M_mn| below which its argument is treated as undefined
 ARG_UNDEFINED_TOL = 1e-14
@@ -37,8 +38,9 @@ class InvariantFrame:
 
     ``dynamical_phase[k, m]`` (Theta) is the integral of e_m minus the
     Berry connection up to tau_k, and ``coupling`` is the Hermitian
-    zero-diagonal generator M_mn = gamma~_mn e^{i (Theta_m - Theta_n)}.
-    Its phase alpha_mn = arg M_mn is read from ``coupling`` one pair at
+    zero-diagonal generator M_mn = gamma~_mn e^{i (Theta_m - Theta_n)}
+    in the storage of the gamma that :func:`build_frame` consumed. Its
+    phase alpha_mn = arg M_mn is read from ``coupling`` one pair at
     a time by :meth:`coupling_phase`; only the Fourier analysis reads it.
     """
 
@@ -90,37 +92,44 @@ class InvariantFrame:
         return unwrapped
 
 
-def build_frame(spectrum: AdiabaticSpectrum, gamma: NonadiabaticCoupling) -> InvariantFrame:
+def build_frame(spectrum: AdiabaticSpectrum, gamma: np.ndarray) -> InvariantFrame:
     """The dressed frame of a tracked spectrum and its coupling matrix.
 
-    ``gamma`` is consumed: the coupling is formed in ``gamma.values``,
-    which holds M afterwards. That stack is hermitized one STEP_CHUNK at
-    a time in place. The phase Theta_m of level m accumulates
-    e_m(tau) - gamma~_mm(tau) by composite trapezoid from tau = 0, and
-    the dressing phases multiply the stack in place,
-    M_mn = gamma~_mn e^{i Theta_m} e^{-i Theta_n}, which reproduces
-    i <dressed_m | d/dtau dressed_n> off the diagonal. The diagonal is
-    exactly zero: its would-be entries are absorbed by the dressing
-    phases. No argument of gamma is taken, so where |gamma_mn| vanishes
-    the entry simply vanishes with it.
+    ``gamma``, the array of :func:`compute_nonadiabatic_coupling`, is
+    consumed: M is formed in its storage in one pass over STEP_CHUNK
+    samples at a time, which hermitizes the chunk in place, extends
+    Theta_m = int_0^tau (e_m - gamma~_mm) by trapezoid from the previous
+    chunk's last integrand and value (bit for bit the whole-grid
+    integral), multiplies in the dressing phases, M_mn = gamma~_mn
+    e^{i Theta_m} e^{-i Theta_n} = i <dressed_m | d/dtau dressed_n>, and
+    zeroes the diagonal, which they absorb. Theta is the only whole-grid
+    array formed, and no argument of gamma is taken.
     """
-    if not spectrum.grid.matches(gamma.grid):
-        raise GridMismatch("spectrum and coupling live on different grids")
-    diag = np.arange(spectrum.dimension)
-    coupling = gamma.values
-    # the continuum gamma is exactly Hermitian; averaging projects out
-    # the discretization noise so phases stay real and M exactly Hermitian
-    for start in range(0, coupling.shape[0], STEP_CHUNK):
-        rows = slice(start, start + STEP_CHUNK)
-        coupling[rows] = hermitize(coupling[rows])
-    theta = cumulative_trapezoid(
-        spectrum.eigenvalues - coupling[:, diag, diag].real, spectrum.grid.dtau
-    )
-    rot = np.exp(1j * theta)
-    coupling *= rot[:, :, None]
-    coupling *= rot.conj()[:, None, :]
-    coupling[:, diag, diag] = 0.0
-    return InvariantFrame(spectrum=spectrum, dynamical_phase=theta, coupling=coupling)
+    if gamma.shape != spectrum.eigenvectors.shape:
+        raise GridMismatch(f"coupling {gamma.shape} for eigenvectors {spectrum.eigenvectors.shape}")
+    energies, dtau = spectrum.eigenvalues, spectrum.grid.dtau
+    n1, d = energies.shape
+    diag = np.arange(d)
+    theta = np.zeros(energies.shape)
+    # Theta's integrand, after the value carried in from the previous chunk
+    integrand = np.empty((min(STEP_CHUNK, n1) + 1, d))
+    for start in range(0, n1, STEP_CHUNK):
+        stop = min(start + STEP_CHUNK, n1)
+        chunk, g = gamma[start:stop], integrand[: stop - start + 1]
+        # the continuum gamma is exactly Hermitian; averaging projects out
+        # the discretization noise so phases stay real and M exactly Hermitian
+        chunk[...] = hermitize(chunk)
+        np.subtract(energies[start:stop], chunk[:, diag, diag].real, out=g[1:])
+        # Theta is 0 at sample 0; the first chunk's steps fill the rows after it
+        first = int(start == 0)
+        carried = None if first else theta[start - 1]
+        running_trapezoid(g[first:], dtau, theta[start + first : stop], carried)
+        rot = np.exp(1j * theta[start:stop])
+        chunk *= rot[:, :, None]
+        chunk *= rot.conj()[:, None, :]
+        chunk[:, diag, diag] = 0.0
+        integrand[0] = g[-1]
+    return InvariantFrame(spectrum=spectrum, dynamical_phase=theta, coupling=gamma)
 
 
 def coupling_from_overlaps(frame: InvariantFrame) -> np.ndarray:

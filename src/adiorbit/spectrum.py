@@ -24,7 +24,8 @@ The nonadiabatic coupling gamma_nm = i <phi_n | d phi_m / dtau> is
 computed either by second-order finite differences of the tracked
 frames or from the Hamiltonian derivative (off-diagonal only, with the
 diagonal taken from finite differences). Both routes form it
-STEP_CHUNK samples at a time into its one output stack.
+STEP_CHUNK samples at a time into its one output stack, a plain
+(n+1, d, d) array that the frame consumes.
 """
 
 import enum
@@ -84,19 +85,6 @@ class AdiabaticSpectrum:
     @property
     def dimension(self) -> int:
         return self.eigenvectors.shape[-1]
-
-
-@dataclass(frozen=True)
-class NonadiabaticCoupling:
-    """Sampled coupling gamma_nm(tau_k) = i <phi_n | phi_m'>.
-
-    Hermitian up to discretization error; the diagonal is the Berry
-    connection of each level in the spectrum's gauge.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    method: GammaMethod
 
 
 def _enforce_min_gap(evals: np.ndarray, taus: np.ndarray, gap_tol: float) -> float:
@@ -301,10 +289,12 @@ def compute_nonadiabatic_coupling(
     spectrum: AdiabaticSpectrum,
     model: Optional[HamiltonianModel] = None,
     method: GammaMethod = GammaMethod.FINITE_DIFFERENCE,
-) -> NonadiabaticCoupling:
+) -> np.ndarray:
     """Sample gamma_nm = i <phi_n | phi_m'> on the spectrum's grid.
 
-    Both methods fill the result one STEP_CHUNK of samples at a time,
+    Returns a plain (n+1, d, d) array, Hermitian up to discretization
+    error, with the Berry connections in the spectrum's gauge on the
+    diagonal. Both methods fill it one STEP_CHUNK of samples at a time,
     each entry the one the whole-stack formula gives.
     ``FINITE_DIFFERENCE`` differentiates the tracked eigenvectors with
     second-order stencils. ``HELLMANN_FEYNMAN`` uses
@@ -335,4 +325,4 @@ def compute_nonadiabatic_coupling(
             berry = np.einsum("kin,kin->kn", bra, central_difference(vecs, dtau, rows))
             g[:, idx, idx] = 1j * berry
         del bra
-    return NonadiabaticCoupling(spectrum.grid, gamma, method)
+    return gamma

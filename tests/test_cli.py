@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from adiorbit import _csv, cli, pipeline
 from adiorbit.cli import load_scenario, main, run_evolve
 from adiorbit.errors import ConfigError
+from adiorbit.pipeline import NORM_RESIDUAL_BOUND
 
 from conftest import SZ, write_tabulated
 
@@ -678,6 +679,27 @@ class TestNonFiniteReport:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"numerical failure in cli: NonFiniteReport: report entry {key} is nan" in err
+        assert not out.exists()
+
+
+class TestNormGuard:
+    # steps of 1e298 break unitarity: evolve used to write a norm residual
+    # of 413.6 and exit 0
+    CONFIG = (
+        SPIN_A_CONFIG.replace("grid.tau_end = 20.0", "grid.tau_end = 1e300").replace(
+            "grid.n_steps = 20000", "grid.n_steps = 100"
+        )
+        + "sweep.parameter = model.omega\nsweep.values = 0.1, 0.2\n"
+    )
+
+    @pytest.mark.parametrize("command", ["evolve", "check", "sweep"])
+    def test_exits_3_naming_the_residual_and_writes_nothing(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in pipeline: NormNotConserved: max norm residual" in err
+        assert f"exceeds the bound {NORM_RESIDUAL_BOUND:g}" in err
         assert not out.exists()
 
 

@@ -752,7 +752,7 @@ class TestNonadiabaticCoupling:
     )
     def test_fd_gamma_matches_the_whole_grid_formula(self, d, n_samples):
         spec = random_spectrum(n_samples, d, seed=n_samples + d)
-        ours = compute_nonadiabatic_coupling(spec).values
+        ours = compute_nonadiabatic_coupling(spec)
         expected = whole_grid_fd_gamma(spec.eigenvectors, spec.grid.dtau)
         assert ours.dtype == expected.dtype and ours.shape == expected.shape
         assert ours.tobytes() == expected.tobytes()
@@ -771,7 +771,7 @@ class TestNonadiabaticCoupling:
         # 2.4); the whole-grid formula holds two more stacks of the
         # output's size (98 chunks at d = 2)
         chunk_bytes = STEP_CHUNK * d * d * np.dtype(complex).itemsize
-        assert peak < gamma.values.nbytes + 5 * chunk_bytes
+        assert peak < gamma.nbytes + 5 * chunk_bytes
 
     @pytest.mark.parametrize("n_steps", [2, STEP_CHUNK - 1, STEP_CHUNK, 2 * STEP_CHUNK])
     @pytest.mark.parametrize("derivative", ["analytic", "differenced"])
@@ -782,7 +782,7 @@ class TestNonadiabaticCoupling:
         if derivative == "differenced":
             model = replace(model, derivative_many=None)
         spec = solve_quasistationary(model, TimeGrid(tau_end=2.0, n_steps=n_steps))
-        ours = compute_nonadiabatic_coupling(spec, model, GammaMethod.HELLMANN_FEYNMAN).values
+        ours = compute_nonadiabatic_coupling(spec, model, GammaMethod.HELLMANN_FEYNMAN)
         expected = whole_grid_hf_gamma(spec, model)
         assert ours.dtype == expected.dtype and np.array_equal(ours, expected)
         # signed zeros too
@@ -800,13 +800,13 @@ class TestNonadiabaticCoupling:
         # a few chunks of (4096, 5, 5) stacks (5.8 MB measured, numpy 2.4);
         # whole-grid stacks of dh/dtau, V^H, the products and the quotient
         # held 51.2 MB over the 16 MB output
-        assert peak - gamma.values.nbytes < 12e6
+        assert peak - gamma.nbytes < 12e6
 
     def test_constant_model_gives_zero(self):
         grid = TimeGrid(tau_end=1.0, n_steps=50)
         spec = solve_quasistationary(constant_model(np.diag([1.0, 2.0])), grid)
         gamma = compute_nonadiabatic_coupling(spec)
-        assert np.abs(gamma.values).max() == 0.0
+        assert np.abs(gamma).max() == 0.0
 
     def test_spin_a_magnitude(self, spin_a_model):
         # rotating-frame analysis: |gamma_01| = omega sin(theta) / 2
@@ -814,14 +814,14 @@ class TestNonadiabaticCoupling:
         spec = solve_quasistationary(spin_a_model, grid)
         gamma = compute_nonadiabatic_coupling(spec)
         expected = 0.1 * np.sin(np.pi / 4) / 2.0
-        mags = np.abs(gamma.values[:, 0, 1])
+        mags = np.abs(gamma[:, 0, 1])
         assert np.abs(mags - expected).max() < 1e-8
 
     def test_berry_connection_real(self, spin_a_model):
         grid = TimeGrid(tau_end=20.0, n_steps=20000)
         spec = solve_quasistationary(spin_a_model, grid)
         gamma = compute_nonadiabatic_coupling(spec)
-        diag = np.einsum("knn->kn", gamma.values)
+        diag = np.einsum("knn->kn", gamma)
         assert np.abs(diag.imag).max() < 1e-10
 
     @pytest.mark.parametrize("case", ["spin_a", "conjugated_d5", "smooth_random_3"])
@@ -837,14 +837,14 @@ class TestNonadiabaticCoupling:
         g_fd = compute_nonadiabatic_coupling(spec)
         g_hf = compute_nonadiabatic_coupling(spec, model, GammaMethod.HELLMANN_FEYNMAN)
         idx = np.arange(model.dimension)
-        assert np.array_equal(g_hf.values[:, idx, idx], g_fd.values[:, idx, idx])
+        assert np.array_equal(g_hf[:, idx, idx], g_fd[:, idx, idx])
 
     def test_methods_agree_on_conjugated(self, conjugated_example, medium_grid):
         _, model = conjugated_example
         spec = solve_quasistationary(model, medium_grid)
         g_fd = compute_nonadiabatic_coupling(spec)
         g_hf = compute_nonadiabatic_coupling(spec, model, GammaMethod.HELLMANN_FEYNMAN)
-        assert np.abs(g_fd.values - g_hf.values).max() < 1e-5
+        assert np.abs(g_fd - g_hf).max() < 1e-5
 
     def test_method_discrepancy_halves_quadratically(self, conjugated_example):
         _, model = conjugated_example
@@ -854,7 +854,7 @@ class TestNonadiabaticCoupling:
             spec = solve_quasistationary(model, grid)
             g_fd = compute_nonadiabatic_coupling(spec)
             g_hf = compute_nonadiabatic_coupling(spec, model, GammaMethod.HELLMANN_FEYNMAN)
-            return np.abs(g_fd.values - g_hf.values).max()
+            return np.abs(g_fd - g_hf).max()
 
         coarse, fine = discrepancy(500), discrepancy(1000)
         assert 3.0 < coarse / fine < 5.5
@@ -867,7 +867,7 @@ class TestNonadiabaticCoupling:
             spec = solve_quasistationary(model, grid)
             gamma = compute_nonadiabatic_coupling(spec)
             return np.abs(
-                gamma.values - np.conj(np.swapaxes(gamma.values, -1, -2))
+                gamma - np.conj(np.swapaxes(gamma, -1, -2))
             ).max()
 
         coarse, fine = defect(250), defect(500)
@@ -892,7 +892,7 @@ class TestNonadiabaticCoupling:
         spec = solve_quasistationary(model, grid)
         g_hf = compute_nonadiabatic_coupling(spec, model, GammaMethod.HELLMANN_FEYNMAN)
         g_fd = compute_nonadiabatic_coupling(spec)
-        assert np.abs(g_hf.values - g_fd.values).max() < 1e-4
+        assert np.abs(g_hf - g_fd).max() < 1e-4
 
     def test_hf_with_fd_hamiltonian_fallback(self, spin_a_model):
         grid = TimeGrid(tau_end=5.0, n_steps=2000)
@@ -902,4 +902,4 @@ class TestNonadiabaticCoupling:
         )
         g_full = compute_nonadiabatic_coupling(spec, spin_a_model, GammaMethod.HELLMANN_FEYNMAN)
         g_fallback = compute_nonadiabatic_coupling(spec, stripped, GammaMethod.HELLMANN_FEYNMAN)
-        assert np.abs(g_full.values - g_fallback.values).max() < 1e-7
+        assert np.abs(g_full - g_fallback).max() < 1e-7
