@@ -87,7 +87,7 @@ def unitary_steps(generators: np.ndarray, dtau: float, sign: int) -> np.ndarray:
 
     Shape (n, d, d) in, (n, d, d) out. Like eigh, only the real diagonal
     and the lower triangle of each G are read. Raises
-    :class:`NonFiniteStep` when a d > 2 generator is not finite.
+    :class:`NonFiniteStep` when a step's exponent is not finite.
     """
     s = sign * dtau
     kernel = _su2_steps if generators.shape[-1] == 2 else _taylor_steps
@@ -100,12 +100,19 @@ def unitary_steps(generators: np.ndarray, dtau: float, sign: int) -> np.ndarray:
 
 def _su2_steps(generators: np.ndarray, s: float, out: np.ndarray):
     """exp(i s G) = e^{isa} (cos(s|b|) + i s sinc(s|b|/pi) b.sigma) for
-    G = a + b.sigma; sinc keeps b = 0 exact."""
+    G = a + b.sigma; sinc keeps b = 0 exact. Raises
+    :class:`NonFiniteStep` when s|b| or s tr G is not finite."""
     g00, g11 = generators[..., 0, 0].real, generators[..., 1, 1].real
     bz = 0.5 * (g00 - g11)
     lower = generators[..., 1, 0]  # b_x + i b_y
     b_norm = np.sqrt(bz * bz + lower.real**2 + lower.imag**2)
-    phase = np.exp(0.5j * s * (g00 + g11))
+    trace = g00 + g11
+    # s * max is infinite iff some s * entry is, and a NaN entry makes it NaN
+    for name, part in (("|b|", b_norm), ("|tr G|", np.abs(trace))):
+        largest = abs(s) * float(part.max(initial=0.0))
+        if not math.isfinite(largest):
+            raise NonFiniteStep(f"step generator has a non-finite dtau * {name} ({largest})")
+    phase = np.exp(0.5j * s * trace)
     cos_part = phase * np.cos(s * b_norm)
     sin_part = 1j * s * phase * np.sinc(s * b_norm / np.pi)
     out[..., 0, 0] = cos_part + sin_part * bz

@@ -288,17 +288,17 @@ def _write_csv(path: Path, header: list[str], columns):
 
 def _write_evolution_csv(path: Path, result: PipelineResult):
     """Stream the evolution table to ``path`` from its columns."""
-    # The perturbative curves are computed on first read. Read before the
-    # Schrodinger route, their temporaries are freed before the route's are
-    # taken, so the heap's peak does not grow.
-    p_first, p_second, p_ratio = result.p_first, result.p_second, result.p_ratio
+    # P_direct and the perturbative curves are computed on first read, in
+    # the order listed. P_direct comes first, so its transient Schrodinger
+    # states are held while the fewest whole-grid arrays are live; the
+    # curves' temporaries are one chunk each.
     columns = [
         result.grid.samples,
         result.p_exact,
         result.p_direct,
-        p_first,
-        p_second,
-        p_ratio,
+        result.p_first,
+        result.p_second,
+        result.p_ratio,
         result.norm_residual,
     ]
     # p_exact is |c_m|^2 of the initial level m, so that column is not formed again

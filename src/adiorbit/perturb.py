@@ -17,13 +17,14 @@ adiabatic limit:
 
 The first three read two kernels of M: the column integrals
 A_k(tau) = int_0^tau M_km, and the ordered double integral D_mm, whose
-inner integral is A itself. One private walker forms both running
+inner integral is A itself. Two private walkers form the running
 integrals one STEP_CHUNK of samples at a time, carrying their last
-values across chunk edges, so the curves are filled into their (n + 1,)
-results and the criteria walk only up to their horizon, with no
-whole-grid temporary; every value equals the whole-grid composite
-trapezoid's bit for bit. :func:`evaluate_conditions` walks once for
-all three criteria. The cost stays linear in the number of steps.
+values across chunk edges: one forms A alone, for the first-order
+curve and criterion, and the other extends it with D_mm. So the curves
+are filled into their (n + 1,) results and the criteria walk only up
+to their horizon, with no whole-grid temporary; every value equals the
+whole-grid composite trapezoid's bit for bit.
+:func:`evaluate_conditions` walks once for all three criteria. The cost stays linear in the number of steps.
 Evaluation horizons (``tau_end``) snap to the nearest grid sample.
 """
 
@@ -82,39 +83,61 @@ def _end_index(grid: TimeGrid, tau_end: Optional[float]) -> int:
     return grid.n_steps if tau_end is None else grid.index_of(tau_end)
 
 
+def _column_integral(coupling: np.ndarray, grid: TimeGrid, level: int, stop: Optional[int] = None):
+    """Yield ``(rows, A[rows])`` one STEP_CHUNK of samples at a time, for
+    the samples before ``stop`` (all by default).
+
+    A_k(tau) = int_0^tau M_km. Each chunk continues the running
+    trapezoid from the previous chunk's last value, so every row equals
+    the whole-grid ``cumulative_trapezoid``'s bit for bit. The yielded
+    array is a buffer that the next chunk overwrites.
+    """
+    column = coupling[:, :, level]
+    stop = coupling.shape[0] if stop is None else stop
+    dtype = np.result_type(coupling, grid.dtau)
+    buf = np.empty((min(STEP_CHUNK, stop), column.shape[1]), dtype)
+    a_end = None
+    for start in range(0, stop, STEP_CHUNK):
+        rows = slice(start, min(start + STEP_CHUNK, stop))
+        a = buf[: rows.stop - start]
+        if a_end is None:
+            # A is 0 at sample 0; steps fill the rows after it
+            a[0] = 0
+            running_trapezoid(column[: rows.stop], grid.dtau, a[1:])
+        else:
+            running_trapezoid(column[start - 1 : rows.stop], grid.dtau, a, a_end)
+        a_end = a[-1].copy()
+        yield rows, a
+
+
 def _kernels(coupling: np.ndarray, grid: TimeGrid, level: int, stop: Optional[int] = None):
     """Yield ``(rows, A[rows], D_mm[rows])`` one STEP_CHUNK of samples at
     a time, for the samples before ``stop`` (all by default).
 
-    A_k(tau) = int_0^tau M_km, and D_mm(tau) = int_0^tau sum_k M_mk A_k,
-    the ordered double integral whose inner integral is A. Each chunk
-    continues both running trapezoids from the previous chunk's last
-    values of A, D_mm and D_mm's integrand, so every row equals the
-    whole-grid ``cumulative_trapezoid``'s bit for bit. The yielded arrays
-    are buffers that the next chunk overwrites.
+    D_mm(tau) = int_0^tau sum_k M_mk A_k is the ordered double integral
+    whose inner integral is A (:func:`_column_integral`). Each chunk
+    continues its running trapezoid from the previous chunk's last value
+    of D_mm and of its integrand, so every row equals the whole-grid
+    ``cumulative_trapezoid``'s bit for bit. The yielded arrays are
+    buffers that the next chunk overwrites.
     """
-    column, row, dtau = coupling[:, :, level], coupling[:, level, :], grid.dtau
+    row = coupling[:, level, :]
     stop = coupling.shape[0] if stop is None else stop
-    chunk, dtype = min(STEP_CHUNK, stop), np.result_type(coupling, dtau)
-    a_buf, d_buf = np.empty((chunk, column.shape[1]), dtype), np.empty(chunk, dtype)
+    chunk, dtype = min(STEP_CHUNK, stop), np.result_type(coupling, grid.dtau)
     # D_mm's integrand, after the value carried in from the previous chunk
-    g_buf = np.empty(chunk + 1, dtype)
+    d_buf, g_buf = np.empty(chunk, dtype), np.empty(chunk + 1, dtype)
     carry = None
-    for start in range(0, stop, STEP_CHUNK):
-        rows = slice(start, min(start + STEP_CHUNK, stop))
-        n = rows.stop - start
-        a, d_mm, g = a_buf[:n], d_buf[:n], g_buf[: n + 1]
-        if carry is None:
-            # both integrals are 0 at sample 0; steps fill the rows after it
-            head, a_end, d_end = 1, None, None
-            a[0] = d_mm[0] = 0
-        else:
-            head = 0
-            a_end, g[0], d_end = carry
-        running_trapezoid(column[start - 1 + head : rows.stop], dtau, a[head:], a_end)
+    for rows, a in _column_integral(coupling, grid, level, stop):
+        n = rows.stop - rows.start
+        d_mm, g = d_buf[:n], g_buf[: n + 1]
         np.einsum("jk,jk->j", row[rows], a, out=g[1:])
-        running_trapezoid(g[head:], dtau, d_mm[head:], d_end)
-        carry = a[-1].copy(), g[-1], d_mm[-1]
+        if carry is None:
+            d_mm[0] = 0
+            running_trapezoid(g[1:], grid.dtau, d_mm[1:])
+        else:
+            g[0], d_end = carry
+            running_trapezoid(g, grid.dtau, d_mm, d_end)
+        carry = g[-1], d_mm[-1]
         yield rows, a, d_mm
 
 
@@ -125,11 +148,11 @@ def _kernels_at(coupling: np.ndarray, grid: TimeGrid, level: int, idx: int):
     return a[-1], d_mm[-1]
 
 
-def _curve(coupling: np.ndarray, grid: TimeGrid, level: int, of_kernels) -> np.ndarray:
-    """``of_kernels(A, D_mm)`` at every sample, filled chunk by chunk."""
+def _d_mm_curve(coupling: np.ndarray, grid: TimeGrid, level: int, of_d_mm) -> np.ndarray:
+    """``of_d_mm(D_mm)`` at every sample, filled chunk by chunk."""
     out = np.empty(coupling.shape[0])
-    for rows, a, d_mm in _kernels(coupling, grid, level):
-        out[rows] = of_kernels(a, d_mm)
+    for rows, _, d_mm in _kernels(coupling, grid, level):
+        out[rows] = of_d_mm(d_mm)
     return out
 
 
@@ -138,10 +161,11 @@ def _first_order_deficits(a_end: np.ndarray, level: int) -> dict[int, float]:
 
 
 def first_order_probability(coupling: np.ndarray, grid: TimeGrid, initial_level: int) -> np.ndarray:
-    """P1(tau_k) = 1 - sum_{k != m} |int_0^tau M_km|^2."""
-    return _curve(
-        coupling, grid, initial_level, lambda a, _: 1.0 - np.sum(np.abs(a) ** 2, axis=1)
-    )
+    """P1(tau_k) = 1 - sum_{k != m} |int_0^tau M_km|^2, from A alone."""
+    out = np.empty(coupling.shape[0])
+    for rows, a in _column_integral(coupling, grid, initial_level):
+        out[rows] = 1.0 - np.sum(np.abs(a) ** 2, axis=1)
+    return out
 
 
 def first_order_condition(
@@ -151,14 +175,14 @@ def first_order_condition(
     tau_end: Optional[float] = None,
 ) -> dict[int, float]:
     """Per-level first-order deficits |int_0^tau_end M_km|^2, k != m."""
-    idx = _end_index(grid, tau_end)
-    a_end, _ = _kernels_at(coupling, grid, initial_level, idx)
-    return _first_order_deficits(a_end, initial_level)
+    for _, a in _column_integral(coupling, grid, initial_level, _end_index(grid, tau_end) + 1):
+        pass
+    return _first_order_deficits(a[-1], initial_level)
 
 
 def second_order_probability(coupling: np.ndarray, grid: TimeGrid, initial_level: int) -> np.ndarray:
     """P2(tau_k) = |1 - D_mm(tau_k)|^2 from the ordered double integral."""
-    return _curve(coupling, grid, initial_level, lambda _, d_mm: np.abs(1.0 - d_mm) ** 2)
+    return _d_mm_curve(coupling, grid, initial_level, lambda d_mm: np.abs(1.0 - d_mm) ** 2)
 
 
 def _guard_ratio(coefficients: np.ndarray, level: int, idx: int, what: str):
@@ -188,9 +212,7 @@ def ratio_probability_first_iteration(
             coefficients.coefficients, initial_level, grid.n_steps,
             "first-iteration ratio probability",
         )
-    return _curve(
-        coupling, grid, initial_level, lambda _, d_mm: np.exp(-2.0 * np.real(d_mm))
-    )
+    return _d_mm_curve(coupling, grid, initial_level, lambda d_mm: np.exp(-2.0 * np.real(d_mm)))
 
 
 def compact_condition_functional(

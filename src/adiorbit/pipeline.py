@@ -4,8 +4,10 @@ This is the programmatic counterpart of the CLI ``evolve`` command and
 the work-horse of the test suite: one call produces the exact survival
 probability (coefficient route), the perturbative approximations, and
 the conservation residuals, all on a shared grid. The perturbative
-probabilities, and the Schrodinger route with its direct overlap
-probability (a cross-check), are computed the first time they are read.
+probabilities, and the direct overlap probability (a cross-check), are
+computed the first time they are read. The direct overlap runs the
+Schrodinger route into a trajectory that is freed once the overlap is
+formed, so no result keeps the (n + 1, d) states.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,6 @@ from .perturb import (
 )
 from .propagate import (
     CoefficientTrajectory,
-    StateTrajectory,
     evolve_coefficients,
     evolve_schrodinger,
     norm_residuals,
@@ -49,8 +50,10 @@ class PipelineResult:
     """Everything one scenario produces, on a single grid.
 
     ``p_first``, ``p_second`` and ``p_ratio`` (the perturbative
-    approximations) and ``states`` and ``p_direct`` (the Schrodinger
-    route) are computed on first read and then kept.
+    approximations) and ``p_direct`` (the Schrodinger route's overlap
+    with the dressed initial level) are computed on first read and then
+    kept. The route's states are not: a caller that needs them calls
+    :func:`evolve_schrodinger`.
     """
 
     model: HamiltonianModel
@@ -80,13 +83,10 @@ class PipelineResult:
         return ratio_probability_first_iteration(self.frame.coupling, self.grid, self.initial_level)
 
     @cached_property
-    def states(self) -> StateTrajectory:
-        initial_state = self.frame.dressed_column(self.initial_level, slice(0, 1))[0]
-        return evolve_schrodinger(self.model, initial_state, self.grid)
-
-    @cached_property
     def p_direct(self) -> np.ndarray:
-        return survival_probability_direct(self.states, self.frame, self.initial_level)
+        initial_state = self.frame.dressed_column(self.initial_level, slice(0, 1))[0]
+        states = evolve_schrodinger(self.model, initial_state, self.grid)
+        return survival_probability_direct(states, self.frame, self.initial_level)
 
 
 def run_pipeline(

@@ -12,9 +12,10 @@ blocked scan from the previous chunk's last state, so only one chunk of
 (:func:`_scan_chunk`); the scan makes one pass over what it is handed.
 The products are grouped differently from a step-by-step loop and
 agree with it to roundoff. Grids are fixed-step; convergence is
-assessed by halving the step. The direct overlap of the states with a
-dressed frame column is formed STEP_CHUNK samples at a time into its
-result, so it holds no whole-grid temporary.
+assessed by halving the step. The coupling checks, the direct overlap
+of the states with a dressed frame column and the norm residuals run
+STEP_CHUNK samples at a time, the last two into their results, so none
+holds a whole-grid temporary.
 """
 
 from dataclasses import dataclass
@@ -83,12 +84,18 @@ def evolve_coefficients(
         raise GridMismatch(
             f"{coupling.shape[0]} coupling samples for {grid.n_steps + 1} grid points"
         )
-    # per row, like max_hermiticity_defect, so no (n, d, d) temporary
-    scale = max(1.0, float(np.max([np.abs(row).max() for row in coupling.swapaxes(0, 1)])))
-    if max_hermiticity_defect(coupling) > 1e-9 * scale:
+    # one STEP_CHUNK of samples at a time; a maximum of chunk maxima is
+    # the whole grid's, NaN included
+    scales, defects, diagonals = [], [], []
+    for start in range(0, coupling.shape[0], STEP_CHUNK):
+        chunk = coupling[start : start + STEP_CHUNK]
+        scales.append(np.abs(chunk).max())
+        defects.append(max_hermiticity_defect(chunk))
+        diagonals.append(np.abs(np.einsum("kii->ki", chunk)).max())
+    scale = max(1.0, float(np.max(scales)))
+    if np.max(defects) > 1e-9 * scale:
         raise ValueError("coupling samples must be Hermitian")
-    diag = np.einsum("kii->ki", coupling)
-    if np.abs(diag).max() > 1e-9 * scale:
+    if np.max(diagonals) > 1e-9 * scale:
         raise ValueError("coupling samples must have zero diagonal")
     d = coupling.shape[-1]
     if not 0 <= initial_level < d:
@@ -168,6 +175,11 @@ def conservation_residual(trajectory: CoefficientTrajectory) -> float:
 
 
 def norm_residuals(trajectory: CoefficientTrajectory) -> np.ndarray:
-    """Per-sample | sum_n |c_n|^2 - 1 |."""
-    total = np.sum(np.abs(trajectory.coefficients) ** 2, axis=1)
-    return np.abs(total - 1.0)
+    """Per-sample | sum_n |c_n|^2 - 1 |, formed STEP_CHUNK samples at a
+    time into the result, each sample's sum the whole-grid one's."""
+    c = trajectory.coefficients
+    out = np.empty(c.shape[0])
+    for start in range(0, out.size, STEP_CHUNK):
+        rows = slice(start, start + STEP_CHUNK)
+        out[rows] = np.abs(np.sum(np.abs(c[rows]) ** 2, axis=1) - 1.0)
+    return out

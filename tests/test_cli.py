@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from adiorbit import _csv, cli, pipeline
 from adiorbit.cli import load_scenario, main, run_evolve
-from adiorbit.errors import ConfigError
+from adiorbit.errors import ConfigError, NonFiniteReport, NonFiniteStep
 from adiorbit.pipeline import NORM_RESIDUAL_BOUND
+from adiorbit.propagate import StateTrajectory, evolve_schrodinger, survival_probability_direct
 
 from conftest import SZ, write_tabulated
 
@@ -217,7 +218,8 @@ class TestEvolve:
 
 
 class TestSchrodingerRoute:
-    """The Schrodinger route runs only when states or p_direct is read."""
+    """The Schrodinger route runs only when p_direct is read, and its
+    states are not kept."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -245,8 +247,32 @@ class TestSchrodingerRoute:
         assert len(calls) == 0
         first = result.p_direct
         assert result.p_direct is first
-        assert result.states is result.states
         assert len(calls) == 1
+
+    def test_p_direct_is_the_overlap_of_a_route_it_does_not_keep(self, tmp_path):
+        scenario = load_scenario(write_config(tmp_path, SPIN_A_CONFIG))
+        result = pipeline.run_pipeline(scenario.model, scenario.grid)
+        initial_state = result.frame.dressed_column(0, slice(0, 1))[0]
+        states = evolve_schrodinger(scenario.model, initial_state, scenario.grid)
+        expected = survival_probability_direct(states, result.frame, 0)
+        assert result.p_direct.tobytes() == expected.tobytes()
+        assert not any(isinstance(v, StateTrajectory) for v in vars(result).values())
+
+    def test_reading_p_direct_keeps_no_trajectory(self, tmp_path):
+        text = SPIN_A_CONFIG.replace("tau_end = 20.0", "tau_end = 100.0")
+        scenario = load_scenario(write_config(tmp_path, text.replace("20000", "100000")))
+        n, d = scenario.grid.n_steps, scenario.model.dimension
+        result = pipeline.run_pipeline(scenario.model, scenario.grid)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p_direct = result.p_direct
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the (n + 1,) curve is a quarter of the (n + 1, d) complex states
+        assert p_direct.shape == (n + 1,)
+        assert grown < 0.5 * (n + 1) * d * 16
 
 
 class TestPerturbativeProbabilities:
@@ -289,9 +315,9 @@ class TestPerturbativeProbabilities:
             assert calls[-1] == name
         assert sorted(calls) == sorted(self.NAMES)
 
-    def test_evolve_reads_them_before_the_schrodinger_route(self, tmp_path, calls, monkeypatch):
-        """Their temporaries are freed before the route's are taken, which keeps
-        evolve's peak RSS down."""
+    def test_evolve_reads_the_schrodinger_route_before_them(self, tmp_path, calls, monkeypatch):
+        """The route's transient states are then held while the fewest
+        whole-grid arrays are live, which keeps evolve's peak RSS down."""
         original = pipeline.evolve_schrodinger
 
         def marking(*args, **kwargs):
@@ -301,8 +327,8 @@ class TestPerturbativeProbabilities:
         monkeypatch.setattr(pipeline, "evolve_schrodinger", marking)
         cfg = write_config(tmp_path, SPIN_A_CONFIG)
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert calls[-1] == "evolve_schrodinger"
-        assert sorted(calls[:-1]) == sorted(self.NAMES)
+        assert calls[0] == "evolve_schrodinger"
+        assert sorted(calls[1:]) == sorted(self.NAMES)
 
 
 class TestCheck:
@@ -491,12 +517,14 @@ class TestFourier:
         assert "Traceback" not in err
 
     def test_failed_phase_fit_exits_3(self, tmp_path, capsys):
-        # at tau_end = 1e-300 the least-squares line fit does not converge
+        # at tau_end = 1e-300 the least-squares line fit does not converge;
+        # the Hellmann-Feynman gamma keeps the coupling finite there, so the
+        # d = 2 steps do not stop the run before the fit
         cfg = write_config(
             tmp_path,
             "model.kind = spin_half\nmodel.variant = a\n"
             "model.omega0 = 1.0\nmodel.omega = 0.1\nmodel.theta = 0.7\n"
-            "grid.tau_end = 1e-300\ngrid.n_steps = 100\n",
+            "grid.tau_end = 1e-300\ngrid.n_steps = 100\nspectrum.gamma_method = hf\n",
         )
         with np.errstate(all="ignore"):
             code = main(["fourier", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -660,7 +688,8 @@ def test_check_loads_only_what_it_runs(tmp_path):
 
 class TestNonFiniteReport:
     # over steps of 1e-302 the differenced coupling is so large that the
-    # d = 2 steps overflow, and the coefficients are NaN
+    # d = 2 steps overflow; the step kernel stops there, before any
+    # coefficient is NaN
     CONFIG = (
         SPIN_A_CONFIG.replace("grid.tau_end = 20.0", "grid.tau_end = 1e-300").replace(
             "grid.n_steps = 20000", "grid.n_steps = 100"
@@ -669,17 +698,36 @@ class TestNonFiniteReport:
     )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "command, key",
-        [("evolve", "min_p_exact"), ("check", "criteria.3.value"), ("sweep", "rows.0.min_p_exact")],
-    )
-    def test_exits_3_naming_the_key_and_writes_nothing(self, tmp_path, capsys, command, key):
+    @pytest.mark.parametrize("command", ["evolve", "check", "sweep"])
+    def test_exits_3_at_the_step_and_writes_nothing(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, self.CONFIG)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert f"numerical failure in cli: NonFiniteReport: report entry {key} is nan" in err
+        assert (
+            "numerical failure in propagate: NonFiniteStep: "
+            "step generator has a non-finite dtau * |b| (inf)"
+        ) in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_pipeline_stops_at_the_d2_step(self, tmp_path):
+        scenario = load_scenario(write_config(tmp_path, self.CONFIG))
+        with pytest.raises(NonFiniteStep, match=r"non-finite dtau \* \|b\|"):
+            pipeline.run_pipeline(scenario.model, scenario.grid)
+
+    @pytest.mark.parametrize(
+        "payload, key, value",
+        [
+            ({"min_p_exact": float("nan")}, "min_p_exact", "nan"),
+            ({"criteria": [{"value": 0.0}] * 3 + [{"value": float("inf")}]}, "criteria.3.value", "inf"),
+            ({"rows": [{"min_p_exact": -float("inf")}]}, "rows.0.min_p_exact", "-inf"),
+        ],
+    )
+    def test_finite_names_the_key(self, payload, key, value):
+        with pytest.raises(NonFiniteReport) as raised:
+            cli._finite(payload)
+        assert str(raised.value) == f"report entry {key} is {value}; no output was written"
 
 
 class TestNormGuard:

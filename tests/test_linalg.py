@@ -88,12 +88,31 @@ class TestUnitarySteps:
         gens = random_hermitian(np.random.default_rng(13), 20, d).real
         assert np.array_equal(unitary_steps(gens, 0.1, 1), unitary_steps(gens + 0j, 0.1, 1))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "d, entry", [(5, (2, 1)), (2, (0, 0)), (2, (1, 1)), (2, (1, 0))]
+    )
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_taylor_rejects_non_finite(self, bad):
-        gens = random_hermitian(np.random.default_rng(11), 10, 5)
-        gens[3, 2, 1] = bad
+    def test_rejects_non_finite(self, d, entry, bad):
+        gens = random_hermitian(np.random.default_rng(11), 10, d)
+        gens[3][entry] = bad
         with pytest.raises(NonFiniteStep):
             unitary_steps(gens, 0.1, 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (1, 0)])
+    def test_su2_rejects_an_overflowing_exponent(self, entry):
+        # 1e300 is finite, but dtau * 1e300 is not
+        gens = random_hermitian(np.random.default_rng(11), 10, 2)
+        gens[3][entry] = 1e300
+        with pytest.raises(NonFiniteStep):
+            unitary_steps(gens, 1e10, 1)
+
+    def test_su2_accepts_a_large_finite_exponent(self):
+        gens = random_hermitian(np.random.default_rng(11), 10, 2)
+        gens[3] = [[3e150, 1e150], [1e150, -1e150]]
+        steps = unitary_steps(gens, 1e-10, 1)
+        assert np.isfinite(steps).all()
 
     @pytest.mark.parametrize("d, kernel", [(2, _su2_steps), (5, _taylor_steps)])
     @pytest.mark.parametrize("n", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import adiorbit.propagate
+from adiorbit import perturb
 from adiorbit import (
     CoefficientTrajectory,
     SpinHalfParams,
@@ -354,6 +355,27 @@ class TestChunkEdges:
             assert report["CompactFunctional"].value == whole_grid_compact(
                 coupling, c, grid, level, idx
             )
+
+    def test_first_order_walks_only_a(self, monkeypatch):
+        """One running integral per chunk for the first-order curve and
+        criterion, two (A and D_mm) for the others."""
+        n_samples, d, level = 2 * STEP_CHUNK + 1, 3, 1
+        rng = np.random.default_rng(3)
+        coupling = rng.normal(size=(n_samples, d, d)) + 1j * rng.normal(size=(n_samples, d, d))
+        grid = TimeGrid(tau_end=1e-3 * (n_samples - 1), n_steps=n_samples - 1)
+        integrals = []
+        original = perturb.running_trapezoid
+
+        def counting(*args):
+            integrals.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(perturb, "running_trapezoid", counting)
+        first_order_probability(coupling, grid, level)
+        first_order_condition(coupling, grid, level)
+        assert len(integrals) == 2 * 3
+        second_order_probability(coupling, grid, level)
+        assert len(integrals) == 2 * 3 + 2 * 3
 
     def test_second_order_probability_holds_one_chunk(self):
         n_samples, d = 200_001, 2

@@ -28,7 +28,8 @@ from adiorbit import (
 from adiorbit._linalg import SCAN_BLOCK, SCAN_CHUNK_BLOCKS, STEP_CHUNK, unitary_steps
 from adiorbit.errors import GridMismatch
 from adiorbit.model import sample_hamiltonian
-from adiorbit.propagate import _scan_chunk
+from adiorbit import propagate
+from adiorbit.propagate import _scan_chunk, norm_residuals
 
 from conftest import SX, constant_model
 
@@ -134,6 +135,44 @@ class TestEvolveCoefficients:
         grid = TimeGrid(tau_end=1.0, n_steps=10)
         with pytest.raises(GridMismatch):
             evolve_coefficients(np.zeros((5, 2, 2), dtype=complex), grid, 0)
+
+    @pytest.mark.parametrize("defect, accepted", [(1e-4, True), (1e-2, False)])
+    def test_scale_is_the_whole_grids(self, defect, accepted):
+        # the largest entry is in the first chunk and the defect in the
+        # last: 1e-4 is over 1e-9 of the last chunk's own scale but
+        # under 1e-9 of the grid's 1e6
+        n = 3 * STEP_CHUNK
+        grid = TimeGrid(tau_end=1e-3 * n, n_steps=n)
+        coupling = random_coupling(n + 1, 2, seed=5)
+        coupling[0, 0, 1] = coupling[0, 1, 0] = 1e6
+        coupling[-1, 0, 1] += defect
+        if accepted:
+            evolve_coefficients(coupling, grid, 0)
+        else:
+            with pytest.raises(ValueError, match="must be Hermitian"):
+                evolve_coefficients(coupling, grid, 0)
+
+    @pytest.mark.parametrize(
+        "entry, message", [((0, 1), "must be Hermitian"), ((1, 1), "must have zero diagonal")]
+    )
+    def test_checks_hold_one_chunk_and_raise_before_any_step(self, monkeypatch, entry, message):
+        n, d = 200_000, 2
+        grid = TimeGrid(tau_end=200.0, n_steps=n)
+        coupling = random_coupling(n + 1, d, seed=6)
+        coupling[-1][entry] += 1.0  # the last sample fails the check
+        formed = []
+        monkeypatch.setattr(propagate, "unitary_steps", lambda *args: formed.append(args))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                evolve_coefficients(coupling, grid, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert formed == []
+        # a chunk's moduli and one row buffer per matrix (0.26 MB, numpy
+        # 2.4); the whole-grid checks held 9.2 MB here
+        assert peak < 4 * STEP_CHUNK * d * d * np.dtype(complex).itemsize
 
 
 def time_ordered_exponential(coupling, grid):
@@ -413,6 +452,29 @@ class TestChunkEdges:
         ours = survival_probability_direct(states, frame, 1)
         assert ours.dtype == expected.dtype and ours.shape == (n_samples,)
         assert ours.tobytes() == expected.tobytes()
+
+
+class TestNormResiduals:
+    @pytest.mark.parametrize("d", [2, 3, 5, 12])
+    @pytest.mark.parametrize("n_samples", [STEP_CHUNK - 1, STEP_CHUNK + 1, 3 * STEP_CHUNK + 7])
+    def test_match_the_whole_grid_formula(self, d, n_samples):
+        rng = np.random.default_rng(n_samples + d)
+        c = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        grid = TimeGrid(tau_end=1e-3 * (n_samples - 1), n_steps=n_samples - 1)
+        expected = np.abs(np.sum(np.abs(c) ** 2, axis=1) - 1.0)
+        ours = norm_residuals(CoefficientTrajectory(grid, c, 0))
+        assert ours.dtype == expected.dtype and ours.tobytes() == expected.tobytes()
+
+    def test_hold_one_chunk(self):
+        n_samples, d = 200_001, 2
+        rng = np.random.default_rng(8)
+        c = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
+        traj = CoefficientTrajectory(TimeGrid(tau_end=200.0, n_steps=n_samples - 1), c, 0)
+        residuals, peak = traced_peak(lambda: norm_residuals(traj))
+        # a chunk's moduli and their squares (0.13 MB, numpy 2.4); the
+        # whole-grid formula holds 3.1 MB over the output here
+        assert peak < residuals.nbytes + 2 * STEP_CHUNK * d * np.dtype(complex).itemsize
 
 
 def traced_peak(run):
