@@ -5,8 +5,14 @@ exponentials are unitary up to roundoff: for d = 2 they use the closed
 SU(2) form, for larger d a Taylor polynomial with scaling and squaring
 (Moler & Van Loan, SIAM Rev. 45, 2003; Al-Mohy & Higham, SIAM J. Matrix
 Anal. Appl. 31, 2009), evaluated as batched matrix products. Steps are
-computed STEP_CHUNK generators at a time into one output array, so
-temporaries stay bounded. The d = 2 eigensystem is closed-form too
+computed STEP_CHUNK generators at a time into one output array, which
+the caller may hand in. Each chunk's generators are hermitized and
+scaled in place, in a work buffer or, when the caller allows it, in
+the caller's own stack; the degree and the squarings are chosen over
+the chunk, and the polynomial is evaluated TAYLOR_BLOCK rows at a time
+by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973), in fewer products
+than Horner's rule and in work buffers of that many rows. The d = 2
+eigensystem is closed-form too
 (:func:`su2_eigh`), and :func:`phase_convention` fixes the free phase
 of each eigenvector column.
 
@@ -18,7 +24,8 @@ entry, laid out (block, n_blocks), and overwritten by the in-block
 prefix products: d ufunc calls per position (one product, d - 1 sums)
 for all blocks at once, where a stacked matmul of small matrices pays
 a per-matrix overhead. The propagators bound what the scan holds by
-handing it one chunk of steps at a time.
+handing it one chunk of steps at a time, and may hand it a buffer for
+its blocked copy.
 """
 
 import math
@@ -40,6 +47,9 @@ SCAN_BLOCK = 128
 SCAN_CHUNK_BLOCKS = 128
 # Generators exponentiated per pass of unitary_steps.
 STEP_CHUNK = 4096
+# Rows of a chunk that the Taylor polynomial and its squarings take at
+# once, so that its work buffers stay small.
+TAYLOR_BLOCK = 256
 # Taylor steps: 1-norm after scaling, and the truncation bound of the
 # first dropped term, (theta / 2^j)^(m+1) / (m+1)!.
 TAYLOR_THETA = 0.5
@@ -82,30 +92,51 @@ def max_hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.max(defects))
 
 
-def unitary_steps(generators: np.ndarray, dtau: float, sign: int) -> np.ndarray:
+def unitary_steps(
+    generators: np.ndarray, dtau: float, sign: int, *, out=None, overwrite: bool = False
+) -> np.ndarray:
     """exp(sign * 1j * dtau * G) for a stack of Hermitian generators G.
 
-    Shape (n, d, d) in, (n, d, d) out. Like eigh, only the real diagonal
-    and the lower triangle of each G are read. Raises
+    Shape (n, d, d) in, (n, d, d) out, written into ``out`` when given.
+    Like eigh, only the real diagonal and the lower triangle of each G
+    are read. For d > 2 each chunk is copied into one work buffer, which
+    the Taylor kernel hermitizes and scales in place; with ``overwrite``
+    a complex ``generators`` stack is that buffer itself and is left
+    overwritten, otherwise it is never written. Raises
     :class:`NonFiniteStep` when a step's exponent is not finite.
     """
     s = sign * dtau
-    kernel = _su2_steps if generators.shape[-1] == 2 else _taylor_steps
-    out = np.empty(generators.shape, dtype=complex)
-    for start in range(0, generators.shape[0], STEP_CHUNK):
+    n, d = generators.shape[0], generators.shape[-1]
+    if out is None:
+        out = np.empty(generators.shape, dtype=complex)
+    kernel, work = _su2_steps, None
+    if d > 2:
+        kernel = _taylor_steps
+        if not (overwrite and generators.dtype == complex):
+            work = np.empty((min(n, STEP_CHUNK), d, d), dtype=complex)
+    for start in range(0, n, STEP_CHUNK):
         chunk = slice(start, start + STEP_CHUNK)
-        kernel(generators[chunk], s, out[chunk])
+        g = generators[chunk]
+        if work is not None:
+            g = work[: g.shape[0]]
+            g[...] = generators[chunk]
+        kernel(g, s, out[chunk])
     return out
 
 
 def _su2_steps(generators: np.ndarray, s: float, out: np.ndarray):
     """exp(i s G) = e^{isa} (cos(s|b|) + i s sinc(s|b|/pi) b.sigma) for
-    G = a + b.sigma; sinc keeps b = 0 exact. Raises
+    G = a + b.sigma; sinc keeps b = 0 exact. |b| is formed by hypot
+    where its sum of squares overflows. Raises
     :class:`NonFiniteStep` when s|b| or s tr G is not finite."""
     g00, g11 = generators[..., 0, 0].real, generators[..., 1, 1].real
     bz = 0.5 * (g00 - g11)
     lower = generators[..., 1, 0]  # b_x + i b_y
-    b_norm = np.sqrt(bz * bz + lower.real**2 + lower.imag**2)
+    with np.errstate(over="ignore"):
+        b_norm = np.sqrt(bz * bz + lower.real**2 + lower.imag**2)
+    # the squares overflow above about 1.3e154; hypot does not
+    big = np.flatnonzero(np.isinf(b_norm))
+    b_norm[big] = np.hypot(np.hypot(bz[big], lower.real[big]), lower.imag[big])
     trace = g00 + g11
     # s * max is infinite iff some s * entry is, and a NaN entry makes it NaN
     for name, part in (("|b|", b_norm), ("|tr G|", np.abs(trace))):
@@ -178,17 +209,24 @@ def su2_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _taylor_steps(generators: np.ndarray, s: float, out: np.ndarray):
-    """exp(A) for A = i s G by a degree-m Taylor polynomial of A / 2^j,
-    then j squarings. j and the smallest m >= 1 are chosen from the
-    largest 1-norm in the stack so that the first dropped term is below
-    TAYLOR_TOL. ``out`` doubles as one of the two product buffers."""
-    a = np.tril(generators, -1).astype(complex, copy=False)
-    np.conj(np.swapaxes(a, -1, -2), out=out)
-    a += out
-    for i in range(a.shape[-1]):
-        a[:, i, i] = generators[:, i, i].real
-    theta = abs(s) * float(np.abs(a).sum(axis=-2).max(initial=0.0))
+def _taylor_steps(a: np.ndarray, s: float, out: np.ndarray):
+    """exp(i s G) by a degree-m Taylor polynomial of A / 2^j, A = i s G,
+    then j squarings, for the chunk of generators G in ``a``, which is
+    overwritten by A / 2^j (only its real diagonal and lower triangle
+    are read). j and the smallest m >= 1 are chosen from the chunk's
+    largest 1-norm so that the first dropped term is below TAYLOR_TOL;
+    the polynomial then runs TAYLOR_BLOCK rows at a time."""
+    d = a.shape[-1]
+    # hermitize in place: the upper triangle from the lower, a real diagonal
+    for i in range(d):
+        np.conj(a[:, i, :i], out=a[:, :i, i])
+        a[:, i, i].imag = 0.0
+    # column sums of |A|, one row of moduli at a time
+    norms = np.abs(a[:, 0])
+    row = np.empty_like(norms)
+    for i in range(1, d):
+        norms += np.abs(a[:, i], out=row)
+    theta = abs(s) * float(norms.max(initial=0.0))
     if not math.isfinite(theta):
         raise NonFiniteStep(f"step generator has a non-finite 1-norm ({theta})")
     a *= 1j * s
@@ -199,20 +237,47 @@ def _taylor_steps(generators: np.ndarray, s: float, out: np.ndarray):
     while term > TAYLOR_TOL:
         degree += 1
         term *= scaled / (degree + 1)
-    # Horner: p = 1 + a/1 (1 + a/2 (... (1 + a/m)))
-    p, q = out, np.empty_like(out)
-    np.divide(a, degree, out=p)
+    work = np.empty((_ps_split(degree) + 2,) + a[:TAYLOR_BLOCK].shape, dtype=complex)
+    for start in range(0, a.shape[0], TAYLOR_BLOCK):
+        rows = slice(start, start + TAYLOR_BLOCK)
+        block = a[rows]
+        _taylor_polynomial(block, degree, squarings, work[:, : block.shape[0]], out[rows])
+
+
+def _ps_split(degree: int) -> int:
+    """Paterson-Stockmeyer's s for a degree-m polynomial: A^2 .. A^s take
+    s - 1 products and the blocks of s coefficients (m - 1) // s more.
+    The smallest s with the fewest products; s = 1 is Horner's rule."""
+    return min(range(1, degree + 1), key=lambda s: s + (degree - 1) // s)
+
+
+def _taylor_polynomial(a, degree: int, squarings: int, work, out):
+    """out <- T(A)^(2^j), T(A) = sum_{k <= m} A^k / k!, for a stack A.
+
+    Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): T = B_0 + A^s (B_1 +
+    A^s (B_2 + ...)) with B_i = sum_{j=1..s} A^j / (is + j)!, plus I; at
+    m = 4, (I + A + A^2/2) + A^2 (A/6 + A^2/24), two products against
+    Horner's three. ``work`` holds s + 2 stacks shaped like ``a``: A^2 ..
+    A^s, the running sum, the next product and one scaled term.
+    """
+    s = _ps_split(degree)
+    powers = [a, *work[: s - 1]]  # A^1 .. A^s
+    for j in range(1, s):
+        np.matmul(powers[j - 1], a, out=powers[j])
+    p, q, term = work[s - 1 :]
+    p[...] = 0.0
+    # the blocks from the top: p <- B_i + A^s p, a product for all but the first
+    for first in reversed(range(1, degree + 1, s)):
+        if first + s <= degree:
+            np.matmul(powers[-1], p, out=q)
+            p, q = q, p
+        for j, power in enumerate(powers[: degree + 1 - first]):
+            p += np.multiply(power, 1.0 / math.factorial(first + j), out=term)
     _add_identity(p)
-    for k in range(degree - 1, 0, -1):
-        np.matmul(a, p, out=q)
-        q /= k
-        _add_identity(q)
-        p, q = q, p
     for _ in range(squarings):
         np.matmul(p, p, out=q)
         p, q = q, p
-    if p is not out:
-        out[...] = p
+    out[...] = p
 
 
 def _add_identity(stack: np.ndarray):
@@ -222,7 +287,7 @@ def _add_identity(stack: np.ndarray):
         stack[:, i, i] += 1.0
 
 
-def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
+def scan_states(steps: np.ndarray, v0: np.ndarray, *, work=None) -> np.ndarray:
     """Apply a sequence of step matrices to v0, keeping every intermediate.
 
     Returns shape (n_steps + 1, d) with out[k] = steps[k-1] @ ... @
@@ -238,7 +303,9 @@ def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     chained through the block products in a Python loop once per block,
     and each block's prefix times its carry is formed in p and copied
     into out. out is allocated with room for the padded steps and
-    trimmed to n + 1 rows on return.
+    trimmed to n + 1 rows on return. p is made in ``work`` when given, a
+    contiguous complex buffer of at least as many entries as the padded
+    steps.
     """
     n, d = steps.shape[0], steps.shape[-1]
     block = min(SCAN_BLOCK, max(n, 1))
@@ -246,7 +313,9 @@ def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     n_blocks = full + (rem > 0)
     out = np.empty((1 + n_blocks * block, d), dtype=complex)
     out[0] = v0
-    p = np.empty((d, d, block, n_blocks), dtype=complex)
+    size = d * d * block * n_blocks
+    p = np.empty(size, dtype=complex) if work is None else work.reshape(-1)[:size]
+    p = p.reshape(d, d, block, n_blocks)
     p[..., :full] = steps[: full * block].reshape(full, block, d, d).transpose(2, 3, 1, 0)
     if rem:
         p[:, :, :rem, full] = steps[full * block :].transpose(1, 2, 0)
@@ -272,21 +341,26 @@ def scan_states(steps: np.ndarray, v0: np.ndarray) -> np.ndarray:
     return out[: n + 1]
 
 
-def central_difference(stack: np.ndarray, dtau: float, rows: slice = slice(None)) -> np.ndarray:
+def central_difference(
+    stack: np.ndarray, dtau: float, rows: slice = slice(None), *, out=None
+) -> np.ndarray:
     """d/dtau of a sampled quantity along axis 0, second order.
 
     Central differences in the interior, one-sided three-point stencils
     at both endpoints. Only the derivative at ``rows`` is formed, each
-    sample's the one the whole stack's would be.
+    sample's the one the whole stack's would be, into ``out`` when given.
     """
     n = stack.shape[0]
     if n < 3:
         raise ValueError("need at least 3 samples for second-order differences")
     start, stop, _ = rows.indices(n)
-    out = np.empty((max(stop - start, 0),) + stack.shape[1:], stack.dtype)
+    if out is None:
+        out = np.empty((max(stop - start, 0),) + stack.shape[1:], stack.dtype)
     lo, hi, width = max(start, 1), min(stop, n - 1), 2.0 * dtau
     if hi > lo:
-        out[lo - start : hi - start] = (stack[lo + 1 : hi + 1] - stack[lo - 1 : hi - 1]) / width
+        inner = out[lo - start : hi - start]
+        np.subtract(stack[lo + 1 : hi + 1], stack[lo - 1 : hi - 1], out=inner)
+        inner /= width
     if start == 0 < stop:
         out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / width
     if stop == n > start:

@@ -286,8 +286,9 @@ def _write_csv(path: Path, header: list[str], columns):
         write_rows(fh, columns)
 
 
-def _write_evolution_csv(path: Path, result: PipelineResult):
-    """Stream the evolution table to ``path`` from its columns."""
+def _evolution_table(result: PipelineResult):
+    """evolution.csv's header and columns. Raises :class:`NonFiniteReport`
+    naming the first column that holds a NaN or an infinity."""
     # P_direct and the perturbative curves are computed on first read, in
     # the order listed. P_direct comes first, so its transient Schrodinger
     # states are held while the fewest whole-grid arrays are live; the
@@ -308,7 +309,14 @@ def _write_evolution_csv(path: Path, result: PipelineResult):
     ]
     header = ["tau", "P_exact", "P_direct", "P_first", "P_second", "P_ratio", "norm_residual"]
     header += [f"|c_{n}|^2" for n in range(result.model.dimension)]
-    _write_csv(path, header, columns)
+    for name, column in zip(header, columns):
+        # min and max both carry NaN and +-inf, and form no temporary
+        for value in (float(column.min()), float(column.max())):
+            if not math.isfinite(value):
+                raise NonFiniteReport(
+                    f"evolution.csv column {name} holds {value}; no output was written"
+                )
+    return header, columns
 
 
 def run_evolve(scenario: ScenarioConfig, out_dir: Path) -> PipelineResult:
@@ -325,8 +333,9 @@ def run_evolve(scenario: ScenarioConfig, out_dir: Path) -> PipelineResult:
             "resolved_config": scenario.raw,
         }
     )
+    header, columns = _evolution_table(result)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_evolution_csv(out_dir / "evolution.csv", result)
+    _write_csv(out_dir / "evolution.csv", header, columns)
     _write_json(out_dir / "evolve_report.json", summary)
     return result
 

@@ -7,8 +7,12 @@ Every step is unitary to roundoff, so norm conservation is a float-noise
 check rather than a tolerance check, and the global error is second
 order in the step. Both run one scan chunk at a time: each pass forms
 that chunk's midpoint generators and steps and multiplies them by the
-blocked scan from the previous chunk's last state, so only one chunk of
-(d, d) stacks is held at a time. This module alone sizes the chunk
+blocked scan from the previous chunk's last state. The coefficient
+route holds two (chunk, d, d) buffers for the whole call: the midpoint
+generators, which the step kernel hermitizes and scales in place and
+the scan then reuses for its blocked copy, and the steps. The
+Schrodinger route samples a new stack of h per chunk and holds no
+stack beyond its chunk. This module alone sizes the chunk
 (:func:`_scan_chunk`); the scan makes one pass over what it is handed.
 The products are grouped differently from a step-by-step loop and
 agree with it to roundoff. Grids are fixed-step; convergence is
@@ -103,12 +107,14 @@ def evolve_coefficients(
     c0 = np.zeros(d, dtype=complex)
     c0[initial_level] = 1.0
 
-    def midpoints(lo, hi):
-        mid = coupling[lo:hi] + coupling[lo + 1 : hi + 1]
-        mid *= 0.5
-        return mid
+    def midpoints(lo, hi, out):
+        np.add(coupling[lo:hi], coupling[lo + 1 : hi + 1], out=out)
+        out *= 0.5
+        return out
 
-    return CoefficientTrajectory(grid, _propagate(midpoints, grid, c0, sign=+1), initial_level)
+    return CoefficientTrajectory(
+        grid, _propagate(midpoints, grid, c0, sign=+1, into_buffer=True), initial_level
+    )
 
 
 def _scan_chunk(d: int) -> int:
@@ -121,25 +127,42 @@ def _scan_chunk(d: int) -> int:
 
 
 def _propagate(
-    generators: Callable[[int, int], np.ndarray], grid: TimeGrid, v0: np.ndarray, sign: int
+    generators: Callable[..., np.ndarray],
+    grid: TimeGrid,
+    v0: np.ndarray,
+    sign: int,
+    into_buffer: bool = False,
 ) -> np.ndarray:
-    """States (n + 1, d) from v0 under the midpoint steps of
-    ``generators(lo, hi)``, the generators of steps lo..hi - 1.
+    """States (n + 1, d) from v0 under the midpoint steps of the
+    generators of steps lo..hi - 1.
 
     One scan chunk (:func:`_scan_chunk`) at a time: STEP_CHUNK divides
     the chunk, so every step is the one a whole-grid unitary_steps would
     form, and only the state carried from one chunk to the next is
-    rounded differently.
+    rounded differently. With ``into_buffer``, ``generators(lo, hi, buf)``
+    writes into the first of two buffers held for the call (see the
+    module docstring); otherwise ``generators(lo, hi)`` returns a new
+    stack, and no stack outlives its chunk.
     """
-    chunk = _scan_chunk(v0.size)
+    chunk, d = _scan_chunk(v0.size), v0.size
     n, dtau = grid.n_steps, grid.dtau
-    out = np.empty((n + 1, v0.size), dtype=complex)
+    out = np.empty((n + 1, d), dtype=complex)
     out[0] = v0
+    if into_buffer:
+        # room for the scan's copy, padded to whole scan blocks
+        rows = min(chunk, -(-n // SCAN_BLOCK) * SCAN_BLOCK)
+        gens = np.empty((rows, d, d), dtype=complex)
+        steps = np.empty_like(gens)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        # no name holds the steps, so they are freed before the next
-        # chunk's generators are formed
-        out[lo : hi + 1] = scan_states(unitary_steps(generators(lo, hi), dtau, sign), out[lo])
+        if into_buffer:
+            g = generators(lo, hi, gens[: hi - lo])
+            g = unitary_steps(g, dtau, sign, out=steps[: hi - lo], overwrite=True)
+            out[lo : hi + 1] = scan_states(g, out[lo], work=gens)
+        else:
+            # no name holds the steps, so they are freed before the next
+            # chunk's generators are formed
+            out[lo : hi + 1] = scan_states(unitary_steps(generators(lo, hi), dtau, sign), out[lo])
     return out
 
 

@@ -25,7 +25,9 @@ computed either by second-order finite differences of the tracked
 frames or from the Hamiltonian derivative (off-diagonal only, with the
 diagonal taken from finite differences). Both routes form it
 STEP_CHUNK samples at a time into its one output stack, a plain
-(n+1, d, d) array that the frame consumes.
+(n+1, d, d) array that the frame consumes, with one chunk of the
+conjugate frame and of its derivative in two buffers reused by every
+chunk.
 """
 
 import enum
@@ -309,11 +311,15 @@ def compute_nonadiabatic_coupling(
     idx = np.arange(spectrum.dimension)
     off_diagonal = idx[:, None] != idx
     gamma = np.empty(vecs.shape, dtype=complex)
+    bra_buf = np.empty(vecs[:STEP_CHUNK].shape, dtype=vecs.dtype)
+    dvec_buf = np.empty_like(bra_buf)
     for start in range(0, vecs.shape[0], STEP_CHUNK):
         rows = slice(start, start + STEP_CHUNK)
-        g, bra = gamma[rows], vecs[rows].conj()
+        g = gamma[rows]
+        bra = np.conj(vecs[rows], out=bra_buf[: g.shape[0]])
+        dvec = central_difference(vecs, dtau, rows, out=dvec_buf[: g.shape[0]])
         if method is GammaMethod.FINITE_DIFFERENCE:
-            np.einsum("kin,kim->knm", bra, central_difference(vecs, dtau, rows), out=g)
+            np.einsum("kin,kim->knm", bra, dvec, out=g)
             np.multiply(1j, g, out=g)
         else:
             numer = stacked_matmul(_hamiltonian_derivative(model, spectrum.grid, rows), vecs[rows])
@@ -322,7 +328,6 @@ def compute_nonadiabatic_coupling(
             np.divide(numer, evals[rows, None, :] - evals[rows, :, None], out=g, where=off_diagonal)
             del numer
             # only the d diagonal overlaps of the finite-difference route
-            berry = np.einsum("kin,kin->kn", bra, central_difference(vecs, dtau, rows))
+            berry = np.einsum("kin,kin->kn", bra, dvec)
             g[:, idx, idx] = 1j * berry
-        del bra
     return gamma

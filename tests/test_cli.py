@@ -140,7 +140,7 @@ class TestEvolve:
         table_bytes = n_rows * 9 * 8
         tracemalloc.start()
         try:
-            cli._write_evolution_csv(tmp_path / "evolution.csv", result)
+            cli._write_csv(tmp_path / "evolution.csv", *cli._evolution_table(result))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -687,13 +687,12 @@ def test_check_loads_only_what_it_runs(tmp_path):
 
 
 class TestNonFiniteReport:
-    # over steps of 1e-302 the differenced coupling is so large that the
-    # d = 2 steps overflow; the step kernel stops there, before any
-    # coefficient is NaN
+    # omega0 = 1e300 over steps of 1e8: the dressing phase overflows, so M
+    # is NaN and the d = 2 step kernel stops there
     CONFIG = (
-        SPIN_A_CONFIG.replace("grid.tau_end = 20.0", "grid.tau_end = 1e-300").replace(
-            "grid.n_steps = 20000", "grid.n_steps = 100"
-        )
+        SPIN_A_CONFIG.replace("model.omega0 = 1.0", "model.omega0 = 1e300")
+        .replace("grid.tau_end = 20.0", "grid.tau_end = 1e10")
+        .replace("grid.n_steps = 20000", "grid.n_steps = 100")
         + "sweep.parameter = model.omega\nsweep.values = 0.1, 0.2\n"
     )
 
@@ -706,7 +705,7 @@ class TestNonFiniteReport:
         err = capsys.readouterr().err
         assert (
             "numerical failure in propagate: NonFiniteStep: "
-            "step generator has a non-finite dtau * |b| (inf)"
+            "step generator has a non-finite dtau * |b| (nan)"
         ) in err
         assert not out.exists()
 
@@ -715,6 +714,44 @@ class TestNonFiniteReport:
         scenario = load_scenario(write_config(tmp_path, self.CONFIG))
         with pytest.raises(NonFiniteStep, match=r"non-finite dtau \* \|b\|"):
             pipeline.run_pipeline(scenario.model, scenario.grid)
+
+    @pytest.mark.parametrize("column", ["P_first", "P_second", "P_ratio"])
+    def test_non_finite_csv_column_exits_3_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, column
+    ):
+        name = {
+            "P_first": "first_order_probability",
+            "P_second": "second_order_probability",
+            "P_ratio": "ratio_probability_first_iteration",
+        }[column]
+        original = getattr(pipeline, name)
+
+        def with_a_nan(*args):
+            curve = original(*args)
+            curve[7] = np.nan
+            return curve
+
+        monkeypatch.setattr(pipeline, name, with_a_nan)
+        cfg = write_config(tmp_path, SPIN_A_CONFIG.replace("20000", "200"))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "numerical failure in cli: NonFiniteReport: "
+            f"evolution.csv column {column} holds nan; no output was written"
+        ) in err
+        assert list(out.iterdir()) == []
+
+    def test_steps_of_1e_302_run(self, tmp_path):
+        # the differenced coupling reaches 1e285 here, whose squares
+        # overflowed |b| until it was formed by hypot; over a tau of 1e-300
+        # the level is kept
+        text = SPIN_A_CONFIG.replace("grid.tau_end = 20.0", "grid.tau_end = 1e-300")
+        cfg = write_config(tmp_path, text.replace("grid.n_steps = 20000", "grid.n_steps = 100"))
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "evolve_report.json").read_text())
+        assert report["min_p_exact"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "payload, key, value",

@@ -7,7 +7,9 @@ from adiorbit._linalg import (
     SCAN_BLOCK,
     SCAN_CHUNK_BLOCKS,
     STEP_CHUNK,
+    _ps_split,
     _su2_steps,
+    _taylor_polynomial,
     _taylor_steps,
     central_difference,
     max_hermiticity_defect,
@@ -108,6 +110,16 @@ class TestUnitarySteps:
         with pytest.raises(NonFiniteStep):
             unitary_steps(gens, 1e10, 1)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (1, 0)])
+    def test_su2_accepts_an_entry_whose_square_overflows(self, entry):
+        # 1e300 squared overflows, but dtau * 1e300 is 1e290
+        gens = random_hermitian(np.random.default_rng(11), 10, 2)
+        gens[3][entry] = 1e300
+        steps = unitary_steps(gens, 1e-10, 1)
+        assert np.isfinite(steps).all()
+        gram = steps @ steps.conj().swapaxes(-1, -2)
+        assert np.abs(gram - np.eye(2)).max() < 1e-15
+
     def test_su2_accepts_a_large_finite_exponent(self):
         gens = random_hermitian(np.random.default_rng(11), 10, 2)
         gens[3] = [[3e150, 1e150], [1e150, -1e150]]
@@ -119,13 +131,27 @@ class TestUnitarySteps:
     def test_rows_match_unchunked_kernel(self, d, kernel, n):
         gens = random_hermitian(np.random.default_rng(n), n, d)
         whole = np.empty_like(gens)
-        kernel(gens, 0.05, whole)
+        # the Taylor kernel overwrites its generators with A / 2^j
+        kernel(gens.copy(), 0.05, whole)
         steps = unitary_steps(gens, 0.05, 1)
         if d == 2:
             assert np.array_equal(steps, whole)
         else:
             # each chunk picks its own Taylor degree from its largest norm
             assert np.abs(steps - whole).max() < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 12])
+    def test_never_writes_the_generators(self, d):
+        gens = random_hermitian(np.random.default_rng(d), STEP_CHUNK + 1, d)
+        gens[:, 0, d - 1] = 99.0  # an upper triangle the kernel must not read
+        gens[:, 1, 1] += 5j
+        before = gens.copy()
+        steps = unitary_steps(gens, 0.3, 1)
+        assert np.array_equal(gens, before)
+        # overwrite=True uses them as its work space, to the same steps
+        out = np.empty_like(steps)
+        assert unitary_steps(gens, 0.3, 1, out=out, overwrite=True) is out
+        assert np.array_equal(out, steps)
 
     def test_temporaries_are_bounded_by_chunks(self):
         n, d = 3 * STEP_CHUNK, 5
@@ -137,9 +163,59 @@ class TestUnitarySteps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the Taylor kernel holds A and one product buffer per chunk; the
-        # other buffer is the output itself (the 1% covers array headers)
+        # one chunk of generators copied into a work buffer, and the Taylor
+        # kernel's buffers of TAYLOR_BLOCK rows (the 1% covers array headers)
         assert peak < steps.nbytes + 2.01 * chunk_bytes
+
+
+def horner_taylor(a, degree):
+    """sum_{k <= degree} A^k / k! by Horner's rule in degree - 1 products,
+    the evaluation the Taylor kernel made before Paterson-Stockmeyer."""
+    eye = np.eye(a.shape[-1])
+    p = a / degree + eye
+    for k in range(degree - 1, 0, -1):
+        p = a @ p / k + eye
+    return p
+
+
+class TestTaylorPolynomial:
+    @pytest.mark.parametrize("d", [3, 5, 12])
+    @pytest.mark.parametrize("degree", range(1, 19))
+    def test_matches_horner_in_no_more_products(self, monkeypatch, d, degree):
+        rng = np.random.default_rng(100 * d + degree)
+        # A = i s G with the 1-norm of the kernel's scaled steps, 0.5
+        a = 1j * random_hermitian(rng, 40, d)
+        a *= 0.5 / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+        work = np.empty((_ps_split(degree) + 2,) + a.shape, dtype=complex)
+        out = np.empty_like(a)
+        products = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            products.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        _taylor_polynomial(a, degree, 0, work, out)
+        monkeypatch.undo()
+        expected = horner_taylor(a, degree)
+        p_norm = np.abs(expected).sum(axis=-2).max()
+        assert np.abs(out - expected).max() <= 4 * np.finfo(float).eps * p_norm
+        assert len(products) <= degree - 1
+        assert degree != 4 or len(products) == 2
+
+    @pytest.mark.parametrize("degree, s", [(1, 1), (2, 1), (3, 1), (4, 2), (8, 2), (9, 3), (15, 3)])
+    def test_split(self, degree, s):
+        assert _ps_split(degree) == s
+
+    def test_squarings(self):
+        a = 1j * random_hermitian(np.random.default_rng(3), 40, 5)
+        a *= 0.25 / np.abs(a).sum(axis=-2).max()
+        work = np.empty((_ps_split(6) + 2,) + a.shape, dtype=complex)
+        out = np.empty_like(a)
+        _taylor_polynomial(a, 6, 3, work, out)
+        expected = np.linalg.matrix_power(horner_taylor(a, 6), 8)
+        assert np.abs(out - expected).max() < 1e-14
 
 
 def full_stack_defect(m):

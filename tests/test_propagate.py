@@ -25,7 +25,15 @@ from adiorbit import (
     survival_probability_direct,
     survival_probability_exact,
 )
-from adiorbit._linalg import SCAN_BLOCK, SCAN_CHUNK_BLOCKS, STEP_CHUNK, unitary_steps
+from adiorbit._linalg import (
+    SCAN_BLOCK,
+    SCAN_CHUNK_BLOCKS,
+    STEP_CHUNK,
+    TAYLOR_BLOCK,
+    TAYLOR_THETA,
+    TAYLOR_TOL,
+    unitary_steps,
+)
 from adiorbit.errors import GridMismatch
 from adiorbit.model import sample_hamiltonian
 from adiorbit import propagate
@@ -452,6 +460,67 @@ class TestChunkEdges:
         ours = survival_probability_direct(states, frame, 1)
         assert ours.dtype == expected.dtype and ours.shape == (n_samples,)
         assert ours.tobytes() == expected.tobytes()
+
+
+def horner_route(coupling, dtau):
+    """c(tau_k) from c(0) = e_1 as the coefficient route formed it before
+    its buffers and Paterson-Stockmeyer: whole midpoint stacks, Taylor
+    steps by Horner's rule with the degree and squarings of each
+    STEP_CHUNK's largest 1-norm, and a step-by-step product."""
+    mid = 0.5 * (coupling[:-1] + coupling[1:])
+    d, steps = mid.shape[-1], []
+    for start in range(0, mid.shape[0], STEP_CHUNK):
+        a = 1j * dtau * mid[start : start + STEP_CHUNK]
+        theta = np.abs(a).sum(axis=-2).max()
+        squarings = int(np.ceil(np.log2(theta / TAYLOR_THETA))) if theta > TAYLOR_THETA else 0
+        a /= 2.0**squarings
+        scaled, degree = theta / 2.0**squarings, 1
+        term = scaled**2 / 2.0
+        while term > TAYLOR_TOL:
+            degree += 1
+            term *= scaled / (degree + 1)
+        p = a / degree + np.eye(d)
+        for k in range(degree - 1, 0, -1):
+            p = a @ p / k + np.eye(d)
+        for _ in range(squarings):
+            p = p @ p
+        steps.append(p)
+    return step_by_step(np.concatenate(steps), np.eye(d, dtype=complex)[1])
+
+
+class TestCoefficientRoute:
+    """The coefficient route's buffers and Paterson-Stockmeyer steps
+    reproduce the route they replaced."""
+
+    @pytest.mark.parametrize("d", [3, 5, 12])
+    @pytest.mark.parametrize(
+        "n", sorted({TAYLOR_BLOCK - 1, TAYLOR_BLOCK + 1, STEP_CHUNK - 1, STEP_CHUNK + 1})
+    )
+    @pytest.mark.parametrize("dtau", [1e-3, 0.7])
+    def test_matches_the_horner_route(self, d, n, dtau):
+        # the scan chunk is STEP_CHUNK for d > 2, so n crosses both edges;
+        # dtau = 0.7 takes squarings, 1e-3 a low degree and none
+        assert _scan_chunk(d) == STEP_CHUNK
+        coupling = random_coupling(n + 1, d, seed=n + d)
+        grid = TimeGrid(tau_end=dtau * n, n_steps=n)
+        traj = evolve_coefficients(coupling, grid, initial_level=1)
+        assert np.abs(traj.coefficients - horner_route(coupling, grid.dtau)).max() < 1e-13
+
+    def test_peak_is_three_chunks_over_the_output(self):
+        # two (chunk, d, d) buffers for the call plus the kernel's small
+        # work: 3.90 MiB over the output (numpy 2.4); the route that formed
+        # new stacks per chunk peaked at 6.26 MiB
+        n, d = 40_000, 5
+        coupling = random_coupling(n + 1, d, seed=8)
+        grid = TimeGrid(tau_end=40.0, n_steps=n)
+        tracemalloc.start()
+        try:
+            c = evolve_coefficients(coupling, grid, 0).coefficients
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = _scan_chunk(d) * d * d * np.dtype(complex).itemsize
+        assert peak - c.nbytes <= 3 * chunk_bytes
 
 
 class TestNormResiduals:
