@@ -200,11 +200,17 @@ def _format_fields(table: np.ndarray) -> bytes:
 
 
 def write_rows(fh, columns) -> None:
-    """Write equal-length 1-D float columns to ``fh`` as ``'%.16e'`` CSV rows."""
-    n_rows, step = len(columns[0]), max(1, _CHUNK // len(columns))
+    """Write equal-length 1-D float columns to ``fh`` as ``'%.16e'`` CSV rows.
+
+    A column may be a callable ``(lo, hi) -> array`` that forms rows
+    lo..hi - 1 as the writer reaches them; the first array sets the count.
+    """
+    n_rows = next(len(column) for column in columns if not callable(column))
+    step = max(1, _CHUNK // len(columns))
     buffer = np.empty((step, len(columns)))
     for start in range(0, n_rows, step):
-        rows = buffer[: n_rows - start]
+        stop = min(start + step, n_rows)
+        rows = buffer[: stop - start]
         for j, column in enumerate(columns):
-            rows[:, j] = column[start : start + step]
+            rows[:, j] = column(start, stop) if callable(column) else column[start:stop]
         fh.write(_format_fields(rows))

@@ -287,7 +287,7 @@ def _add_identity(stack: np.ndarray):
         stack[:, i, i] += 1.0
 
 
-def scan_states(steps: np.ndarray, v0: np.ndarray, *, work=None) -> np.ndarray:
+def scan_states(steps: np.ndarray, v0: np.ndarray, *, work=None, out=None) -> np.ndarray:
     """Apply a sequence of step matrices to v0, keeping every intermediate.
 
     Returns shape (n_steps + 1, d) with out[k] = steps[k-1] @ ... @
@@ -302,16 +302,16 @@ def scan_states(steps: np.ndarray, v0: np.ndarray, *, work=None) -> np.ndarray:
     vectorized across blocks; the state carried into each block is
     chained through the block products in a Python loop once per block,
     and each block's prefix times its carry is formed in p and copied
-    into out. out is allocated with room for the padded steps and
-    trimmed to n + 1 rows on return. p is made in ``work`` when given, a
-    contiguous complex buffer of at least as many entries as the padded
-    steps.
+    into the (n + 1, d) result, ``out`` when given (row 0 may be v0
+    itself). p is made in ``work`` when given, a contiguous complex
+    buffer of at least as many entries as the padded steps.
     """
     n, d = steps.shape[0], steps.shape[-1]
     block = min(SCAN_BLOCK, max(n, 1))
     full, rem = divmod(n, block)
     n_blocks = full + (rem > 0)
-    out = np.empty((1 + n_blocks * block, d), dtype=complex)
+    if out is None:
+        out = np.empty((n + 1, d), dtype=complex)
     out[0] = v0
     size = d * d * block * n_blocks
     p = np.empty(size, dtype=complex) if work is None else work.reshape(-1)[:size]
@@ -337,8 +337,10 @@ def scan_states(steps: np.ndarray, v0: np.ndarray, *, work=None) -> np.ndarray:
         p[:, k] *= c
     for k in range(1, d):
         p[:, 0] += p[:, k]
-    out[1:].reshape(n_blocks, block, d).transpose(2, 1, 0)[...] = p[:, 0]
-    return out[: n + 1]
+    out[1 : 1 + full * block].reshape(full, block, d).transpose(2, 1, 0)[...] = p[:, 0, :, :full]
+    if rem:
+        out[1 + full * block :] = p[:, 0, :rem, full].T
+    return out
 
 
 def central_difference(

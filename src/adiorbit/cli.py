@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csv import write_rows
+from ._linalg import STEP_CHUNK
 from .errors import AdiorbitError, ConfigError, InputError, NonFiniteReport, NumericalError
 from .grid import TimeGrid
 from .model import (
@@ -44,7 +44,8 @@ from .model import (
     load_tabulated_model,
 )
 from .perturb import DEFAULT_THRESHOLD, evaluate_conditions
-from .pipeline import PipelineResult, run_pipeline
+from .pipeline import PipelineResult, run_frame, run_pipeline
+from .propagate import norm_residuals
 from .spectrum import Gauge, GammaMethod
 
 
@@ -252,15 +253,21 @@ def load_scenario(path) -> ScenarioConfig:
     return build_scenario(parse_config_text(path.read_text(), str(path)))
 
 
+def _stage_options(resolved: dict) -> dict:
+    return {
+        "gauge": resolved["spectrum.gauge"],
+        "gamma_method": resolved["spectrum.gamma_method"],
+        "gap_tol": resolved["spectrum.gap_tol"],
+    }
+
+
 def _execute(scenario: ScenarioConfig) -> PipelineResult:
     resolved = scenario.resolved
     return run_pipeline(
         scenario.model,
         scenario.grid,
         initial_level=resolved["evolve.initial_level"],
-        gauge=resolved["spectrum.gauge"],
-        gamma_method=resolved["spectrum.gamma_method"],
-        gap_tol=resolved["spectrum.gap_tol"],
+        **_stage_options(resolved),
     )
 
 
@@ -280,7 +287,11 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: list[str], columns):
-    """Write a header line, then the rows of equal-length float columns."""
+    """Write a header line, then the rows of equal-length float columns
+    (arrays, or callables ``(lo, hi) -> array``; see ``_csv.write_rows``)."""
+    # only evolve and sweep write a CSV, so only they import the formatter
+    from ._csv import write_rows
+
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         write_rows(fh, columns)
@@ -289,33 +300,44 @@ def _write_csv(path: Path, header: list[str], columns):
 def _evolution_table(result: PipelineResult):
     """evolution.csv's header and columns. Raises :class:`NonFiniteReport`
     naming the first column that holds a NaN or an infinity."""
-    # P_direct and the perturbative curves are computed on first read, in
-    # the order listed. P_direct comes first, so its transient Schrodinger
-    # states are held while the fewest whole-grid arrays are live; the
-    # curves' temporaries are one chunk each.
+    # tau, |c_m|^2 and the norm residuals are callables, formed a block
+    # at a time. The curves are computed on first read, in the order
+    # listed: P_direct first, so its transient Schrodinger states are held
+    # while the fewest whole-grid arrays are live.
+    coefficients, m = result.coefficients, result.initial_level
+
+    def p_exact(lo, hi):
+        return np.abs(coefficients.coefficients[lo:hi, m]) ** 2
+
     columns = [
-        result.grid.samples,
-        result.p_exact,
+        result.grid.times,
+        p_exact,
         result.p_direct,
         result.p_first,
         result.p_second,
         result.p_ratio,
-        result.norm_residual,
+        lambda lo, hi: norm_residuals(coefficients, slice(lo, hi)),
     ]
-    # p_exact is |c_m|^2 of the initial level m, so that column is not formed again
     columns += [
-        result.p_exact if n == result.initial_level else np.abs(c) ** 2
-        for n, c in enumerate(result.coefficients.coefficients.T)
+        p_exact if n == m else np.abs(c) ** 2
+        for n, c in enumerate(coefficients.coefficients.T)
     ]
     header = ["tau", "P_exact", "P_direct", "P_first", "P_second", "P_ratio", "norm_residual"]
     header += [f"|c_{n}|^2" for n in range(result.model.dimension)]
+    n_rows = len(coefficients.coefficients)
     for name, column in zip(header, columns):
-        # min and max both carry NaN and +-inf, and form no temporary
-        for value in (float(column.min()), float(column.max())):
-            if not math.isfinite(value):
-                raise NonFiniteReport(
-                    f"evolution.csv column {name} holds {value}; no output was written"
-                )
+        # min and max both carry NaN and +-inf, and form no temporary; a
+        # callable column is checked one STEP_CHUNK at a time
+        if callable(column):
+            blocks = (column(lo, lo + STEP_CHUNK) for lo in range(0, n_rows, STEP_CHUNK))
+        else:
+            blocks = (column,)
+        for block in blocks:
+            for value in (float(block.min()), float(block.max())):
+                if not math.isfinite(value):
+                    raise NonFiniteReport(
+                        f"evolution.csv column {name} holds {value}; no output was written"
+                    )
     return header, columns
 
 
@@ -327,7 +349,7 @@ def run_evolve(scenario: ScenarioConfig, out_dir: Path) -> PipelineResult:
             "command": "evolve",
             "csv": "evolution.csv",
             "min_p_exact": result.min_p_exact,
-            "max_norm_residual": float(result.norm_residual.max()),
+            "max_norm_residual": result.max_norm_residual,
             "min_gap": result.spectrum.min_gap,
             "ratio_valid": result.ratio_valid,
             "resolved_config": scenario.raw,
@@ -390,9 +412,9 @@ def run_fourier(scenario: ScenarioConfig, out_dir: Path):
     resolved = scenario.resolved
     if resolved["fourier.period"] is None:
         raise ConfigError("the model declares no period; set fourier.period in the config")
-    result = _execute(scenario)
-    frame = result.frame
-    m = result.initial_level
+    # fourier reads only the frame, so nothing is propagated
+    frame = run_frame(scenario.model, scenario.grid, **_stage_options(resolved))
+    m = resolved["evolve.initial_level"]
     pairs = []
     for k in range(scenario.model.dimension):
         if k == m:

@@ -10,7 +10,6 @@ operations in place into its one output array.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +19,9 @@ class TimeGrid:
     """Uniform grid 0 = tau_0 < tau_1 < ... < tau_n = tau_end.
 
     ``n_steps`` counts intervals, so there are ``n_steps + 1`` samples.
+    The grid keeps no array: ``samples`` forms all of them on each read,
+    and chunk loops take theirs from :meth:`times`, which forms only the
+    samples lo..hi - 1, equal bit for bit to ``samples[lo:hi]``.
     """
 
     tau_end: float
@@ -37,9 +39,21 @@ class TimeGrid:
     def dtau(self) -> float:
         return self.tau_end / self.n_steps
 
-    @cached_property
+    @property
     def samples(self) -> np.ndarray:
-        return np.linspace(0.0, self.tau_end, self.n_steps + 1)
+        return self.times(0, self.n_steps + 1)
+
+    def times(self, lo: int, hi: int) -> np.ndarray:
+        """tau_lo .. tau_{hi - 1} (hi clipped to n_steps + 1): k * dtau,
+        with the last sample set to tau_end, the operations of
+        ``np.linspace(0, tau_end, n_steps + 1)``, so they equal its
+        entries bit for bit."""
+        hi = min(hi, self.n_steps + 1)
+        out = np.arange(lo, hi, dtype=float)
+        out *= self.dtau
+        if hi == self.n_steps + 1 > lo:
+            out[-1] = self.tau_end
+        return out
 
     def index_of(self, tau: float) -> int:
         """Nearest sample index for ``tau``, clamped to the grid."""

@@ -66,8 +66,10 @@ class HamiltonianModel:
     ``analytic_frame`` maps the same times to the closed-form
     instantaneous eigensystem of ``evaluate_many``, for models that have
     one: eigenvalues (n, d), levels ordered by ascending eigenvalue at
-    tau = 0, and unit eigenvectors as columns (n, d, d), in new arrays
-    the solver may overwrite. Both gauges of
+    tau = 0, and unit eigenvectors as columns (n, d, d). The
+    eigenvectors are a new array the solver may overwrite; the
+    eigenvalues may be read-only, as the conjugated models' are: one row
+    of constant energies broadcast to (n, d). Both gauges of
     :func:`adiorbit.spectrum.solve_quasistationary` take their frame
     from it in place of an eigensolver, and verify it against h sample
     by sample.
@@ -322,7 +324,8 @@ def build_conjugated_model(params: ConjugatedParams) -> HamiltonianModel:
     frame_vectors = _factorized_sampler(v_evals, one_sided.reshape(d, d * d))
 
     def analytic_frame(taus: np.ndarray):
-        evals = np.broadcast_to(energies[order], (taus.shape[0], d)).copy()
+        # constant energies: one row, broadcast read-only with row stride 0
+        evals = np.broadcast_to(energies[order], (taus.shape[0], d))
         return evals, frame_vectors(taus)
 
     return HamiltonianModel(

@@ -263,7 +263,7 @@ def evaluate_conditions(
     first-order, second-order and first-iteration ratio criteria.
     """
     idx = _end_index(grid, tau_end)
-    t_end = grid.samples[idx]
+    t_end = grid.times(idx, idx + 1)[0]
     a_end, d_end = _kernels_at(coupling, grid, initial_level, idx)
     per_level = _first_order_deficits(a_end, initial_level)
     first = max(per_level.values())

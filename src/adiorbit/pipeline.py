@@ -3,9 +3,11 @@
 This is the programmatic counterpart of the CLI ``evolve`` command and
 the work-horse of the test suite: one call produces the exact survival
 probability (coefficient route), the perturbative approximations, and
-the conservation residuals, all on a shared grid. The perturbative
-probabilities, and the direct overlap probability (a cross-check), are
-computed the first time they are read. The direct overlap runs the
+the conservation residuals, all on a shared grid; :func:`run_frame`
+runs only the stages up to the frame. A result keeps per sample only the
+frame and the coefficients: their extremes are read one STEP_CHUNK at a
+time, and every curve, |c_m|^2 and the norm residuals included, is
+computed the first time it is read. The direct overlap runs the
 Schrodinger route into a trajectory that is freed once the overlap is
 formed, so no result keeps the (n + 1, d) states.
 """
@@ -15,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._linalg import STEP_CHUNK
 from .errors import NormNotConserved
 from .frame import InvariantFrame, build_frame
 from .grid import TimeGrid
@@ -27,6 +30,7 @@ from .perturb import (
 )
 from .propagate import (
     CoefficientTrajectory,
+    conservation_residual,
     evolve_coefficients,
     evolve_schrodinger,
     norm_residuals,
@@ -49,11 +53,14 @@ NORM_RESIDUAL_BOUND = 1e-8
 class PipelineResult:
     """Everything one scenario produces, on a single grid.
 
-    ``p_first``, ``p_second`` and ``p_ratio`` (the perturbative
-    approximations) and ``p_direct`` (the Schrodinger route's overlap
-    with the dressed initial level) are computed on first read and then
-    kept. The route's states are not: a caller that needs them calls
-    :func:`evolve_schrodinger`.
+    ``min_p_exact``, ``max_norm_residual`` and ``ratio_valid`` are the
+    extremes :func:`run_pipeline` reads from the coefficients. The
+    curves are computed on first read and then kept: ``p_exact``
+    (|c_m|^2) and ``norm_residual`` from the coefficients, ``p_first``,
+    ``p_second`` and ``p_ratio`` (the perturbative approximations) from
+    the coupling, and ``p_direct`` (the Schrodinger route's overlap with
+    the dressed initial level). The route's states are not kept: a
+    caller that needs them calls :func:`evolve_schrodinger`.
     """
 
     model: HamiltonianModel
@@ -62,13 +69,17 @@ class PipelineResult:
     spectrum: AdiabaticSpectrum
     frame: InvariantFrame
     coefficients: CoefficientTrajectory
-    p_exact: np.ndarray
-    norm_residual: np.ndarray
+    min_p_exact: float
+    max_norm_residual: float
     ratio_valid: bool
 
-    @property
-    def min_p_exact(self) -> float:
-        return float(self.p_exact.min())
+    @cached_property
+    def p_exact(self) -> np.ndarray:
+        return survival_probability_exact(self.coefficients)
+
+    @cached_property
+    def norm_residual(self) -> np.ndarray:
+        return norm_residuals(self.coefficients)
 
     @cached_property
     def p_first(self) -> np.ndarray:
@@ -89,6 +100,21 @@ class PipelineResult:
         return survival_probability_direct(states, self.frame, self.initial_level)
 
 
+def run_frame(
+    model: HamiltonianModel,
+    grid: TimeGrid,
+    gauge: Gauge = Gauge.CONTINUITY_FIXED,
+    gamma_method: GammaMethod = GammaMethod.FINITE_DIFFERENCE,
+    gap_tol: float = 1e-6,
+) -> InvariantFrame:
+    """Solve, then gamma, then the dressed frame, which keeps the spectrum."""
+    spectrum = solve_quasistationary(model, grid, gap_tol=gap_tol, gauge=gauge)
+    # the frame forms its coupling in gamma's storage, so no name keeps gamma
+    return build_frame(
+        spectrum, compute_nonadiabatic_coupling(spectrum, model=model, method=gamma_method)
+    )
+
+
 def run_pipeline(
     model: HamiltonianModel,
     grid: TimeGrid,
@@ -105,19 +131,15 @@ def run_pipeline(
     above the breakdown floor so downstream reporting can distrust it.
     A norm residual above :data:`NORM_RESIDUAL_BOUND` raises :class:`NormNotConserved`.
     """
-    spectrum = solve_quasistationary(model, grid, gap_tol=gap_tol, gauge=gauge)
-    # the frame forms its coupling in gamma's storage, so no name keeps gamma
-    frame = build_frame(
-        spectrum, compute_nonadiabatic_coupling(spectrum, model=model, method=gamma_method)
-    )
-
+    frame = run_frame(model, grid, gauge=gauge, gamma_method=gamma_method, gap_tol=gap_tol)
     coefficients = evolve_coefficients(frame.coupling, grid, initial_level)
-    p_exact = survival_probability_exact(coefficients)
-    ratio_valid = bool(
-        np.abs(coefficients.coefficients[:, initial_level]).min() >= RATIO_FLOOR
-    )
-    norm_residual = norm_residuals(coefficients)
-    worst = norm_residual.max()
+    # |c_m| one STEP_CHUNK at a time: the minimum of the chunk minima is
+    # the whole grid's, NaN included, and so is its square, since
+    # squaring rounds monotonically
+    c_m = coefficients.coefficients[:, initial_level]
+    chunks = range(0, c_m.size, STEP_CHUNK)
+    smallest = float(np.min([np.abs(c_m[s : s + STEP_CHUNK]).min() for s in chunks]))
+    worst = conservation_residual(coefficients)
     # a NaN passes `>`, so the CLI's report check names the NaN entry
     if worst > NORM_RESIDUAL_BOUND:
         raise NormNotConserved(
@@ -129,10 +151,10 @@ def run_pipeline(
         model=model,
         grid=grid,
         initial_level=initial_level,
-        spectrum=spectrum,
+        spectrum=frame.spectrum,
         frame=frame,
         coefficients=coefficients,
-        p_exact=p_exact,
-        norm_residual=norm_residual,
-        ratio_valid=ratio_valid,
+        min_p_exact=smallest * smallest,
+        max_norm_residual=worst,
+        ratio_valid=smallest >= RATIO_FLOOR,
     )

@@ -6,20 +6,22 @@ the exponential of the generator evaluated at the interval midpoint
 Every step is unitary to roundoff, so norm conservation is a float-noise
 check rather than a tolerance check, and the global error is second
 order in the step. Both run one scan chunk at a time: each pass forms
-that chunk's midpoint generators and steps and multiplies them by the
-blocked scan from the previous chunk's last state. The coefficient
+that chunk's midpoint generators and steps, and the blocked scan
+multiplies them from the previous chunk's last state straight into the
+trajectory's rows. The coefficient
 route holds two (chunk, d, d) buffers for the whole call: the midpoint
 generators, which the step kernel hermitizes and scales in place and
 the scan then reuses for its blocked copy, and the steps. The
-Schrodinger route samples a new stack of h per chunk and holds no
-stack beyond its chunk. This module alone sizes the chunk
+Schrodinger route forms its chunk's midpoint times and samples a new
+stack of h per chunk, and holds no stack beyond its chunk. This module alone sizes the chunk
 (:func:`_scan_chunk`); the scan makes one pass over what it is handed.
 The products are grouped differently from a step-by-step loop and
 agree with it to roundoff. Grids are fixed-step; convergence is
 assessed by halving the step. The coupling checks, the direct overlap
 of the states with a dressed frame column and the norm residuals run
-STEP_CHUNK samples at a time, the last two into their results, so none
-holds a whole-grid temporary.
+STEP_CHUNK samples at a time, the last two into their results (the
+largest residual from the chunks' maxima), so none holds a whole-grid
+temporary.
 """
 
 from dataclasses import dataclass
@@ -68,9 +70,9 @@ def evolve_schrodinger(
     norm = np.linalg.norm(v0)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state is not normalized (|v| = {norm:.3e})")
-    half = 0.5 * grid.dtau  # step k's midpoint is samples[k] + half
+    half = 0.5 * grid.dtau  # step k's midpoint is tau_k + half
     states = _propagate(
-        lambda lo, hi: sample_hamiltonian(model, grid.samples[lo:hi] + half), grid, v0, sign=-1
+        lambda lo, hi: sample_hamiltonian(model, grid.times(lo, hi) + half), grid, v0, sign=-1
     )
     return StateTrajectory(grid, states)
 
@@ -148,6 +150,7 @@ def _propagate(
     n, dtau = grid.n_steps, grid.dtau
     out = np.empty((n + 1, d), dtype=complex)
     out[0] = v0
+    gens = None
     if into_buffer:
         # room for the scan's copy, padded to whole scan blocks
         rows = min(chunk, -(-n // SCAN_BLOCK) * SCAN_BLOCK)
@@ -158,11 +161,11 @@ def _propagate(
         if into_buffer:
             g = generators(lo, hi, gens[: hi - lo])
             g = unitary_steps(g, dtau, sign, out=steps[: hi - lo], overwrite=True)
-            out[lo : hi + 1] = scan_states(g, out[lo], work=gens)
         else:
-            # no name holds the steps, so they are freed before the next
-            # chunk's generators are formed
-            out[lo : hi + 1] = scan_states(unitary_steps(generators(lo, hi), dtau, sign), out[lo])
+            g = unitary_steps(generators(lo, hi), dtau, sign)
+        scan_states(g, out[lo], work=gens, out=out[lo : hi + 1])
+        # new steps are freed before the next chunk's generators are formed
+        del g
     return out
 
 
@@ -193,14 +196,17 @@ def survival_probability_direct(
 
 
 def conservation_residual(trajectory: CoefficientTrajectory) -> float:
-    """max_k | sum_n |c_n(tau_k)|^2 - 1 |, zero for unitary stepping."""
-    return float(norm_residuals(trajectory).max())
+    """max_k | sum_n |c_n(tau_k)|^2 - 1 |, zero for unitary stepping: the
+    maximum of the STEP_CHUNK maxima, NaN included, with no whole-grid array."""
+    chunks = range(0, trajectory.coefficients.shape[0], STEP_CHUNK)
+    return float(np.max([norm_residuals(trajectory, slice(s, s + STEP_CHUNK)).max() for s in chunks]))
 
 
-def norm_residuals(trajectory: CoefficientTrajectory) -> np.ndarray:
-    """Per-sample | sum_n |c_n|^2 - 1 |, formed STEP_CHUNK samples at a
-    time into the result, each sample's sum the whole-grid one's."""
-    c = trajectory.coefficients
+def norm_residuals(trajectory: CoefficientTrajectory, rows: slice = slice(None)) -> np.ndarray:
+    """Per-sample | sum_n |c_n|^2 - 1 | at the samples ``rows``, formed
+    STEP_CHUNK samples at a time into the result, each sample's sum the
+    whole-grid one's."""
+    c = trajectory.coefficients[rows]
     out = np.empty(c.shape[0])
     for start in range(0, out.size, STEP_CHUNK):
         rows = slice(start, start + STEP_CHUNK)

@@ -76,6 +76,9 @@ class AdiabaticSpectrum:
     ``eigenvalues[k, n]`` and ``eigenvectors[k, :, n]`` belong to level
     n at tau_k; level labels are continuous in tau and the vectors are
     unit norm. ``min_gap`` is the smallest level separation encountered.
+    The eigenvalues have shape (n + 1, d) but may be a read-only
+    broadcast of one row (row stride 0): a conjugated model's energies
+    are constant, and a frame whose labels never permute keeps them so.
     """
 
     grid: TimeGrid
@@ -127,7 +130,9 @@ def _check_eigensystem(model: HamiltonianModel, taus, h, evals, evecs, tol: floa
 def _track(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
     """Relabel a frame by maximum overlap and transport its phases.
 
-    ``evals`` and ``evecs`` are overwritten. Each step's best-overlap
+    ``evecs`` is overwritten, and so is ``evals`` unless it is read-only
+    (a broadcast row of constant energies), in which case it is copied
+    only when a permutation has to be applied. Each step's best-overlap
     column and the overlap it keeps are found one STEP_CHUNK of steps at
     a time: a chunk whose diagonal overlaps all exceed _DIAGONAL_MARGIN
     keeps them, and only the other chunks form the full d x d overlaps.
@@ -160,6 +165,8 @@ def _track(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
     clash = np.flatnonzero((np.sort(event_cols, axis=1) != ident).any(axis=1))
     n_ok = clash[0] if clash.size else events.size
     perm = ident
+    if n_ok and not evals.flags.writeable:
+        evals = evals.copy()
     ends = np.append(events[1:], n1 - 1)
     for k, cols, end in zip(events[:n_ok], event_cols[:n_ok], ends[:n_ok]):
         # samples k+1..end carry the labels composed up to step k, and so
@@ -265,18 +272,19 @@ def _hamiltonian_derivative(model, grid: TimeGrid, rows: slice) -> np.ndarray:
     range ends. Never probes outside [0, tau_end], so models defined
     only on that range (tabulated, normalized raw evaluators) stay valid.
     """
-    taus = grid.samples
-    hdot = sample_derivative(model, taus[rows])
+    n = grid.n_steps + 1
+    start, stop, _ = rows.indices(n)
+    taus = grid.times(start, stop)
+    hdot = sample_derivative(model, taus)
     if hdot is not None:
         return hdot
-    n = taus.size
-    start, stop, _ = rows.indices(n)
     delta, d = min(_FD_STEP, 0.5 * grid.dtau), model.dimension
     out = np.empty((stop - start, d, d), dtype=complex)
     lo, hi = max(start, 1), min(stop, n - 1)
     if hi > lo:
-        plus = sample_hamiltonian(model, taus[lo:hi] + delta)
-        minus = sample_hamiltonian(model, taus[lo:hi] - delta)
+        inner = taus[lo - start : hi - start]
+        plus = sample_hamiltonian(model, inner + delta)
+        minus = sample_hamiltonian(model, inner - delta)
         out[lo - start : hi - start] = (plus - minus) / (2.0 * delta)
     if start == 0:
         h = sample_hamiltonian(model, taus[0] + delta * np.array([0.0, 1.0, 2.0]))

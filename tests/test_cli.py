@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiorbit import _csv, cli, pipeline
+from adiorbit._linalg import STEP_CHUNK
 from adiorbit.cli import load_scenario, main, run_evolve
 from adiorbit.errors import ConfigError, NonFiniteReport, NonFiniteStep
 from adiorbit.pipeline import NORM_RESIDUAL_BOUND
@@ -127,7 +128,7 @@ class TestEvolve:
         columns = rng.random((7, n_rows))
         result = SimpleNamespace(
             model=SimpleNamespace(dimension=2),
-            grid=SimpleNamespace(samples=columns[0]),
+            grid=SimpleNamespace(samples=columns[0], times=lambda lo, hi: columns[0][lo:hi]),
             initial_level=0,
             p_exact=columns[1],
             p_direct=columns[2],
@@ -465,6 +466,20 @@ class TestFourier:
         payload = json.loads((out / "fourier.json").read_text())
         assert payload["pairs"][0]["pass"] is True
 
+    def test_reads_only_the_frame(self, tmp_path, monkeypatch):
+        # fourier reads the frame alone, so nothing is propagated
+        def no_route(*args):
+            raise AssertionError("fourier ran the coefficient route")
+
+        monkeypatch.setattr(pipeline, "evolve_coefficients", no_route)
+        cfg = write_config(
+            tmp_path,
+            "model.kind = conjugated\nmodel.energies = 0, 1\n"
+            "model.generator = 0, 0.1; 0.1, 0\n"
+            "grid.tau_end = 20.0\ngrid.n_steps = 2000\nfourier.period = 20.0\n",
+        )
+        assert main(["fourier", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_tail_energy_is_not_negative(self, tmp_path):
         # the benchmark's seed-1 evolve_spin_a scenario over two periods
         cfg = write_config(
@@ -675,6 +690,7 @@ def test_check_loads_only_what_it_runs(tmp_path):
         "assert code == 0, code\n"
         "assert 'adiorbit.fourier' not in sys.modules, 'fourier'\n"
         "assert 'concurrent.futures' not in sys.modules, 'thread pool'\n"
+        "assert 'adiorbit._csv' not in sys.modules, 'csv formatter'\n"
         "from adiorbit import *\n"
         "assert all(name in globals() for name in adiorbit.__all__)\n"
         "assert 'adiorbit.fourier' in sys.modules\n"
@@ -742,6 +758,27 @@ class TestNonFiniteReport:
             f"evolution.csv column {column} holds nan; no output was written"
         ) in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("level, key", [(0, "min_p_exact"), (1, "max_norm_residual")])
+    def test_nan_in_the_coefficients_exits_3_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, level, key
+    ):
+        # planted past the first STEP_CHUNK, where the run reads its
+        # extremes one chunk at a time
+        original = pipeline.evolve_coefficients
+
+        def with_a_nan(*args):
+            trajectory = original(*args)
+            trajectory.coefficients[STEP_CHUNK + 3, level] = np.nan
+            return trajectory
+
+        monkeypatch.setattr(pipeline, "evolve_coefficients", with_a_nan)
+        cfg = write_config(tmp_path, SPIN_A_CONFIG.replace("20000", "9000"))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"NonFiniteReport: report entry {key} is nan; no output was written" in err
+        assert not out.exists()
 
     def test_steps_of_1e_302_run(self, tmp_path):
         # the differenced coupling reaches 1e285 here, whose squares

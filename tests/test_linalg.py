@@ -469,6 +469,20 @@ def test_scan_of_no_steps_d5():
     assert np.array_equal(scan_states(np.empty((0, 5, 5), complex), v0), [v0])
 
 
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("n", [1, SCAN_BLOCK - 1, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 17])
+def test_scan_writes_into_out(n, d):
+    # SCAN_BLOCK +- 1 and 3 * SCAN_BLOCK + 17 end in a partial block
+    steps = unitary_steps(random_hermitian(np.random.default_rng(n + d), n, d), 0.1, 1)
+    v0 = np.eye(d, dtype=complex)[d - 1]
+    buf = np.full((n + 3, d), np.nan, dtype=complex)
+    returned = scan_states(steps, v0, out=buf[1 : n + 2])
+    assert returned.base is buf
+    assert buf[1 : n + 2].tobytes() == scan_states(steps, v0).tobytes()
+    # the rows around the output are untouched
+    assert np.isnan(buf[0]).all() and np.isnan(buf[-1]).all()
+
+
 def scan_states_peak(steps, v0):
     tracemalloc.start()
     try:

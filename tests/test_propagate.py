@@ -592,3 +592,61 @@ class TestPropagationMemory:
         # holds 14 MB over the output here
         chunk_bytes = STEP_CHUNK * d * np.dtype(complex).itemsize
         assert peak < p.nbytes + 4 * chunk_bytes
+
+
+class TestPipelineResult:
+    """run_pipeline keeps per sample only the frame and the coefficients,
+    and reads its extremes from c one STEP_CHUNK at a time."""
+
+    def test_keeps_only_the_frame_and_coefficients(self, spin_a_model):
+        grid = TimeGrid(tau_end=100.0, n_steps=100_000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run_pipeline(spin_a_model, grid)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        kept = (
+            result.spectrum.eigenvectors.nbytes
+            + result.frame.coupling.nbytes
+            + result.frame.dynamical_phase.nbytes
+            + result.coefficients.coefficients.nbytes
+        )
+        # eigenvalues, times, |c_m|^2 and the residuals held as whole
+        # arrays would add 4 MB here
+        assert held <= kept + 2**20
+
+    @pytest.mark.parametrize("smallest", [0.3, 0.05])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_extremes_are_the_whole_grid_values(self, monkeypatch, smallest, level):
+        from adiorbit import pipeline
+        from adiorbit.perturb import RATIO_FLOOR
+
+        grid = TimeGrid(tau_end=1.0, n_steps=3 * STEP_CHUNK + 6)
+        n1 = grid.n_steps + 1
+        rng = np.random.default_rng(level)
+        # |c_m| in [0.5, 1] except a planted minimum on a chunk's first
+        # row; the largest norm residual on another chunk's last row
+        r = rng.uniform(0.5, 1.0, n1)
+        r[STEP_CHUNK] = smallest
+        c = np.empty((n1, 2), dtype=complex)
+        c[:, level] = r * np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
+        c[:, 1 - level] = np.sqrt(1.0 - r**2) * np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
+        c[2 * STEP_CHUNK - 1] *= 1.0 + 1e-10
+        monkeypatch.setattr(
+            pipeline, "evolve_coefficients", lambda *args: CoefficientTrajectory(grid, c, level)
+        )
+        result = run_pipeline(constant_model(np.diag([1.0, 2.0])), grid, initial_level=level)
+        assert result.min_p_exact == float(result.p_exact.min()) == smallest * smallest
+        assert result.max_norm_residual == float(result.norm_residual.max())
+        assert int(result.norm_residual.argmax()) == 2 * STEP_CHUNK - 1
+        assert result.ratio_valid is bool(np.abs(c[:, level]).min() >= RATIO_FLOOR)
+        assert result.ratio_valid is (smallest >= RATIO_FLOOR)
+
+    def test_conservation_residual_carries_a_nan(self):
+        grid = TimeGrid(tau_end=1.0, n_steps=2 * STEP_CHUNK)
+        c = np.zeros((grid.n_steps + 1, 2), dtype=complex)
+        c[:, 0] = 1.0
+        c[STEP_CHUNK + 1, 1] = np.nan
+        assert np.isnan(conservation_residual(CoefficientTrajectory(grid, c, 0)))

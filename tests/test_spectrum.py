@@ -903,3 +903,52 @@ class TestNonadiabaticCoupling:
         g_full = compute_nonadiabatic_coupling(spec, spin_a_model, GammaMethod.HELLMANN_FEYNMAN)
         g_fallback = compute_nonadiabatic_coupling(spec, stripped, GammaMethod.HELLMANN_FEYNMAN)
         assert np.abs(g_full - g_fallback).max() < 1e-7
+
+
+class TestConstantEigenvalues:
+    """A conjugated model's energies are constant, so its eigenvalues are
+    one row broadcast to (n + 1, d): row stride 0, read-only."""
+
+    def test_analytic_frame_is_a_broadcast_row(self):
+        evals, _ = conjugated_d5().analytic_frame(np.linspace(0.0, 1.0, 11))
+        assert evals.shape == (11, 5) and evals.strides[0] == 0
+        assert not evals.flags.writeable
+
+    @pytest.mark.parametrize("gauge", list(Gauge))
+    @pytest.mark.parametrize("case", ["spin_a", "conjugated_d5"])
+    def test_solve_keeps_the_row(self, spin_a_model, case, gauge):
+        model = spin_a_model if case == "spin_a" else conjugated_d5()
+        grid = TimeGrid(tau_end=2.0 * STEP_CHUNK * 1e-3, n_steps=2 * STEP_CHUNK)
+        evals = solve_quasistationary(model, grid, gauge=gauge).eigenvalues
+        assert evals.shape == (grid.n_steps + 1, model.dimension)
+        assert evals.strides[0] == 0 and not evals.flags.writeable
+        expected = model.analytic_frame(np.zeros(1))[0][0]
+        assert np.array_equal(evals, np.broadcast_to(expected, evals.shape))
+
+    def swapped_frame(self, n1, d, swap_at):
+        """A smoothly rotating frame whose columns 0 and 1 trade places
+        from sample ``swap_at`` on, with constant eigenvalues."""
+        rng = np.random.default_rng(n1 + d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w, u = np.linalg.eigh(0.5 * (g + g.conj().T))
+        phases = np.exp(-1j * 1e-3 * np.arange(n1)[:, None] * w)
+        evecs = np.einsum("ij,kj,jl->kil", u, phases, u.conj().T)
+        evecs[swap_at:, :, [0, 1]] = evecs[swap_at:, :, [1, 0]]
+        return np.broadcast_to(np.arange(d) + 0.5, (n1, d)), evecs
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_track_copies_only_to_permute(self, d):
+        n1 = STEP_CHUNK + 50
+        evals, evecs = self.swapped_frame(n1, d, swap_at=STEP_CHUNK + 7)
+        ref_vals, ref_vecs, _ = reference_track(np.array(evals), evecs.copy())
+        before = evals.copy()
+        tracked_vals, tracked_vecs = _track(evals, evecs.copy(), np.arange(n1) * 1e-3)
+        assert np.array_equal(tracked_vals, ref_vals)
+        assert np.abs(tracked_vecs - ref_vecs).max() < 1e-12
+        assert np.array_equal(evals, before) and evals.strides[0] == 0
+
+    def test_track_without_events_keeps_the_row(self):
+        n1, d = STEP_CHUNK + 50, 3
+        evals, evecs = self.swapped_frame(n1, d, swap_at=n1)
+        tracked_vals, _ = _track(evals, evecs, np.arange(n1) * 1e-3)
+        assert tracked_vals is evals
