@@ -15,10 +15,7 @@ from . import errors
 # on the first read of one of its names (PEP 562), so a command loads only
 # the modules it runs
 _SOURCES = {
-    "frame": (
-        "InvariantFrame", "build_frame", "coupling_from_overlaps",
-        "coupling_route_discrepancy",
-    ),
+    "frame": ("InvariantFrame", "build_frame", "coupling_route_discrepancy"),
     "fourier": (
         "CouplingHarmonics", "FourierConditionReport", "Harmonic", "PhaseLinearity",
         "check_linear_phase", "conjugated_coupling_closed_form", "fourier_condition_report",

@@ -13,10 +13,9 @@ phases, which :func:`build_frame` forms in the storage of gamma's plain
 (n+1, d, d) array, in one pass of STEP_CHUNK samples at a time. Its
 phase alpha_mn = arg M_mn = int(e_m - e_n) + int(gamma~_nn - gamma~_mm)
 + arg gamma~_mn is the U(1)-invariant phase whose linearity the Fourier
-condition needs. The coupling is also assembled directly as i times the
-overlap of dressed frames with their time derivative
-(:func:`coupling_from_overlaps`); :func:`coupling_route_discrepancy`
-measures how far the two routes part.
+condition needs. :func:`coupling_route_discrepancy` assembles the
+coupling directly, as i times the overlap of dressed frames with their
+time derivative, and measures how far the two routes part.
 """
 
 from dataclasses import dataclass
@@ -98,56 +97,48 @@ def build_frame(spectrum: AdiabaticSpectrum, gamma: np.ndarray) -> InvariantFram
     ``gamma``, the array of :func:`compute_nonadiabatic_coupling`, is
     consumed: M is formed in its storage in one pass over STEP_CHUNK
     samples at a time, which hermitizes the chunk in place, extends
-    Theta_m = int_0^tau (e_m - gamma~_mm) by trapezoid from the previous
-    chunk's last integrand and value (bit for bit the whole-grid
-    integral), multiplies in the dressing phases, M_mn = gamma~_mn
-    e^{i Theta_m} e^{-i Theta_n} = i <dressed_m | d/dtau dressed_n>, and
-    zeroes the diagonal, which they absorb. Theta is the only whole-grid
-    array formed, and no argument of gamma is taken.
+    Theta_m = int_0^tau (e_m - gamma~_mm) by one ``running_trapezoid``
+    call handed the previous chunk's carry (bit for bit the whole-grid
+    integral; the seam between chunks is that function's), multiplies in
+    the dressing phases, M_mn = gamma~_mn e^{i Theta_m} e^{-i Theta_n}
+    = i <dressed_m | d/dtau dressed_n>, and zeroes the diagonal, which
+    they absorb. Theta is the only whole-grid array formed, and no
+    argument of gamma is taken.
     """
     if gamma.shape != spectrum.eigenvectors.shape:
         raise GridMismatch(f"coupling {gamma.shape} for eigenvectors {spectrum.eigenvectors.shape}")
     energies, dtau = spectrum.eigenvalues, spectrum.grid.dtau
     n1, d = energies.shape
     diag = np.arange(d)
-    theta = np.zeros(energies.shape)
-    # Theta's integrand, after the value carried in from the previous chunk
-    integrand = np.empty((min(STEP_CHUNK, n1) + 1, d))
+    theta = np.empty(energies.shape)
+    integrand, carry = np.empty((min(STEP_CHUNK, n1), d)), None
     for start in range(0, n1, STEP_CHUNK):
         stop = min(start + STEP_CHUNK, n1)
-        chunk, g = gamma[start:stop], integrand[: stop - start + 1]
+        chunk, g = gamma[start:stop], integrand[: stop - start]
         # the continuum gamma is exactly Hermitian; averaging projects out
         # the discretization noise so phases stay real and M exactly Hermitian
         chunk[...] = hermitize(chunk)
-        np.subtract(energies[start:stop], chunk[:, diag, diag].real, out=g[1:])
-        # Theta is 0 at sample 0; the first chunk's steps fill the rows after it
-        first = int(start == 0)
-        carried = None if first else theta[start - 1]
-        running_trapezoid(g[first:], dtau, theta[start + first : stop], carried)
+        np.subtract(energies[start:stop], chunk[:, diag, diag].real, out=g)
+        carry = running_trapezoid(g, dtau, theta[start:stop], carry)
         rot = np.exp(1j * theta[start:stop])
         chunk *= rot[:, :, None]
         chunk *= rot.conj()[:, None, :]
         chunk[:, diag, diag] = 0.0
-        integrand[0] = g[-1]
     return InvariantFrame(spectrum=spectrum, dynamical_phase=theta, coupling=gamma)
 
 
-def coupling_from_overlaps(frame: InvariantFrame) -> np.ndarray:
-    """The coupling by direct differentiation of the dressed frame.
+def coupling_route_discrepancy(frame: InvariantFrame) -> float:
+    """Max entrywise gap between the phase-formula coupling and the
+    overlap route's i <B_m | d B_n / dtau>, the dressed frame B
+    differentiated by second-order differences.
 
-    Computes i <B_m | d B_n / dtau> with second-order differences. The
-    raw diagonal of this expression equals the level energies, which the
-    dressing phases absorb, so it is zeroed to match the generator
-    convention.
+    The raw diagonal of the overlap route equals the level energies,
+    which the dressing phases absorb, so it is zeroed to match the
+    generator convention.
     """
     basis = frame.basis_vectors()
     dbasis = central_difference(basis, frame.grid.dtau)
-    m2 = 1j * np.einsum("kim,kin->kmn", basis.conj(), dbasis)
+    overlaps = 1j * np.einsum("kim,kin->kmn", basis.conj(), dbasis)
     d = basis.shape[-1]
-    m2[:, np.arange(d), np.arange(d)] = 0.0
-    return m2
-
-
-def coupling_route_discrepancy(frame: InvariantFrame) -> float:
-    """Max entrywise gap between the phase-formula and overlap routes."""
-    return float(np.abs(frame.coupling - coupling_from_overlaps(frame)).max())
+    overlaps[:, np.arange(d), np.arange(d)] = 0.0
+    return float(np.abs(frame.coupling - overlaps).max())

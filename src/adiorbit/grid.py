@@ -3,10 +3,14 @@
 Everything downstream (eigenframe tracking, phase integrals, the
 propagators) assumes the same uniform grid, so convergence studies are
 done by step halving rather than adaptive control. The running
-trapezoid is plain numpy and follows scipy's
-``cumulative_trapezoid(..., initial=0)`` order of operations bit for
-bit, so the package needs no scipy at run time; it writes each of those
-operations in place into its one output array.
+trapezoid is plain numpy and follows the order of operations of
+scipy's ``cumulative_trapezoid`` started at 0 bit for bit, so the
+package needs no scipy at run time; it writes each of those operations
+in place into its one output array. It is also the one chunk seam of
+every running integral in the package: :func:`running_trapezoid` takes
+the integrand and integral at the sample before its chunk and returns
+those at its last sample, so a caller walking the grid a chunk at a
+time makes one call per chunk and keeps nothing else across edges.
 """
 
 from dataclasses import dataclass
@@ -72,32 +76,43 @@ def cumulative_trapezoid(values: np.ndarray, dtau: float) -> np.ndarray:
 
     Output has the same shape as ``values``; entry k holds the integral
     over [tau_0, tau_k]. The same operations in the same order as
-    ``scipy.integrate.cumulative_trapezoid(values, dx=dtau, axis=0,
-    initial=0)`` (scipy 1.17), so the result is equal bit for bit; each
-    one writes in place into rows 1: of the output, so the output is the
-    only whole-grid array. ``np.cumsum`` rather than
-    ``np.cumulative_sum``, which needs numpy 2.1.
+    ``scipy.integrate.cumulative_trapezoid(values, dx=dtau, axis=0)``
+    with its initial value 0 (scipy 1.17), so the result is equal bit
+    for bit; each one writes in place into the output, the only
+    whole-grid array. ``np.cumsum`` rather than ``np.cumulative_sum``,
+    which needs numpy 2.1.
     """
     values = np.asarray(values)
     out = np.empty(values.shape, np.result_type(values, dtau))
-    out[:1] = 0
-    running_trapezoid(values, dtau, out[1:])
+    running_trapezoid(values, dtau, out)
     return out
 
 
-def running_trapezoid(values: np.ndarray, dtau: float, out: np.ndarray, initial=None):
-    """The running trapezoid integral at ``values[1:]``, written into
-    ``out``, from ``initial``, its value at ``values[0]`` (0 when None).
+def running_trapezoid(values: np.ndarray, dtau: float, out: np.ndarray, carry=None):
+    """The running trapezoid integral at each of ``values``, written into
+    ``out`` (of the same length); returns the carry for the next chunk.
 
-    The steps of :func:`cumulative_trapezoid`, with ``initial`` added to
-    the first before the cumsum, which is the addition the cumsum over
-    the whole grid makes there: an integral formed a chunk at a time,
-    each chunk from the previous chunk's last sample and value, equals
-    the whole-grid one bit for bit.
+    ``carry`` is ``(integrand, integral)`` at the sample before
+    ``values[0]``, each a one-row array, as the previous call returned
+    it; with None the integral is 0 at ``values[0]``. The steps of
+    :func:`cumulative_trapezoid`, with the step from the sample before
+    formed as ``values[:1] + integrand`` (new + old, as the whole grid's
+    ``values[1:] + values[:-1]``) and that sample's integral added to it
+    before the cumsum, which is the addition the cumsum over the whole
+    grid makes there. So an integral formed a chunk at a time, each
+    call handed the carry of the one before, equals the whole-grid one
+    bit for bit, for chunks of any length down to one sample.
     """
-    np.add(values[1:], values[:-1], out=out)
-    np.multiply(dtau, out, out=out)
-    np.divide(out, 2.0, out=out)
-    if initial is not None:
-        out[:1] += initial
-    np.cumsum(out, axis=0, out=out)
+    if carry is None:
+        out[:1] = 0
+        steps = out[1:]
+    else:
+        steps = out
+        np.add(values[:1], carry[0], out=steps[:1])
+    np.add(values[1:], values[:-1], out=out[1:])
+    np.multiply(dtau, steps, out=steps)
+    np.divide(steps, 2.0, out=steps)
+    if carry is not None:
+        steps[:1] += carry[1]
+    np.cumsum(steps, axis=0, out=steps)
+    return values[-1:].copy(), out[-1:].copy()

@@ -18,13 +18,15 @@ adiabatic limit:
 The first three read two kernels of M: the column integrals
 A_k(tau) = int_0^tau M_km, and the ordered double integral D_mm, whose
 inner integral is A itself. Two private walkers form the running
-integrals one STEP_CHUNK of samples at a time, carrying their last
-values across chunk edges: one forms A alone, for the first-order
-curve and criterion, and the other extends it with D_mm. So the curves
-are filled into their (n + 1,) results and the criteria walk only up
-to their horizon, with no whole-grid temporary; every value equals the
-whole-grid composite trapezoid's bit for bit.
-:func:`evaluate_conditions` walks once for all three criteria. The cost stays linear in the number of steps.
+integrals one STEP_CHUNK of samples at a time: one forms A alone, for
+the first-order curve and criterion, and the other extends it with
+D_mm. Neither has a chunk seam of its own; each integral is one
+``grid.running_trapezoid`` call per chunk, handed the carry that the
+previous call returned, so every value equals the whole-grid composite
+trapezoid's bit for bit. The curves are filled into their (n + 1,)
+results and the criteria walk only up to their horizon, with no
+whole-grid temporary. :func:`evaluate_conditions` walks once for all
+three criteria. The cost stays linear in the number of steps.
 Evaluation horizons (``tau_end``) snap to the nearest grid sample.
 """
 
@@ -87,26 +89,18 @@ def _column_integral(coupling: np.ndarray, grid: TimeGrid, level: int, stop: Opt
     """Yield ``(rows, A[rows])`` one STEP_CHUNK of samples at a time, for
     the samples before ``stop`` (all by default).
 
-    A_k(tau) = int_0^tau M_km. Each chunk continues the running
-    trapezoid from the previous chunk's last value, so every row equals
-    the whole-grid ``cumulative_trapezoid``'s bit for bit. The yielded
-    array is a buffer that the next chunk overwrites.
+    A_k(tau) = int_0^tau M_km, one ``running_trapezoid`` call per chunk,
+    so every row equals the whole-grid ``cumulative_trapezoid``'s bit for
+    bit. The yielded array is a buffer that the next chunk overwrites.
     """
     column = coupling[:, :, level]
     stop = coupling.shape[0] if stop is None else stop
     dtype = np.result_type(coupling, grid.dtau)
-    buf = np.empty((min(STEP_CHUNK, stop), column.shape[1]), dtype)
-    a_end = None
+    buf, carry = np.empty((min(STEP_CHUNK, stop), column.shape[1]), dtype), None
     for start in range(0, stop, STEP_CHUNK):
         rows = slice(start, min(start + STEP_CHUNK, stop))
         a = buf[: rows.stop - start]
-        if a_end is None:
-            # A is 0 at sample 0; steps fill the rows after it
-            a[0] = 0
-            running_trapezoid(column[: rows.stop], grid.dtau, a[1:])
-        else:
-            running_trapezoid(column[start - 1 : rows.stop], grid.dtau, a, a_end)
-        a_end = a[-1].copy()
+        carry = running_trapezoid(column[rows], grid.dtau, a, carry)
         yield rows, a
 
 
@@ -115,29 +109,20 @@ def _kernels(coupling: np.ndarray, grid: TimeGrid, level: int, stop: Optional[in
     a time, for the samples before ``stop`` (all by default).
 
     D_mm(tau) = int_0^tau sum_k M_mk A_k is the ordered double integral
-    whose inner integral is A (:func:`_column_integral`). Each chunk
-    continues its running trapezoid from the previous chunk's last value
-    of D_mm and of its integrand, so every row equals the whole-grid
-    ``cumulative_trapezoid``'s bit for bit. The yielded arrays are
-    buffers that the next chunk overwrites.
+    whose inner integral is A (:func:`_column_integral`); it too takes
+    one ``running_trapezoid`` call per chunk, so every row equals the
+    whole-grid ``cumulative_trapezoid``'s bit for bit. The yielded
+    arrays are buffers that the next chunk overwrites.
     """
     row = coupling[:, level, :]
     stop = coupling.shape[0] if stop is None else stop
     chunk, dtype = min(STEP_CHUNK, stop), np.result_type(coupling, grid.dtau)
-    # D_mm's integrand, after the value carried in from the previous chunk
-    d_buf, g_buf = np.empty(chunk, dtype), np.empty(chunk + 1, dtype)
-    carry = None
+    d_buf, g_buf, carry = np.empty(chunk, dtype), np.empty(chunk, dtype), None
     for rows, a in _column_integral(coupling, grid, level, stop):
         n = rows.stop - rows.start
-        d_mm, g = d_buf[:n], g_buf[: n + 1]
-        np.einsum("jk,jk->j", row[rows], a, out=g[1:])
-        if carry is None:
-            d_mm[0] = 0
-            running_trapezoid(g[1:], grid.dtau, d_mm[1:])
-        else:
-            g[0], d_end = carry
-            running_trapezoid(g, grid.dtau, d_mm, d_end)
-        carry = g[-1], d_mm[-1]
+        d_mm, g = d_buf[:n], g_buf[:n]
+        np.einsum("jk,jk->j", row[rows], a, out=g)
+        carry = running_trapezoid(g, grid.dtau, d_mm, carry)
         yield rows, a, d_mm
 
 
@@ -156,8 +141,8 @@ def _d_mm_curve(coupling: np.ndarray, grid: TimeGrid, level: int, of_d_mm) -> np
     return out
 
 
-def _first_order_deficits(a_end: np.ndarray, level: int) -> dict[int, float]:
-    return {k: float(np.abs(a_end[k]) ** 2) for k in range(a_end.shape[0]) if k != level}
+def _first_order_deficits(a: np.ndarray, level: int) -> dict[int, float]:
+    return {k: float(np.abs(a[k]) ** 2) for k in range(a.shape[0]) if k != level}
 
 
 def first_order_probability(coupling: np.ndarray, grid: TimeGrid, initial_level: int) -> np.ndarray:
@@ -264,11 +249,8 @@ def evaluate_conditions(
     """
     idx = _end_index(grid, tau_end)
     t_end = grid.times(idx, idx + 1)[0]
-    a_end, d_end = _kernels_at(coupling, grid, initial_level, idx)
-    per_level = _first_order_deficits(a_end, initial_level)
-    first = max(per_level.values())
-    second = float(np.abs(d_end) ** 2)
-    ratio = float(np.real(d_end))
+    a, d_mm = _kernels_at(coupling, grid, initial_level, idx)
+    per_level = _first_order_deficits(a, initial_level)
     compact = compact_condition_functional(
         coupling, coefficients, grid, initial_level, t_end
     )
@@ -285,9 +267,9 @@ def evaluate_conditions(
 
     return ConditionReport(
         records=(
-            record(FIRST_ORDER, first, per_level),
-            record(SECOND_ORDER, second),
-            record(RATIO_FIRST_ITER, ratio),
+            record(FIRST_ORDER, max(per_level.values()), per_level),
+            record(SECOND_ORDER, np.abs(d_mm) ** 2),
+            record(RATIO_FIRST_ITER, np.real(d_mm)),
             record(COMPACT_FUNCTIONAL, compact),
         )
     )

@@ -780,6 +780,30 @@ class TestNonFiniteReport:
         assert f"NonFiniteReport: report entry {key} is nan; no output was written" in err
         assert not out.exists()
 
+    def test_table_forms_no_callable_column(self, monkeypatch):
+        # tau, |c_m|^2 and norm_residual are finite once the summary is
+        # (max_norm_residual keeps NaN and is bounded by 1e-8), so only the
+        # writer forms them, a block at a time
+        formed = []
+        monkeypatch.setattr(cli, "norm_residuals", lambda *args: formed.append("norm"))
+        n_rows = 2 * STEP_CHUNK + 1
+        coefficients = np.zeros((n_rows, 2), complex)
+        coefficients[:, 0] = np.nan  # |c_m|^2 is a callable, so not checked
+        result = SimpleNamespace(
+            model=SimpleNamespace(dimension=2),
+            grid=SimpleNamespace(times=lambda lo, hi: formed.append("tau")),
+            initial_level=0,
+            p_direct=np.zeros(n_rows),
+            p_first=np.zeros(n_rows),
+            p_second=np.zeros(n_rows),
+            p_ratio=np.zeros(n_rows),
+            coefficients=SimpleNamespace(coefficients=coefficients),
+        )
+        header, columns = cli._evolution_table(result)
+        assert formed == []
+        callables = [name for name, column in zip(header, columns) if callable(column)]
+        assert callables == ["tau", "P_exact", "norm_residual", "|c_0|^2"]
+
     def test_steps_of_1e_302_run(self, tmp_path):
         # the differenced coupling reaches 1e285 here, whose squares
         # overflowed |b| until it was formed by hypot; over a tau of 1e-300

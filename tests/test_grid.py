@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adiorbit.grid import TimeGrid
+from adiorbit.grid import TimeGrid, cumulative_trapezoid, running_trapezoid
 
 
 @pytest.mark.parametrize(
@@ -23,3 +23,50 @@ def test_samples_are_not_kept():
     first = grid.samples
     assert grid.samples is not first
     assert vars(grid) == {"tau_end": 2.0, "n_steps": 10}
+
+
+def chained(values, dtau, lengths):
+    """The running trapezoid over ``values`` in chunks of ``lengths``, each
+    call handed the carry of the one before."""
+    out = np.empty(values.shape, np.result_type(values, dtau))
+    carry, edges = None, np.cumsum([0, *lengths])
+    assert edges[-1] == len(values)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        carry = running_trapezoid(values[lo:hi], dtau, out[lo:hi], carry)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["n", "n_d"])
+@pytest.mark.parametrize("seed", range(4))
+def test_chained_chunks_equal_the_whole_grid(dtype, shape, seed):
+    rng = np.random.default_rng(seed)
+    n = 1000
+    values = rng.normal(size=(n, *shape))
+    if dtype is np.complex128:
+        values = values + 1j * rng.normal(size=(n, *shape))
+    dtau = 0.37
+    whole = cumulative_trapezoid(values, dtau)
+    # one-sample chunks first, in the middle and last, between random ones
+    edges = {0, 1, 2, n // 2, n // 2 + 1, n - 1, n, *rng.integers(3, n - 1, size=12).tolist()}
+    lengths = np.diff(sorted(edges)).tolist()
+    assert lengths[:2] == [1, 1] and lengths[-1] == 1
+    for split in (lengths, [1] * 40 + [n - 40], [n - 1, 1], [n]):
+        ours = chained(values, dtau, split)
+        assert ours.dtype == whole.dtype and ours.tobytes() == whole.tobytes()
+
+
+def test_carry_is_the_last_sample_and_is_not_a_view():
+    values, out = np.array([1.0, 3.0, 5.0]), np.empty(3)
+    carry = running_trapezoid(values, 0.5, out)
+    assert [c.tolist() for c in carry] == [[5.0], [3.0]]
+    values[:], out[:] = np.nan, np.nan
+    assert [c.tolist() for c in carry] == [[5.0], [3.0]]
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 2), (1,), (1, 2)])
+def test_cumulative_trapezoid_of_0_and_1_samples(shape):
+    values = np.ones(shape, complex)
+    out = cumulative_trapezoid(values, 0.1)
+    assert out.shape == shape and out.dtype == complex
+    assert not out.any()

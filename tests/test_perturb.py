@@ -356,6 +356,32 @@ class TestChunkEdges:
                 coupling, c, grid, level, idx
             )
 
+    @pytest.mark.parametrize("idx", [0, STEP_CHUNK])
+    def test_conditions_at_a_one_sample_chunk(self, idx):
+        """A horizon that snaps to sample 0 ends the walk in a one-sample
+        first chunk, and one at sample STEP_CHUNK in a one-sample chunk
+        after a full one."""
+        n_samples, d, level = 2 * STEP_CHUNK + 1, 3, 1
+        rng = np.random.default_rng(idx + 7)
+        shape = (n_samples, d, d)
+        coupling = 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        grid = TimeGrid(tau_end=1e-3 * (n_samples - 1), n_steps=n_samples - 1)
+        c = 0.1 * (rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d)))
+        c[:, level] += 1.0
+        traj = CoefficientTrajectory(grid, c, level)
+        a, d_mm = whole_grid_kernels(coupling, grid, level)
+        tau_end = grid.samples[idx] + 0.4 * grid.dtau  # snaps to sample idx
+        per_level = {k: float(np.abs(a[idx, k]) ** 2) for k in range(d) if k != level}
+        assert first_order_condition(coupling, grid, level, tau_end) == per_level
+        report = evaluate_conditions(coupling, traj, grid, level, tau_end=tau_end)
+        assert report["FirstOrder"].tau_end == grid.samples[idx]
+        assert report["FirstOrder"].per_level == per_level
+        assert report["SecondOrder"].value == float(np.abs(d_mm[idx]) ** 2)
+        assert report["RatioFirstIter"].value == float(np.real(d_mm[idx]))
+        assert report["CompactFunctional"].value == whole_grid_compact(
+            coupling, c, grid, level, idx
+        )
+
     def test_first_order_walks_only_a(self, monkeypatch):
         """One running integral per chunk for the first-order curve and
         criterion, two (A and D_mm) for the others."""
