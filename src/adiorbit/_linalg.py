@@ -64,6 +64,12 @@ def hermitize(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
 
 
+def distinct_rows(a: np.ndarray) -> np.ndarray:
+    """``a``, or only its first row when ``a`` is one row broadcast along
+    axis 0 (stride 0), so a reduction over it reads that row once."""
+    return a[:1] if a.strides[:1] == (0,) else a
+
+
 def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for stacks of square matrices. A stacked matmul of
     2 x 2 matrices pays a per-matrix overhead, so those are two

@@ -410,8 +410,8 @@ def run_fourier(scenario: ScenarioConfig, out_dir: Path):
     if resolved["fourier.period"] is None:
         raise ConfigError("the model declares no period; set fourier.period in the config")
     # fourier reads only the frame, so nothing is propagated
-    frame = run_frame(scenario.model, scenario.grid, **_stage_options(resolved))
     m = resolved["evolve.initial_level"]
+    frame = run_frame(scenario.model, scenario.grid, initial_level=m, **_stage_options(resolved))
     pairs = []
     for k in range(scenario.model.dimension):
         if k == m:

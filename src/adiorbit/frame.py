@@ -51,15 +51,21 @@ class InvariantFrame:
     def grid(self):
         return self.spectrum.grid
 
-    def basis_vectors(self) -> np.ndarray:
-        """Dressed frame e^{-i Theta_m(tau_k)} phi_m(tau_k), (n+1, d, d)."""
-        return self.spectrum.eigenvectors * np.exp(-1j * self.dynamical_phase)[:, None, :]
+    def basis_vectors(self, rows=slice(None)) -> np.ndarray:
+        """Dressed frame e^{-i Theta_m(tau_k)} phi_m(tau_k) at the samples
+        ``rows``, (n_rows, d, d). Reads the whole of V, so a released
+        spectrum re-derives it (see :class:`AdiabaticSpectrum`)."""
+        phase = np.exp(-1j * self.dynamical_phase[rows])
+        return self.spectrum.eigenvectors[rows] * phase[:, None, :]
 
     def dressed_column(self, level: int, rows=slice(None)) -> np.ndarray:
         """``basis_vectors()[rows, :, level]``, shape (n_rows, d), from
-        the same elementwise products without building the whole basis."""
+        the same elementwise products without building the whole basis.
+        It reads V's column ``level`` only, which a released spectrum
+        keeps for the run's initial level, so that read re-derives
+        nothing."""
         phase = np.exp(-1j * self.dynamical_phase[rows, level])
-        return self.spectrum.eigenvectors[rows, :, level] * phase[:, None]
+        return self.spectrum._column(level)[rows] * phase[:, None]
 
     def coupling_phase(self, m: int, n: int) -> np.ndarray:
         """alpha_mn = arg M_mn on the grid, continuously unwrapped, (n+1,).
@@ -105,10 +111,11 @@ def build_frame(spectrum: AdiabaticSpectrum, gamma: np.ndarray) -> InvariantFram
     they absorb. Theta is the only whole-grid array formed, and no
     argument of gamma is taken.
     """
-    if gamma.shape != spectrum.eigenvectors.shape:
-        raise GridMismatch(f"coupling {gamma.shape} for eigenvectors {spectrum.eigenvectors.shape}")
     energies, dtau = spectrum.eigenvalues, spectrum.grid.dtau
     n1, d = energies.shape
+    # the shape of V, read from the eigenvalues so no V is re-derived
+    if gamma.shape != (n1, d, d):
+        raise GridMismatch(f"coupling {gamma.shape} for eigenvectors {(n1, d, d)}")
     diag = np.arange(d)
     theta = np.empty(energies.shape)
     integrand, carry = np.empty((min(STEP_CHUNK, n1), d)), None
@@ -134,11 +141,29 @@ def coupling_route_discrepancy(frame: InvariantFrame) -> float:
 
     The raw diagonal of the overlap route equals the level energies,
     which the dressing phases absorb, so it is zeroed to match the
-    generator convention.
+    generator convention. B, its difference and the overlaps are formed
+    one STEP_CHUNK of samples at a time, B with the halo the stencils
+    read (one sample, two at the grid ends), so each entry is the whole
+    stack's and the maximum of the chunk maxima is the whole maximum.
+    It reads all of V, which a released spectrum re-derives.
     """
-    basis = frame.basis_vectors()
-    dbasis = central_difference(basis, frame.grid.dtau)
-    overlaps = 1j * np.einsum("kim,kin->kmn", basis.conj(), dbasis)
-    d = basis.shape[-1]
+    n1 = frame.dynamical_phase.shape[0]
+    # NaN included, as the whole-stack maximum would
+    return float(np.max([_route_gap(frame, start) for start in range(0, n1, STEP_CHUNK)]))
+
+
+def _route_gap(frame: InvariantFrame, start: int):
+    """The discrepancy's maximum over the chunk of samples from ``start``;
+    its stacks are freed on return, before the next chunk's are formed."""
+    n1, d = frame.dynamical_phase.shape
+    stop = min(start + STEP_CHUNK, n1)
+    # the stencils' halo: one sample on each side, two at a grid end
+    lo = max(0, start - 1 if stop < n1 else min(start - 1, n1 - 3))
+    hi = min(n1, stop + 1 if start > 0 else max(stop + 1, 3))
+    basis = frame.basis_vectors(slice(lo, hi))
+    dbasis = central_difference(basis, frame.grid.dtau, slice(start - lo, stop - lo))
+    overlaps = np.einsum("kim,kin->kmn", basis[start - lo : stop - lo].conj(), dbasis)
+    np.multiply(1j, overlaps, out=overlaps)
     overlaps[:, np.arange(d), np.arange(d)] = 0.0
-    return float(np.abs(frame.coupling - overlaps).max())
+    np.subtract(frame.coupling[start:stop], overlaps, out=overlaps)
+    return np.abs(overlaps).max()

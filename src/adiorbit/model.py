@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import STEP_CHUNK, hermitize, max_hermiticity_defect, phase_convention
+from ._linalg import STEP_CHUNK, distinct_rows, hermitize, max_hermiticity_defect, phase_convention
 
 # Unused here; perfbench/spans.py rebinds model.unitary_steps when it
 # traces a run. Drop it once the benchmark wraps only names that exist.
@@ -192,9 +192,10 @@ def _checked(
             f"model {model.name!r} returned {what} samples of shape {shape} "
             f"for {taus.size} times; expected {expected}"
         )
-    finite = np.isfinite(samples)
+    # a broadcast row (constant eigenvalues) is checked once, as sample 0
+    finite = np.isfinite(distinct_rows(samples))
     if not finite.all():
-        k = int(np.argmin(finite.reshape(taus.size, -1).all(axis=1)))
+        k = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
         raise InvalidSamples(f"model {model.name!r}: {what} is not finite at tau={taus[k]:.6g}")
     return samples
 

@@ -4,12 +4,15 @@ This is the programmatic counterpart of the CLI ``evolve`` command and
 the work-horse of the test suite: one call produces the exact survival
 probability (coefficient route), the perturbative approximations, and
 the conservation residuals, all on a shared grid; :func:`run_frame`
-runs only the stages up to the frame. A result keeps per sample only the
-frame and the coefficients: their extremes are read one STEP_CHUNK at a
-time, and every curve, |c_m|^2 and the norm residuals included, is
-computed the first time it is read. The direct overlap runs the
-Schrodinger route into a trajectory that is freed once the overlap is
-formed, so no result keeps the (n + 1, d) states.
+runs only the stages up to the frame. Once gamma is formed, the
+spectrum's eigenvectors V are released: a run keeps per sample the
+coupling M, the dressing phases Theta, the coefficients c and the one
+column of V the direct overlap reads, and a read of the rest of V
+solves again (see :class:`AdiabaticSpectrum`). The extremes of c are
+read one STEP_CHUNK at a time, and every curve, |c_m|^2 and the norm
+residuals included, is computed the first time it is read. The direct
+overlap runs the Schrodinger route into a trajectory that is freed once
+the overlap is formed, so no result keeps the (n + 1, d) states.
 """
 
 from dataclasses import dataclass
@@ -61,6 +64,11 @@ class PipelineResult:
     the coupling, and ``p_direct`` (the Schrodinger route's overlap with
     the dressed initial level). The route's states are not kept: a
     caller that needs them calls :func:`evolve_schrodinger`.
+
+    ``spectrum`` (the frame's) is released: of V it keeps the column of
+    ``initial_level``, which ``p_direct`` reads, and a read of
+    ``spectrum.eigenvectors`` or of the frame's ``basis_vectors``
+    re-derives V by one more solve.
     """
 
     model: HamiltonianModel
@@ -106,13 +114,22 @@ def run_frame(
     gauge: Gauge = Gauge.CONTINUITY_FIXED,
     gamma_method: GammaMethod = GammaMethod.FINITE_DIFFERENCE,
     gap_tol: float = 1e-6,
+    initial_level: int = 0,
 ) -> InvariantFrame:
-    """Solve, then gamma, then the dressed frame, which keeps the spectrum."""
+    """Solve, then gamma, then the dressed frame, which keeps the spectrum.
+
+    Once gamma is formed the spectrum is released before the frame is
+    built: it keeps of the eigenvectors V only the column of
+    ``initial_level``, which the dressed column and the direct overlap
+    read, and any other read of V re-derives it by solving again (see
+    :class:`AdiabaticSpectrum`). So no stage after gamma holds V.
+    """
     spectrum = solve_quasistationary(model, grid, gap_tol=gap_tol, gauge=gauge)
-    # the frame forms its coupling in gamma's storage, so no name keeps gamma
-    return build_frame(
-        spectrum, compute_nonadiabatic_coupling(spectrum, model=model, method=gamma_method)
-    )
+    gamma = compute_nonadiabatic_coupling(spectrum, model=model, method=gamma_method)
+    # rebinding the name drops the last reference to V
+    spectrum = spectrum._released(model, gap_tol, initial_level)
+    # the frame forms its coupling in gamma's storage, so nothing keeps gamma beside it
+    return build_frame(spectrum, gamma)
 
 
 def run_pipeline(
@@ -130,8 +147,14 @@ def run_pipeline(
     ``ratio_valid`` records whether the exact coefficient magnitude stayed
     above the breakdown floor so downstream reporting can distrust it.
     A norm residual above :data:`NORM_RESIDUAL_BOUND` raises :class:`NormNotConserved`.
+    The frame comes from :func:`run_frame`, so V is released before the
+    coefficient route runs, and the result holds M, Theta, c and V's
+    ``initial_level`` column.
     """
-    frame = run_frame(model, grid, gauge=gauge, gamma_method=gamma_method, gap_tol=gap_tol)
+    frame = run_frame(
+        model, grid, gauge=gauge, gamma_method=gamma_method, gap_tol=gap_tol,
+        initial_level=initial_level,
+    )
     coefficients = evolve_coefficients(frame.coupling, grid, initial_level)
     # |c_m| one STEP_CHUNK at a time: the minimum of the chunk minima is
     # the whole grid's, NaN included, and so is its square, since

@@ -31,12 +31,20 @@ chunk.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import STEP_CHUNK, central_difference, phase_convention, stacked_matmul, su2_eigh
+from ._linalg import (
+    STEP_CHUNK,
+    central_difference,
+    distinct_rows,
+    phase_convention,
+    stacked_matmul,
+    su2_eigh,
+)
 from .errors import (
     AnalyticFrameUnavailable,
     AssignmentAmbiguous,
@@ -79,22 +87,63 @@ class AdiabaticSpectrum:
     The eigenvalues have shape (n + 1, d) but may be a read-only
     broadcast of one row (row stride 0): a conjugated model's energies
     are constant, and a frame whose labels never permute keeps them so.
+    It is built as ``AdiabaticSpectrum(grid, eigenvalues, eigenvectors,
+    gauge, min_gap)``.
+
+    A run *releases* its spectrum once gamma is formed (see
+    :func:`adiorbit.pipeline.run_frame`): it then keeps of V only the
+    column V[:, :, m] of the initial level, which the dressed column and
+    the direct overlap read, and the model and ``gap_tol`` it was solved
+    with. Any other read of ``eigenvectors`` costs one more solve, which
+    re-derives V bit for bit, and the V it returns is cached.
+    ``dimension`` reads the eigenvalues' shape, not V.
     """
 
     grid: TimeGrid
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _vectors: Optional[np.ndarray]
     gauge: Gauge
     min_gap: float
+    # a released spectrum's (model, gap_tol) and its kept (level, V[:, :, level])
+    _source: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _kept: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return self.eigenvectors.shape[-1]
+        return self.eigenvalues.shape[-1]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._rederived if self._vectors is None else self._vectors
+
+    @cached_property
+    def _rederived(self) -> np.ndarray:
+        # this module's solve, not a name another module rebinds
+        model, gap_tol = self._source
+        return solve_quasistationary(model, self.grid, gap_tol, self.gauge).eigenvectors
+
+    def _column(self, level: int) -> np.ndarray:
+        """V[:, :, level], (n + 1, d): the column a released spectrum
+        kept, else read from ``eigenvectors``."""
+        if self._kept is not None and self._kept[0] == level:
+            return self._kept[1]
+        return self.eigenvectors[:, :, level]
+
+    def _released(self, model: HamiltonianModel, gap_tol: float, level: int):
+        """This spectrum, solved from ``model`` with ``gap_tol``, keeping
+        of V only a copy of its column ``level`` (none when there is no
+        such level, which the caller reports)."""
+        kept = None
+        if 0 <= level < self.dimension:
+            kept = (level, self.eigenvectors[:, :, level].copy())
+        return replace(self, _vectors=None, _source=(model, gap_tol), _kept=kept)
 
 
 def _enforce_min_gap(evals: np.ndarray, taus: np.ndarray, gap_tol: float) -> float:
     """Smallest adjacent gap of each sample's eigenvalues in ascending
-    order; rows are sorted only when one is out of order."""
+    order; rows are sorted only when one is out of order. A broadcast
+    row is one sample, tau_0's."""
+    evals = distinct_rows(evals)
     diffs = np.diff(evals, axis=1)
     if (diffs < 0).any():
         diffs = np.diff(np.sort(evals, axis=1), axis=1)
@@ -177,22 +226,35 @@ def _track(evals: np.ndarray, evecs: np.ndarray, taus: np.ndarray):
         kept[k + 1 : end + 1] = kept[k + 1 : end + 1][:, perm]
 
     checked = n1 - 1 if n_ok == events.size else events[n_ok] + 1
-    mag = np.abs(kept)
-    if mag[:checked].min() < _OVERLAP_FLOOR:
-        k = int(np.argmax(mag[:checked].min(axis=1) < _OVERLAP_FLOOR))
-        raise AssignmentAmbiguous(
-            f"level {int(mag[k].argmin())} has best overlap {mag[k].min():.3f} < 1/sqrt(2) "
-            f"across tau={taus[k]:.6g} -> {taus[k+1]:.6g}; refine the grid"
-        )
+    # transport phases accumulate multiplicatively; the product's modulus
+    # drifts linearly with the step count, so it is divided out once. Per
+    # STEP_CHUNK, each chunk after the first seeds its accumulate with the
+    # last unnormalized product as row 0, so every product is the whole
+    # grid's; numpy forms a one-product accumulate another way, so a last
+    # lone step joins the chunk before it
+    phases = np.empty((min(STEP_CHUNK + 1, checked) + 1, d), dtype=complex)
+    phases[0] = 1.0
+    for start in range(0, max(checked - 1, 1), STEP_CHUNK):
+        stop = start + STEP_CHUNK if start + STEP_CHUNK + 1 < checked else checked
+        mag = np.abs(kept[start:stop])
+        if mag.min() < _OVERLAP_FLOOR:
+            k = int(np.argmax(mag.min(axis=1) < _OVERLAP_FLOOR))
+            raise AssignmentAmbiguous(
+                f"level {int(mag[k].argmin())} has best overlap {mag[k].min():.3f} < 1/sqrt(2) "
+                f"across tau={taus[start + k]:.6g} -> {taus[start + k + 1]:.6g}; refine the grid"
+            )
+        steps = phases[: stop - start + 1]
+        np.conj(kept[start:stop], out=steps[1:])
+        steps[1:] /= mag
+        first = int(start == 0)  # row 0: tau_0's unit phase, else the carry
+        np.cumprod(steps[first:], axis=0, out=steps[first:])
+        rows = slice(start + 1 - first, stop + 1)
+        evecs[rows] *= (steps[1 - first :] / np.abs(steps[1 - first :]))[:, None, :]
+        phases[0] = steps[-1]
     if n_ok < events.size:
         raise AssignmentAmbiguous(
             f"overlap assignment is not a permutation at tau={taus[events[n_ok] + 1]:.6g}"
         )
-    # transport phases accumulate multiplicatively; the product's modulus
-    # drifts linearly with the step count, so it is divided out once
-    phases = np.concatenate([np.ones((1, d)), np.cumprod(np.conj(kept) / mag, axis=0)])
-    phases /= np.abs(phases)
-    evecs *= phases[:, None, :]
     return evals, evecs
 
 
@@ -230,7 +292,7 @@ def solve_quasistationary(
         evals, evecs = np.empty((taus.size, d)), np.empty((taus.size, d, d), dtype=complex)
     else:
         evals, evecs = frame
-        tol = _FRAME_TOL * max(1.0, float(np.abs(evals).max()))
+        tol = _FRAME_TOL * max(1.0, float(np.abs(distinct_rows(evals)).max()))
     for start in range(0, taus.size, STEP_CHUNK):
         rows = slice(start, start + STEP_CHUNK)
         h = sample_hamiltonian(model, taus[rows])
@@ -263,7 +325,10 @@ def apply_phase_redressing(
     if np.abs(phases[0]).max() > 1e-12:
         raise ValueError("redressing phases must vanish at tau = 0")
     dressed = spectrum.eigenvectors * np.exp(1j * phases)[:, None, :]
-    return replace(spectrum, eigenvectors=dressed)
+    # a new spectrum, not a replace: a released one's kept column is not of this V
+    return AdiabaticSpectrum(
+        spectrum.grid, spectrum.eigenvalues, dressed, spectrum.gauge, spectrum.min_gap
+    )
 
 
 def _hamiltonian_derivative(model, grid: TimeGrid, rows: slice) -> np.ndarray:

@@ -91,6 +91,19 @@ def write_tabulated(path, taus, matrices):
     return path
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Rebind ``module.name`` to a wrapper that records each call's
+    positional arguments in the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def spin_a_params():
     return SpinHalfParams(omega0=1.0, omega=0.1, theta=np.pi / 4)

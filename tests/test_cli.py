@@ -21,7 +21,7 @@ from adiorbit.errors import ConfigError, NonFiniteReport, NonFiniteStep
 from adiorbit.pipeline import NORM_RESIDUAL_BOUND
 from adiorbit.propagate import StateTrajectory, evolve_schrodinger, survival_probability_direct
 
-from conftest import SZ, write_tabulated
+from conftest import SZ, count_calls, write_tabulated
 
 SPIN_A_CONFIG = """\
 # rotating-field spin test scenario
@@ -358,9 +358,11 @@ class TestCheck:
         assert payload["passed"] is False
 
     def test_peak_is_the_live_set_after_the_conditions(self, tmp_path, monkeypatch):
-        """No stage of check holds a whole-grid temporary over what the run
-        keeps: the traced peak stays within a margin of the memory held
-        when the conditions have been evaluated."""
+        """No stage of check holds a whole-grid temporary beyond V and M:
+        the traced peak stays within two (n + 1, d, d) stacks, the moment
+        gamma is formed beside V, and what the run holds once the
+        conditions have been evaluated is M, Theta, c and the initial
+        level's column of V."""
         text = CONJ_D5_CONFIG.replace("tau_end = 20.0", "tau_end = 40.0")
         scenario = load_scenario(write_config(tmp_path, text.replace("2000", "40000")))
         held = []
@@ -379,12 +381,15 @@ class TestCheck:
         finally:
             tracemalloc.stop()
         # The d = 5 grid of the benchmark's check: one (n + 1, 5, 5)
-        # complex stack is 16 MB, and the margin is half of one. Measured
-        # 5.6 MB over the live set, the coefficient route's (n + 1, 5)
-        # result and buffers and one chunk of its stacks (numpy 2.4); with
-        # 16384-step scan chunks the route peaks 15.0 MB over it.
+        # complex stack is 15.3 MiB. Measured (numpy 2.4): peak 33.7 MiB,
+        # at gamma (35.5 allowed; 38.8 when V was kept through the
+        # coefficient route), and 22.9 MiB held (23.9 allowed; 35.1 with V).
+        n1, d = 40001, 5
+        stack = n1 * d * d * 16
+        theta, c, column = n1 * d * 8, n1 * d * 16, n1 * d * 16
         assert len(held) == 1
-        assert peak <= held[0] + 8 * 2**20
+        assert peak <= 2 * stack + 5 * 2**20
+        assert held[0] <= stack + theta + c + column + 2**20
 
     def test_threshold_override_builds_the_model_once(self, tmp_path, monkeypatch):
         builds = []
@@ -700,6 +705,40 @@ def test_check_loads_only_what_it_runs(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+class TestReleasedEigenvectors:
+    """Each pipeline solves once: no untraced command reads V past gamma
+    but for the kept column, so none re-derives it."""
+
+    SWEEP = (
+        "model.kind = spin_half\nmodel.variant = a\nmodel.omega0 = 1.0\n"
+        "model.omega = 0.1\nmodel.theta = 0.7\ngrid.tau_end = 20.0\ngrid.n_steps = 4000\n"
+        "evolve.initial_level = 1\n"
+        "sweep.parameter = model.omega\nsweep.values = 0.4, 0.2, 0.1, 0.05\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, text, points",
+        [
+            ("evolve", SPIN_A_CONFIG.replace("20000", "2000"), 1),
+            ("check", CONJ_D5_CONFIG, 1),
+            ("sweep", SWEEP, 4),
+        ],
+    )
+    def test_one_solve_per_pipeline(self, tmp_path, monkeypatch, command, text, points):
+        from adiorbit import spectrum
+
+        solves = count_calls(monkeypatch, pipeline, "solve_quasistationary")
+        # the name a released spectrum re-derives V with
+        rederived = count_calls(monkeypatch, spectrum, "solve_quasistationary")
+        pipelines = count_calls(monkeypatch, cli, "run_pipeline")
+        cfg = write_config(tmp_path, text)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--threads", "2"] if command == "sweep" else [])) == 0
+        assert len(pipelines) == points
+        assert len(solves) == points
+        assert rederived == []
 
 
 class TestNonFiniteReport:

@@ -22,12 +22,15 @@ from adiorbit import (
     run_pipeline,
     solve_quasistationary,
 )
-from adiorbit._linalg import STEP_CHUNK
+from adiorbit import spectrum as spectrum_module
+from adiorbit._linalg import STEP_CHUNK, central_difference
 from adiorbit.errors import GridMismatch, PhaseUnresolved
 from adiorbit.frame import ARG_UNDEFINED_TOL
 from adiorbit.grid import cumulative_trapezoid
+from adiorbit.pipeline import run_frame
+from adiorbit.propagate import evolve_schrodinger, survival_probability_direct
 
-from conftest import conjugated_d5, constant_model, smooth_random_model
+from conftest import conjugated_d5, constant_model, count_calls, smooth_random_model
 
 
 def pipeline_frame(model, grid, gauge=Gauge.CONTINUITY_FIXED):
@@ -322,6 +325,124 @@ class TestCouplingMatrix:
         assert np.abs(raw_diag.real - spec.eigenvalues[1:-1]).max() < 1e-5
 
 
+def whole_stack_discrepancy(frame):
+    """coupling_route_discrepancy as one whole-grid formula: the dressed
+    basis, its central difference and the overlaps held at once."""
+    basis = frame.spectrum.eigenvectors * np.exp(-1j * frame.dynamical_phase)[:, None, :]
+    dbasis = central_difference(basis, frame.grid.dtau)
+    overlaps = 1j * np.einsum("kim,kin->kmn", basis.conj(), dbasis)
+    d = basis.shape[-1]
+    overlaps[:, np.arange(d), np.arange(d)] = 0.0
+    return float(np.abs(frame.coupling - overlaps).max())
+
+
+def random_frame(n_samples, d, seed):
+    """A frame of random vectors, phases and coupling, so the largest gap
+    can sit in any chunk, the halo samples included."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(tau_end=1e-3 * (n_samples - 1), n_steps=n_samples - 1)
+    shape = (n_samples, d, d)
+    vectors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    spec = AdiabaticSpectrum(grid, np.zeros((n_samples, d)), vectors, Gauge.CONTINUITY_FIXED, 1.0)
+    coupling = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return InvariantFrame(spec, rng.normal(size=(n_samples, d)), coupling)
+
+
+class TestRouteDiscrepancyChunks:
+    """The overlap route runs one STEP_CHUNK at a time, with a halo of
+    samples for the stencils, and gives the whole-stack value."""
+
+    @pytest.mark.parametrize(
+        "n_samples", [STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 3]
+    )
+    def test_equals_the_whole_stack_formula(self, spin_a_model, n_samples):
+        grid = TimeGrid(tau_end=1e-3 * (n_samples - 1), n_steps=n_samples - 1)
+        frame = pipeline_frame(spin_a_model, grid)
+        assert coupling_route_discrepancy(frame) == whole_stack_discrepancy(frame)
+        for seed, d in ((n_samples, 2), (n_samples + 1, 3)):
+            frame = random_frame(n_samples, d, seed)
+            assert coupling_route_discrepancy(frame) == whole_stack_discrepancy(frame)
+
+    @pytest.mark.parametrize("n_samples", [3, 4, STEP_CHUNK + 2])
+    def test_largest_gap_at_either_end(self, n_samples):
+        # the endpoint stencils read two halo samples
+        for k in (0, n_samples - 1):
+            frame = random_frame(n_samples, 2, seed=k)
+            frame.coupling[k] += 1e6
+            assert coupling_route_discrepancy(frame) == whole_stack_discrepancy(frame)
+
+    def test_nan_propagates(self):
+        frame = random_frame(STEP_CHUNK + 5, 2, seed=3)
+        frame.coupling[STEP_CHUNK + 2, 0, 1] = np.nan
+        assert np.isnan(coupling_route_discrepancy(frame))
+
+    def test_holds_a_few_chunks(self):
+        # the benchmark's d = 5 check grid: the whole-stack formula peaks
+        # 68.7 MiB over what is held, four (n + 1, 5, 5) stacks and more;
+        # chunked, four chunk stacks (6.3 MiB, numpy 2.4)
+        model, grid = conjugated_d5(), TimeGrid(tau_end=40.0, n_steps=40000)
+        frame = pipeline_frame(model, grid)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            coupling_route_discrepancy(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_stack = (STEP_CHUNK + 2) * 5 * 5 * np.dtype(complex).itemsize
+        assert peak - start <= 5 * chunk_stack
+
+
+class TestReleasedFrame:
+    """run_pipeline keeps of V only the initial level's column, which
+    the dressed column and the direct overlap read."""
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_column_reads_rederive_nothing(self, monkeypatch, spin_a_model, level):
+        grid = TimeGrid(tau_end=10.0, n_steps=2 * STEP_CHUNK + 7)
+        by_hand = pipeline_frame(spin_a_model, grid)
+        result = run_pipeline(spin_a_model, grid, initial_level=level)
+        calls = count_calls(monkeypatch, spectrum_module, "solve_quasistationary")
+        assert np.array_equal(
+            result.frame.dressed_column(level), by_hand.dressed_column(level)
+        )
+        for rows in (slice(0, 1), slice(STEP_CHUNK - 3, STEP_CHUNK + 9)):
+            assert np.array_equal(
+                result.frame.dressed_column(level, rows), by_hand.dressed_column(level, rows)
+            )
+        initial_state = by_hand.dressed_column(level, slice(0, 1))[0]
+        states = evolve_schrodinger(spin_a_model, initial_state, grid)
+        expected = survival_probability_direct(states, by_hand, level)
+        assert np.array_equal(result.p_direct, expected)
+        assert calls == []
+
+    def test_route_discrepancy_rederives_v_once(self, monkeypatch):
+        model, grid = conjugated_d5(), TimeGrid(tau_end=8.0, n_steps=STEP_CHUNK + 7)
+        by_hand = pipeline_frame(model, grid)
+        result = run_pipeline(model, grid)
+        calls = count_calls(monkeypatch, spectrum_module, "solve_quasistationary")
+        value = coupling_route_discrepancy(result.frame)
+        assert value == coupling_route_discrepancy(by_hand)
+        assert len(calls) == 1
+        # cached: a second read solves nothing
+        assert np.array_equal(result.frame.basis_vectors(), by_hand.basis_vectors())
+        assert len(calls) == 1
+
+    def test_redressing_a_released_spectrum(self, spin_a_model):
+        grid = TimeGrid(tau_end=10.0, n_steps=2000)
+
+        def phase_fn(taus):
+            return np.stack([np.sin(taus), 0.3 * taus**2], axis=1)
+
+        held = apply_phase_redressing(solve_quasistationary(spin_a_model, grid), phase_fn)
+        released = apply_phase_redressing(run_frame(spin_a_model, grid).spectrum, phase_fn)
+        assert np.array_equal(released.eigenvectors, held.eigenvectors)
+        # the redressed spectrum reads its own V, not the kept column
+        frame = build_frame(released, compute_nonadiabatic_coupling(released))
+        ref = build_frame(held, compute_nonadiabatic_coupling(held))
+        assert np.array_equal(frame.dressed_column(0), ref.dressed_column(0))
+
+
 class TestPerPairReference:
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_matches_per_pair_route(self, case):
@@ -467,8 +588,10 @@ class TestCouplingInGammaStorage:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        # of V the run keeps only the initial level's column, (n + 1, d)
+        column = result.spectrum._column(result.initial_level)
         kept = (
-            result.spectrum.eigenvectors.nbytes + result.spectrum.eigenvalues.nbytes
+            column.nbytes + result.spectrum.eigenvalues.nbytes
             + result.frame.coupling.nbytes + result.frame.dynamical_phase.nbytes
             + result.coefficients.coefficients.nbytes
         )

@@ -607,8 +607,9 @@ class TestPipelineResult:
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
+        # of V the run keeps only the initial level's column, (n + 1, d)
         kept = (
-            result.spectrum.eigenvectors.nbytes
+            result.spectrum._column(result.initial_level).nbytes
             + result.frame.coupling.nbytes
             + result.frame.dynamical_phase.nbytes
             + result.coefficients.coefficients.nbytes

@@ -27,11 +27,27 @@ from adiorbit.errors import (
     InputError,
     InvalidSamples,
 )
-from adiorbit._linalg import STEP_CHUNK, phase_convention, stacked_matmul, su2_eigh
+from adiorbit._linalg import (
+    STEP_CHUNK,
+    distinct_rows,
+    phase_convention,
+    stacked_matmul,
+    su2_eigh,
+)
 from adiorbit.grid import cumulative_trapezoid
-from adiorbit.spectrum import _DIAGONAL_MARGIN, _OVERLAP_FLOOR, _track
+from adiorbit.model import ConjugatedParams, _checked, build_conjugated_model, load_tabulated_model
+from adiorbit.pipeline import run_frame
+from adiorbit.spectrum import _DIAGONAL_MARGIN, _OVERLAP_FLOOR, _enforce_min_gap, _track
 
-from conftest import SX, SZ, conjugated_d5, constant_model, smooth_random_model
+from conftest import (
+    SX,
+    SZ,
+    conjugated_d5,
+    constant_model,
+    count_calls,
+    smooth_random_model,
+    write_tabulated,
+)
 
 
 def _concatenate_trapezoid(values, dtau):
@@ -952,3 +968,172 @@ class TestConstantEigenvalues:
         evals, evecs = self.swapped_frame(n1, d, swap_at=n1)
         tracked_vals, _ = _track(evals, evecs, np.arange(n1) * 1e-3)
         assert tracked_vals is evals
+
+
+def permuting_table_model(tmp_path, step):
+    """A tabulated d = 3 model, so the eigensolver path runs, whose third
+    level crosses the second between samples ``step`` and ``step + 1``
+    of a dtau = 0.01 grid; the levels are coupled by 1e-6, so the
+    eigenvalue-sorted labels swap there and the tracker permutes them."""
+    crossing, slope, tau_end = 0.01 * (step + 0.5), 0.01, 0.01 * (2 * step)
+    coupling = 1e-6 * np.array([[0, 1j, 1], [-1j, 0, 1], [1, 1, 0]])
+    ends = [coupling + np.diag([0.0, 0.5, 0.5 + slope * (crossing - tau)]) for tau in (0, tau_end)]
+    model = load_tabulated_model(write_tabulated(tmp_path / "permuting.txt", [0.0, tau_end], ends))
+    return model, TimeGrid(tau_end=tau_end, n_steps=2 * step)
+
+
+class TestReleasedSpectrum:
+    """run_frame releases V once gamma is formed; any read of V but the
+    kept column re-derives it with this module's solve, bit for bit."""
+
+    @pytest.mark.parametrize("gauge", list(Gauge))
+    def test_analytic_frame_model(self, monkeypatch, spin_a_model, gauge):
+        grid = TimeGrid(tau_end=20.0, n_steps=2 * STEP_CHUNK + 3)
+        released = run_frame(spin_a_model, grid, gauge=gauge, gap_tol=1e-7).spectrum
+        calls = count_calls(monkeypatch, adiorbit.spectrum, "solve_quasistationary")
+        solved = solve_quasistationary(spin_a_model, grid, gap_tol=1e-7, gauge=gauge)
+        assert len(calls) == 0
+        assert released.eigenvectors.tobytes() == solved.eigenvectors.tobytes()
+        assert released.eigenvectors is released.eigenvectors
+        assert calls == [(spin_a_model, grid, 1e-7, gauge)]
+
+    def test_eigensolver_model_whose_labels_permute(self, monkeypatch, tmp_path):
+        model, grid = permuting_table_model(tmp_path, STEP_CHUNK + 7)
+        solved = solve_quasistationary(model, grid)
+        order = np.argsort(solved.eigenvalues, axis=1)
+        assert np.array_equal(order[STEP_CHUNK + 7], [0, 1, 2])
+        assert np.array_equal(order[STEP_CHUNK + 8], [0, 2, 1])
+        released = run_frame(model, grid, initial_level=2).spectrum
+        calls = count_calls(monkeypatch, adiorbit.spectrum, "solve_quasistationary")
+        assert released.eigenvalues.tobytes() == solved.eigenvalues.tobytes()
+        assert released.dimension == 3 and calls == []
+        assert released.eigenvectors.tobytes() == solved.eigenvectors.tobytes()
+        assert len(calls) == 1
+
+    def test_gamma_from_a_released_spectrum(self, spin_a_model):
+        grid = TimeGrid(tau_end=10.0, n_steps=STEP_CHUNK + 7)
+        released = run_pipeline(spin_a_model, grid).spectrum
+        solved = solve_quasistationary(spin_a_model, grid)
+        for method in GammaMethod:
+            gamma = compute_nonadiabatic_coupling(released, model=spin_a_model, method=method)
+            ref = compute_nonadiabatic_coupling(solved, model=spin_a_model, method=method)
+            assert gamma.tobytes() == ref.tobytes()
+
+    def test_solved_spectra_keep_v(self, monkeypatch, spin_a_model):
+        grid = TimeGrid(tau_end=10.0, n_steps=2000)
+        spec = solve_quasistationary(spin_a_model, grid)
+        calls = count_calls(monkeypatch, adiorbit.spectrum, "solve_quasistationary")
+        frame = build_frame(spec, compute_nonadiabatic_coupling(spec))
+        assert frame.spectrum is spec
+        frame.basis_vectors()
+        assert calls == []
+
+
+class TestBroadcastEigenvalueRow:
+    """A row of constant energies broadcast along the grid is checked and
+    reduced once, with the same results as the whole array."""
+
+    @staticmethod
+    def rows(energies, n):
+        row = np.asarray(energies, dtype=float)
+        return np.broadcast_to(row, (n, row.size)), np.tile(row, (n, 1))
+
+    def test_distinct_rows(self):
+        broadcast, whole = self.rows([0.0, 1.0], 5)
+        assert distinct_rows(broadcast).shape == (1, 2)
+        assert distinct_rows(whole) is whole
+        assert distinct_rows(broadcast[:0]).shape == (0, 2)
+
+    def test_min_gap_and_its_error(self):
+        taus = np.linspace(0.0, 1.0, 7)
+        broadcast, whole = self.rows([0.0, 2.5, 1.0], taus.size)
+        assert _enforce_min_gap(broadcast, taus, 1e-6) == _enforce_min_gap(whole, taus, 1e-6)
+        broadcast, whole = self.rows([0.0, 1e-7, 1.0], taus.size)
+        messages = []
+        for evals in (broadcast, whole):
+            with pytest.raises(DegenerateGap) as excinfo:
+                _enforce_min_gap(evals, taus, 1e-6)
+            assert excinfo.value.tau == 0.0
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+
+    def test_degenerate_conjugated_model_names_tau_zero(self):
+        params = ConjugatedParams(
+            energies=[0.0, 1e-7, 1.0], generator=0.01 * np.diag([1.0, 2.0, 3.0])
+        )
+        grid = TimeGrid(tau_end=10.0, n_steps=STEP_CHUNK + 7)
+        with pytest.raises(DegenerateGap) as excinfo:
+            solve_quasistationary(build_conjugated_model(params), grid)
+        assert excinfo.value.tau == 0.0
+
+    def test_non_finite_row_names_tau_zero(self):
+        model = HamiltonianModel(dimension=2, evaluate_many=None, name="row")
+        taus = np.linspace(1.0, 2.0, 5)
+        messages = []
+        for evals in self.rows([0.0, np.inf], taus.size):
+            with pytest.raises(InvalidSamples) as excinfo:
+                _checked(model, taus, evals, "eigenvalue", rank=1)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1] and "tau=1" in messages[0]
+
+
+class TestChunkedTransport:
+    """_track's transport phases run one STEP_CHUNK of steps at a time,
+    each chunk's accumulate seeded with the last unnormalized product."""
+
+    @staticmethod
+    def tracked(model, grid):
+        h = sample_hamiltonian(model, grid.samples)
+        evals, evecs = np.linalg.eigh(h)
+        evecs[0] = phase_convention(evecs[0])
+        return _track(evals, evecs, grid.samples)
+
+    @pytest.mark.parametrize(
+        "n_steps", [2, 3, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 1, 3 * STEP_CHUNK + 9]
+    )
+    def test_equals_the_whole_grid_formula(self, n_steps):
+        # at STEP_CHUNK + 1 and 2 STEP_CHUNK + 1 steps the last step would
+        # be a chunk alone; no label of this frame permutes
+        model = replace(conjugated_d5(), analytic_frame=None)
+        grid = TimeGrid(tau_end=1e-2 * n_steps, n_steps=n_steps)
+        evals, evecs = np.linalg.eigh(sample_hamiltonian(model, grid.samples))
+        evecs[0] = phase_convention(evecs[0])
+        kept = np.concatenate([
+            np.einsum("kij,kij->kj", evecs[s : min(s + STEP_CHUNK, n_steps)].conj(),
+                      evecs[s + 1 : min(s + STEP_CHUNK, n_steps) + 1])
+            for s in range(0, n_steps, STEP_CHUNK)
+        ])
+        mag = np.abs(kept)
+        phases = np.concatenate([np.ones((1, 5)), np.cumprod(np.conj(kept) / mag, axis=0)])
+        phases /= np.abs(phases)
+        expected = evecs * phases[:, None, :]
+        _, tracked = _track(evals, evecs, grid.samples)
+        assert tracked.tobytes() == expected.tobytes()
+
+    def test_with_permutations_after_a_chunk(self, monkeypatch):
+        model, grid = crossing_ladder_model(), TimeGrid(tau_end=400.0, n_steps=40000)
+        chunked = self.tracked(model, grid)
+        monkeypatch.setattr(adiorbit.spectrum, "STEP_CHUNK", grid.n_steps + 1)
+        whole = self.tracked(model, grid)
+        for a, b in zip(chunked, whole):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_solve_holds_the_overlaps_and_a_few_chunks(self, closed_form):
+        # the benchmark's d = 5 check grid: with whole-grid transport
+        # phases solve peaked 12.2 MiB over what it returns, and 6.5 MiB
+        # with them chunked (numpy 2.4)
+        model = conjugated_d5()
+        if not closed_form:
+            model = replace(model, analytic_frame=None)
+        grid = TimeGrid(tau_end=40.0, n_steps=40000)
+        tracemalloc.start()
+        try:
+            spec = solve_quasistationary(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = spec.eigenvectors.nbytes + distinct_rows(spec.eigenvalues).nbytes
+        overlaps = grid.n_steps * 5 * np.dtype(complex).itemsize
+        chunk_stack = STEP_CHUNK * 5 * 5 * np.dtype(complex).itemsize
+        assert peak - kept <= overlaps + 3 * chunk_stack
