@@ -18,13 +18,13 @@ _SOURCES = {
     "frame": ("InvariantFrame", "build_frame", "coupling_route_discrepancy"),
     "fourier": (
         "CouplingHarmonics", "FourierConditionReport", "Harmonic", "PhaseLinearity",
-        "check_linear_phase", "conjugated_coupling_closed_form", "fourier_condition_report",
-        "fourier_decompose_coupling", "verify_conjugated_coupling",
+        "check_linear_phase", "fourier_condition_report", "fourier_decompose_coupling",
+        "verify_conjugated_coupling",
     ),
     "grid": ("TimeGrid",),
     "model": (
         "ConjugatedParams", "HamiltonianModel", "SpinHalfParams", "SpinVariant",
-        "build_conjugated_model", "build_spin_half", "load_tabulated_model", "normalize",
+        "build_conjugated_model", "build_spin_half", "load_tabulated_model",
         "sample_hamiltonian",
     ),
     "perturb": (

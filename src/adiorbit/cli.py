@@ -16,10 +16,12 @@ row; a key of another model kind, or a ``sweep.parameter`` that the
 model kind does not read, is a configuration error.
 
 All output is deterministic: fixed column order, floats printed with 17
-significant digits, JSON keys sorted, and every report embeds the fully
-resolved configuration. Exit codes: 0 success, 2 configuration or usage
-error, 3 numerical failure; a NaN or infinity in the report of
-``evolve``, ``check`` or ``sweep`` is one, and no output is written.
+significant digits, JSON keys sorted, and every report embeds the
+scenario as ``resolved_config``: its keys and values as written (with a
+``--threshold`` override), defaults not listed. Exit codes: 0 success,
+2 configuration or usage error, 3 numerical failure; a NaN or infinity
+in the report of ``evolve``, ``check`` or ``sweep`` is one, and no
+output is written.
 """
 
 import argparse
@@ -534,9 +536,10 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=_threads, default=1, help="parallel sweep points")
-        p.add_argument(
-            "--threshold", type=float, default=None, help="override the pass threshold"
-        )
+        if name in ("check", "fourier"):
+            p.add_argument(
+                "--threshold", type=float, default=None, help="override the pass threshold"
+            )
     return parser
 
 
@@ -544,7 +547,7 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config)
-        if args.threshold is not None:
+        if getattr(args, "threshold", None) is not None:
             # checked by the key's own row; no other key depends on it, so
             # the model is not built again
             key, text = "conditions.threshold", repr(args.threshold)

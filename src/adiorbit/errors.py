@@ -23,12 +23,6 @@ class NumericalError(AdiorbitError):
     """Failure detected during a numerical computation (CLI exit 3)."""
 
 
-class ZeroHamiltonian(InputError):
-    """The raw Hamiltonian vanishes at the probe time; no energy scale."""
-
-    module = "model"
-
-
 class NonHermitianInput(InputError):
     """A matrix that must be Hermitian is not."""
 

@@ -218,13 +218,19 @@ def fourier_condition_report(
     )
 
 
-def conjugated_coupling_closed_form(
-    params: ConjugatedParams, taus: np.ndarray
-) -> np.ndarray:
+def verify_conjugated_coupling(params: ConjugatedParams, frame: InvariantFrame) -> float:
+    """Max entrywise error of the assembled coupling vs the closed form
+    of :func:`_closed_form_coupling`."""
+    closed = _closed_form_coupling(params, frame.grid.samples)
+    return float(np.abs(frame.coupling - closed).max())
+
+
+def _closed_form_coupling(params: ConjugatedParams, taus: np.ndarray) -> np.ndarray:
     """Closed-form coupling matrix of the conjugated model.
 
     Entry (n, m) is exp(i [(E_n - V_nn) - (E_m - V_mm)] tau) <E_n|V|E_m>
-    with levels ordered by ascending energy, matching the tracked frame.
+    off the diagonal, which is zero, with levels ordered by ascending
+    energy, matching the tracked frame.
     The phase of each |E_n> follows the frame's convention at tau = 0:
     its largest-modulus entry is real and positive (the identity basis
     already is).
@@ -239,15 +245,5 @@ def conjugated_coupling_closed_form(
     basis = phase_convention(basis[:, order])
     v_frame = basis.conj().T @ np.asarray(params.generator, dtype=complex) @ basis
     rates = energies[order] - np.real(np.diagonal(v_frame))
-    taus = np.asarray(taus, dtype=float)
-    phase = np.exp(1j * np.multiply.outer(taus, rates[:, None] - rates[None, :]))
-    closed = phase * v_frame[None, :, :]
-    d = energies.size
-    closed[:, np.arange(d), np.arange(d)] = 0.0
-    return closed
-
-
-def verify_conjugated_coupling(params: ConjugatedParams, frame: InvariantFrame) -> float:
-    """Max entrywise error of the assembled coupling vs the closed form."""
-    closed = conjugated_coupling_closed_form(params, frame.grid.samples)
-    return float(np.abs(frame.coupling - closed).max())
+    np.fill_diagonal(v_frame, 0.0)
+    return np.exp(1j * np.multiply.outer(taus, rates[:, None] - rates[None, :])) * v_frame

@@ -71,33 +71,21 @@ class TimeGrid:
         )
 
 
-def cumulative_trapezoid(values: np.ndarray, dtau: float) -> np.ndarray:
-    """Running composite-trapezoid integral along axis 0, starting at 0.
-
-    Output has the same shape as ``values``; entry k holds the integral
-    over [tau_0, tau_k]. The same operations in the same order as
-    ``scipy.integrate.cumulative_trapezoid(values, dx=dtau, axis=0)``
-    with its initial value 0 (scipy 1.17), so the result is equal bit
-    for bit; each one writes in place into the output, the only
-    whole-grid array. ``np.cumsum`` rather than ``np.cumulative_sum``,
-    which needs numpy 2.1.
-    """
-    values = np.asarray(values)
-    out = np.empty(values.shape, np.result_type(values, dtau))
-    running_trapezoid(values, dtau, out)
-    return out
-
-
 def running_trapezoid(values: np.ndarray, dtau: float, out: np.ndarray, carry=None):
     """The running trapezoid integral at each of ``values``, written into
     ``out`` (of the same length); returns the carry for the next chunk.
 
     ``carry`` is ``(integrand, integral)`` at the sample before
     ``values[0]``, each a one-row array, as the previous call returned
-    it; with None the integral is 0 at ``values[0]``. The steps of
-    :func:`cumulative_trapezoid`, with the step from the sample before
-    formed as ``values[:1] + integrand`` (new + old, as the whole grid's
-    ``values[1:] + values[:-1]``) and that sample's integral added to it
+    it; with None the integral is 0 at ``values[0]``. The operations,
+    in their order, are those of
+    ``scipy.integrate.cumulative_trapezoid(values, dx=dtau, axis=0)``
+    with its initial value 0 (scipy 1.17), each written in place into
+    ``out``, so a call over the whole grid equals scipy's bit for bit;
+    ``np.cumsum`` rather than ``np.cumulative_sum``, which needs numpy
+    2.1. A chunk after the first forms the step from the sample before
+    as ``values[:1] + integrand`` (new + old, as the whole grid's
+    ``values[1:] + values[:-1]``) and adds that sample's integral to it
     before the cumsum, which is the addition the cumsum over the whole
     grid makes there. So an integral formed a chunk at a time, each
     call handed the carry of the one before, equals the whole-grid one

@@ -4,11 +4,11 @@ A model is one vectorized evaluator: a 1-D float array of n
 dimensionless times maps to the (n, d, d) Hermitian samples h(tau_k).
 An analytic dh/dtau, when the model has one, follows the same contract.
 The library samples through :func:`sample_hamiltonian` and
-:func:`sample_derivative`, which convert the times once. Raw,
-dimensionful Hamiltonians enter only through :func:`normalize`, which
-wraps a scalar raw evaluator into that contract, rescaling energies by
-the initial energy of the chosen level and time accordingly; everything
-downstream works with the dimensionless h.
+:func:`sample_derivative`, which convert the times once. A raw,
+dimensionful Hamiltonian is made dimensionless inside its own
+``evaluate_many``: energies in units of the initial level's energy and
+time rescaled by its inverse; everything downstream works with the
+dimensionless h.
 
 Built-in models:
 
@@ -47,7 +47,6 @@ from .errors import (
     NonMonotoneTime,
     OutsideTabulatedRange,
     ParseError,
-    ZeroHamiltonian,
 )
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -85,21 +84,6 @@ class HamiltonianModel:
     analytic_frame: Optional[Callable[[np.ndarray], tuple]] = field(
         default=None, repr=False
     )
-
-
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """How a raw Hamiltonian was made dimensionless.
-
-    ``reference_energy`` is the initial energy of ``initial_level`` in
-    the raw units (or the spectral norm fallback when that energy
-    vanishes); ``time_scale`` converts dimensionless tau back to raw
-    time, t = time_scale * tau.
-    """
-
-    reference_energy: float
-    time_scale: float
-    initial_level: int
 
 
 class SpinVariant(enum.Enum):
@@ -198,46 +182,6 @@ def _checked(
         k = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
         raise InvalidSamples(f"model {model.name!r}: {what} is not finite at tau={taus[k]:.6g}")
     return samples
-
-
-def normalize(
-    raw_evaluator: Callable[[float], np.ndarray],
-    initial_level: int,
-    t_probe: float = 0.0,
-) -> tuple[HamiltonianModel, NormalizationRecord]:
-    """Make a raw Hamiltonian dimensionless.
-
-    The reference energy is the ``initial_level``-th eigenvalue
-    (ascending) of the raw Hamiltonian at ``t_probe``. When that
-    eigenvalue vanishes relative to the spectral norm, the spectral norm
-    itself is used so that h stays order one. Returns the dimensionless
-    model together with the record needed to undo the scaling.
-    """
-    h0 = np.asarray(raw_evaluator(t_probe), dtype=complex)
-    if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-        raise ValueError("raw evaluator must produce a square matrix")
-    d = h0.shape[0]
-    if not 0 <= initial_level < d:
-        raise ValueError(f"initial_level {initial_level} out of range for dimension {d}")
-    _require_hermitian(h0, "raw H(t_probe)")
-    evals = np.linalg.eigvalsh(h0)
-    spectral_norm = float(np.abs(evals).max())
-    if spectral_norm == 0.0:
-        raise ZeroHamiltonian("raw Hamiltonian vanishes at the probe time")
-    reference = float(evals[initial_level])
-    if abs(reference) < 1e-12 * spectral_norm:
-        reference = spectral_norm
-    time_scale = 1.0 / reference
-
-    def evaluate_many(taus: np.ndarray) -> np.ndarray:
-        raw = [np.asarray(raw_evaluator(tau * time_scale), dtype=complex) for tau in taus]
-        return np.array(raw) / reference
-
-    model = HamiltonianModel(dimension=d, evaluate_many=evaluate_many, name="normalized")
-    record = NormalizationRecord(
-        reference_energy=reference, time_scale=time_scale, initial_level=initial_level
-    )
-    return model, record
 
 
 def build_spin_half(params: SpinHalfParams) -> HamiltonianModel:

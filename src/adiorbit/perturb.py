@@ -90,8 +90,8 @@ def _column_integral(coupling: np.ndarray, grid: TimeGrid, level: int, stop: Opt
     the samples before ``stop`` (all by default).
 
     A_k(tau) = int_0^tau M_km, one ``running_trapezoid`` call per chunk,
-    so every row equals the whole-grid ``cumulative_trapezoid``'s bit for
-    bit. The yielded array is a buffer that the next chunk overwrites.
+    so every row equals one call's over the whole grid bit for bit. The
+    yielded array is a buffer that the next chunk overwrites.
     """
     column = coupling[:, :, level]
     stop = coupling.shape[0] if stop is None else stop
@@ -111,8 +111,8 @@ def _kernels(coupling: np.ndarray, grid: TimeGrid, level: int, stop: Optional[in
     D_mm(tau) = int_0^tau sum_k M_mk A_k is the ordered double integral
     whose inner integral is A (:func:`_column_integral`); it too takes
     one ``running_trapezoid`` call per chunk, so every row equals the
-    whole-grid ``cumulative_trapezoid``'s bit for bit. The yielded
-    arrays are buffers that the next chunk overwrites.
+    whole-grid call's bit for bit. The yielded arrays are buffers that
+    the next chunk overwrites.
     """
     row = coupling[:, level, :]
     stop = coupling.shape[0] if stop is None else stop

@@ -335,7 +335,7 @@ def _hamiltonian_derivative(model, grid: TimeGrid, rows: slice) -> np.ndarray:
     """dh/dtau at the samples ``rows``: the model's analytic derivative,
     else central differences of h with step _FD_STEP, one-sided at the
     range ends. Never probes outside [0, tau_end], so models defined
-    only on that range (tabulated, normalized raw evaluators) stay valid.
+    only on that range (tabulated, rescaled raw evaluators) stay valid.
     """
     n = grid.n_steps + 1
     start, stop, _ = rows.indices(n)

@@ -599,6 +599,19 @@ class TestSweep:
         assert "--threads: must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "sweep"])
+    def test_threshold_on_a_command_that_does_not_read_it_exits_2(
+        self, tmp_path, capsys, command
+    ):
+        # only check and fourier compare values with the threshold
+        cfg = write_config(tmp_path, self.sweep_config(values="0.4"))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--threshold", "0.5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_csv_bytes_match_per_field_format(self, tmp_path):
         cfg = write_config(tmp_path, self.sweep_config(values="0.4, 0.2"))
         out = tmp_path / "out"

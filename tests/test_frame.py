@@ -26,7 +26,7 @@ from adiorbit import spectrum as spectrum_module
 from adiorbit._linalg import STEP_CHUNK, central_difference
 from adiorbit.errors import GridMismatch, PhaseUnresolved
 from adiorbit.frame import ARG_UNDEFINED_TOL
-from adiorbit.grid import cumulative_trapezoid
+from adiorbit.grid import running_trapezoid
 from adiorbit.pipeline import run_frame
 from adiorbit.propagate import evolve_schrodinger, survival_probability_direct
 
@@ -74,9 +74,9 @@ def per_pair_frame(spectrum, gamma):
                 args[:, m, n] = unwrapped_argument(gsym[:, m, n])
     energies = spectrum.eigenvalues
     berry = np.real(np.einsum("knn->kn", gsym))
-    integrals = cumulative_trapezoid(
-        np.concatenate([energies - berry, berry, energies], axis=1), spectrum.grid.dtau
-    )
+    integrand = np.concatenate([energies - berry, berry, energies], axis=1)
+    integrals = np.empty_like(integrand)
+    running_trapezoid(integrand, spectrum.grid.dtau, integrals)
     theta, berry_int, energy_int = integrals[:, :d], integrals[:, d : 2 * d], integrals[:, 2 * d :]
     xi = berry_int[:, None, :] - berry_int[:, :, None]
     xi += args
@@ -136,7 +136,9 @@ def geometric_phase(frame, m, n):
     """xi_mn = alpha_mn - int(e_m - e_n): the coupling phase without its
     accumulated energy difference."""
     energies = frame.spectrum.eigenvalues
-    energy_int = cumulative_trapezoid(energies[:, m] - energies[:, n], frame.grid.dtau)
+    gap = energies[:, m] - energies[:, n]
+    energy_int = np.empty_like(gap)
+    running_trapezoid(gap, frame.grid.dtau, energy_int)
     return frame.coupling_phase(m, n) - energy_int
 
 
@@ -514,9 +516,9 @@ def whole_grid_coupling(spectrum, values):
     """M as one whole-grid hermitize, trapezoid and dressing, on a copy."""
     diag = np.arange(spectrum.dimension)
     coupling = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
-    theta = cumulative_trapezoid(
-        spectrum.eigenvalues - coupling[:, diag, diag].real, spectrum.grid.dtau
-    )
+    integrand = spectrum.eigenvalues - coupling[:, diag, diag].real
+    theta = np.empty_like(integrand)
+    running_trapezoid(integrand, spectrum.grid.dtau, theta)
     rot = np.exp(1j * theta)
     coupling *= rot[:, :, None]
     coupling *= rot.conj()[:, None, :]

@@ -18,7 +18,6 @@ from adiorbit import (
     compute_nonadiabatic_coupling,
     evolve_coefficients,
     load_tabulated_model,
-    normalize,
     run_pipeline,
     sample_hamiltonian,
     solve_quasistationary,
@@ -33,52 +32,10 @@ from adiorbit.errors import (
     NonMonotoneTime,
     OutsideTabulatedRange,
     ParseError,
-    ZeroHamiltonian,
 )
 from adiorbit.model import SIGMA_Z, sample_derivative
 
 from conftest import SX, SY, SZ, write_tabulated
-
-
-class TestNormalize:
-    def test_sigma_z_level_one(self):
-        model, record = normalize(lambda t: SZ, initial_level=1)
-        assert record.reference_energy == pytest.approx(1.0)
-        assert np.allclose(sample_hamiltonian(model, 0.3)[0], SZ)
-
-    def test_scaling_identity(self):
-        model, record = normalize(lambda t: 2.0 * SZ, initial_level=1)
-        assert record.reference_energy == pytest.approx(2.0)
-        for tau in (0.0, 0.5, 3.0):
-            assert np.allclose(sample_hamiltonian(model, tau)[0], SZ)
-
-    def test_zero_eigenvalue_falls_back_to_spectral_norm(self):
-        model, record = normalize(lambda t: np.diag([0.0, 1.0]), initial_level=0)
-        assert record.reference_energy == pytest.approx(1.0)
-        assert np.allclose(sample_hamiltonian(model, 0.0)[0], np.diag([0.0, 1.0]))
-
-    def test_time_rescaling(self):
-        # raw H(t) = 2 sigma_z + t sigma_x: h(tau) must equal H(tau/2)/2
-        def raw(t):
-            return 2.0 * SZ + t * SX
-
-        model, record = normalize(raw, initial_level=1)
-        assert record.reference_energy == pytest.approx(2.0)
-        assert record.time_scale == pytest.approx(0.5)
-        tau = 1.2
-        assert np.allclose(sample_hamiltonian(model, tau)[0], raw(tau * 0.5) / 2.0)
-
-    def test_zero_hamiltonian(self):
-        with pytest.raises(ZeroHamiltonian):
-            normalize(lambda t: np.zeros((2, 2)), initial_level=0)
-
-    def test_non_hermitian_raw(self):
-        with pytest.raises(NonHermitianInput):
-            normalize(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), initial_level=0)
-
-    def test_bad_level(self):
-        with pytest.raises(ValueError):
-            normalize(lambda t: SZ, initial_level=5)
 
 
 class TestSpinHalf:

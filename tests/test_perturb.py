@@ -22,7 +22,7 @@ from adiorbit import (
 )
 from adiorbit._linalg import STEP_CHUNK
 from adiorbit.errors import RatioBreakdown
-from adiorbit.grid import cumulative_trapezoid
+from adiorbit.grid import running_trapezoid
 from adiorbit.perturb import RATIO_FIRST_ITER, SECOND_ORDER
 
 from conftest import smooth_random_model
@@ -298,8 +298,11 @@ class TestConditionReport:
 
 def whole_grid_kernels(coupling, grid, level):
     """A and D_mm formed over the whole grid at once."""
-    a = cumulative_trapezoid(coupling[:, :, level], grid.dtau)
-    d_mm = cumulative_trapezoid(np.einsum("jk,jk->j", coupling[:, level, :], a), grid.dtau)
+    a = np.empty_like(coupling[:, :, level])
+    running_trapezoid(coupling[:, :, level], grid.dtau, a)
+    integrand = np.einsum("jk,jk->j", coupling[:, level, :], a)
+    d_mm = np.empty_like(integrand)
+    running_trapezoid(integrand, grid.dtau, d_mm)
     return a, d_mm
 
 

@@ -1,5 +1,7 @@
-"""Smoke test of tools/stage_profile.py on a tiny scenario."""
+"""Smoke test of tools/stage_profile.py on a tiny scenario, and of its
+high-water column."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -44,4 +46,22 @@ def test_prints_every_stage(tmp_path, command):
     assert set(STAGES[command]) <= set(names)
     for _, hwm, rss, faults, seconds in rows[1:]:
         assert float(hwm) > 0 and int(faults) >= 0 and float(seconds) >= 0
+    high_water = [float(row[1]) for row in rows[1:]]
+    assert high_water == sorted(high_water)
     assert any((tmp_path / "out").iterdir())
+
+
+def test_high_water_column_never_decreases(monkeypatch, capsys):
+    # a lagging counter: the second read is below the first
+    path = ROOT / "tools" / "stage_profile.py"
+    spec = importlib.util.spec_from_file_location("stage_profile", path)
+    profile = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(profile)
+    reads = iter([(65.83, 60.0), (65.66, 59.4), (66.10, 59.5)])
+    monkeypatch.setattr(profile, "memory_mb", lambda: next(reads))
+    report = profile.reporter()
+    for stage in ("spectrum.gamma", "frame.build", "cli.write"):
+        report(stage, 0, 0.0)
+    rows = [line.split() for line in capsys.readouterr().err.splitlines()]
+    assert [float(row[1]) for row in rows] == [65.83, 65.83, 66.10]
+    assert [float(row[2]) for row in rows] == [60.0, 59.4, 59.5]

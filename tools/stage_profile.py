@@ -11,7 +11,10 @@ page faults during it (``getrusage``) and its seconds. The first line is
 taken after import (faults since the process started), the last sums
 the command. VmHWM and VmRSS are read
 from ``/proc/self/status``; where that file is missing VmHWM is
-``ru_maxrss`` and VmRSS is nan. The exit code is the CLI's.
+``ru_maxrss`` and VmRSS is nan. Those counters lag the true high-water
+mark by up to about 0.2 MB, so a later read can fall below an earlier
+one; the VmHWM column is the running maximum of the reads so far, so it
+never decreases down the stages. The exit code is the CLI's.
 """
 
 import resource
@@ -56,16 +59,25 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def report(stage: str, faults: int, seconds: float):
-    hwm, rss = memory_mb()
-    print(
-        f"{stage:<24} {hwm:9.2f} {rss:9.2f} {faults:9d} {seconds:9.4f}",
-        file=sys.stderr,
-        flush=True,
-    )
+def reporter():
+    """A ``report(stage, faults, seconds)`` that prints one line to stderr;
+    its VmHWM column is the running maximum of its reads."""
+    high_water = 0.0
+
+    def report(stage: str, faults: int, seconds: float):
+        nonlocal high_water
+        hwm, rss = memory_mb()
+        high_water = max(high_water, hwm)
+        print(
+            f"{stage:<24} {high_water:9.2f} {rss:9.2f} {faults:9d} {seconds:9.4f}",
+            file=sys.stderr,
+            flush=True,
+        )
+
+    return report
 
 
-def wrap(module, attr: str, stage: str):
+def wrap(module, attr: str, stage: str, report):
     original = getattr(module, attr)
 
     def timed(*args, **kwargs):
@@ -78,9 +90,10 @@ def wrap(module, attr: str, stage: str):
 
 
 def main(argv=None) -> int:
+    report = reporter()
     for module, stages in STAGES.items():
         for attr, stage in stages.items():
-            wrap(module, attr, stage)
+            wrap(module, attr, stage, report)
     print(f"{'stage':<24} {'vmhwm_mb':>9} {'rss_mb':>9} {'minflt':>9} {'seconds':>9}",
           file=sys.stderr)
     report("after import", minor_faults(), time.perf_counter() - START)
