@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from adiorbit import (
@@ -36,6 +37,59 @@ from adiorbit.errors import (
 from adiorbit.model import SIGMA_Z, sample_derivative
 
 from conftest import SX, SY, SZ, write_tabulated
+
+
+class TestRawHamiltonianRecipe:
+    """The README's dimensionless ramp: h(tau) = H(t) / E0 at t = tau / E0."""
+
+    DELTA, V = 2.0, 0.3  # raw units
+    E0 = DELTA  # |energy| of the lower level at t = 0
+
+    @classmethod
+    def raw(cls, t):
+        return -cls.DELTA * SZ + cls.V * t * SX
+
+    @classmethod
+    def model(cls):
+        def evaluate_many(taus):
+            t = taus / cls.E0
+            h = np.zeros((taus.size, 2, 2), dtype=complex)
+            h[:, 0, 0], h[:, 1, 1] = -cls.DELTA / cls.E0, cls.DELTA / cls.E0
+            h[:, 0, 1] = h[:, 1, 0] = cls.V * t / cls.E0
+            return h
+
+        return HamiltonianModel(dimension=2, evaluate_many=evaluate_many, name="ramp")
+
+    def test_time_and_energy_rescaling(self):
+        taus = np.linspace(0.0, 7.0, 15)
+        expected = np.array([self.raw(tau / self.E0) / self.E0 for tau in taus])
+        assert np.allclose(sample_hamiltonian(self.model(), taus), expected)
+
+    def test_initial_level_has_unit_energy(self):
+        h0 = sample_hamiltonian(self.model(), 0.0)[0]
+        assert np.allclose(np.linalg.eigvalsh(h0), [-1.0, 1.0])
+
+    def test_pipeline_matches_raw_schrodinger_equation(self):
+        # the survival probability does not depend on the units: evolve
+        # i dpsi/dt = H(t) psi in raw time and project on H's lower level
+        grid = TimeGrid(tau_end=10.0, n_steps=4000)
+        result = run_pipeline(self.model(), grid, initial_level=0)
+        t_end = grid.tau_end / self.E0
+        sol = solve_ivp(
+            lambda t, y: -1j * (self.raw(t) @ y),
+            (0.0, t_end),
+            np.array([1.0, 0.0], dtype=complex),
+            rtol=1e-11,
+            atol=1e-13,
+        )
+        lower = np.linalg.eigh(self.raw(t_end))[1][:, 0]
+        p_raw = abs(np.vdot(lower, sol.y[:, -1])) ** 2
+        assert abs(result.p_exact[-1] - p_raw) < 1e-7
+
+    def test_initial_level_out_of_range(self):
+        grid = TimeGrid(tau_end=1.0, n_steps=10)
+        with pytest.raises(ValueError, match="initial_level out of range"):
+            run_pipeline(self.model(), grid, initial_level=5)
 
 
 class TestSpinHalf:
